@@ -1,7 +1,7 @@
 """Timing the closed form against binary exponentiation.
 
-The closed form costs the same for any exponent (one table of polynomial
-values plus scalar eigenvalue powers), while binary exponentiation pays a
+The closed form costs the same for any exponent (scalar eigenvalue powers,
+one FFT, and writing the n**2 entries), while binary exponentiation pays a
 matrix product per bit of the exponent.  Parameters are scaled to unit
 spectral radius so giant exponents stay finite and the comparison remains
 meaningful.  The CLI exposes the same table as `tripow bench`.

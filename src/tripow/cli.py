@@ -6,8 +6,8 @@ fib (Fibonacci polynomial identities), bench (timing table in CSV).
 
 Complex parameters use the literal grammar <re><sign><im>i with no
 whitespace, e.g. 1+0i, -2.5+0.5i, 0+1i.  All data goes to stdout and all
-diagnostics to stderr.  Exit codes: 0 success, 1 verification or
-singularity failure, 2 usage or parse error.
+diagnostics to stderr.  Exit codes: 0 success, 1 verification, singularity
+or overflow failure, 2 usage or parse error.
 """
 
 import argparse
@@ -22,7 +22,7 @@ import numpy as np
 from .families import FAMILIES, FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI, FamilySpec, build_matrix
 from .fibpoly import fib_det_check, fib_factor_eval, fib_poly_eval
 from .linalg import SingularMatrixError, mat_norm_maxabs, mat_pow_binary
-from .powers import VerificationError, power_matrix, power_verify
+from .powers import PowerOverflowError, VerificationError, power_matrix, power_verify
 from .spectral import ClosureError, decompose
 
 __all__ = ["main", "parse_complex", "format_complex"]
@@ -429,7 +429,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except (SingularMatrixError, VerificationError, ClosureError) as exc:
+    except (SingularMatrixError, VerificationError, ClosureError, PowerOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -1,27 +1,41 @@
-"""Entrywise closed-form integer powers of the structured families.
+"""Closed-form integer powers of the structured families.
 
 The s-th power of each family is a weighted sum over eigenvalue powers:
 
     entry(i, j) = pre_i * g_j * sum_k lambda_k**s * w_k * phi_{i-1}(x_k) * phi_{j-1}(x_k)
 
 with phi the first-kind (family "a") or signed second-kind ("adagger")
-Chebyshev polynomials at the half-nodes x_k, w/g the row and column weight
-families of the analytic inverse, and pre_i a 1/2 prefactor on the last
-row of family "a" only.  The anti family splits on the parity of s: even
-powers coincide with the tridiagonal counterpart, odd powers are its
-exchange flip.
+Chebyshev polynomials at the half-nodes x_k = cos(theta_k), w/g the row and
+column weight families of the analytic inverse, and pre_i a 1/2 prefactor
+on the last row of family "a" only.  The product-to-sum rule collapses the
+sum to two entries of one generator h_m = sum_k lambda_k**s w_k cos(m theta_k)
+(spectral.power_generator, one FFT):
+
+    family "a":  (h[|i-j|] + h[i+j]) / 2 * g_j * pre_i
+    "adagger":   sign_r(i) * sign_r(j) * (h[|i-j|] - h[i+j+2])
+
+(0-based i, j; the "adagger" weights absorb the 1/sin(theta)**2 of the
+second-kind product).  A full power is therefore a Toeplitz view plus or
+minus a Hankel view of h with fixed edge factors: O(n**2) with no matrix
+product, and every single entry is O(n log n).  The anti family splits on
+the parity of s: even powers coincide with the tridiagonal counterpart, odd
+powers are its exchange flip.
 
 Negative exponents are accepted whenever every eigenvalue is nonzero.
 Eigenvalue powers use square-and-multiply on the reciprocal, never a
-complex logarithm, so no branch-cut choices are involved.
+complex logarithm, so no branch-cut choices are involved.  A power whose
+entries cannot be represented raises PowerOverflowError instead of
+returning inf or NaN.
 """
 
+import operator
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .chebyshev import cheb_t, cheb_u
 from .families import (
     FAMILY_A,
     FAMILY_ADAGGER,
@@ -36,7 +50,13 @@ from .linalg import (
     mat_norm_maxabs,
     mat_pow_binary,
 )
-from .spectral import SpectralData, decompose, sign_r
+from .spectral import (
+    SpectralData,
+    eigenvalues_a,
+    eigenvalues_adagger,
+    power_generator,
+    sign_r,
+)
 
 __all__ = [
     "PATH_A",
@@ -46,6 +66,7 @@ __all__ = [
     "PATH_ANTI_EVEN_S",
     "PATH_ORACLE",
     "ExtendedDomainWarning",
+    "PowerOverflowError",
     "VerificationError",
     "PowerResult",
     "power_entry_a",
@@ -66,9 +87,17 @@ PATH_ORACLE = "oracle"
 # block negative powers.
 EIGENVALUE_RTOL = 1e-12
 
+# Generator entries above this modulus are refused: an entry of the power is
+# the sum of two of them and would overflow.
+OVERFLOW_LIMIT = sys.float_info.max / 2
+
 
 class ExtendedDomainWarning(UserWarning):
     """The request is valid but outside the stated parity-restricted domain."""
+
+
+class PowerOverflowError(OverflowError):
+    """The requested power has entries too large for complex128."""
 
 
 class VerificationError(ArithmeticError):
@@ -98,43 +127,63 @@ class PowerResult:
     residual_vs_oracle: float | None = None
 
 
-def _int_pow(z: complex, s: int) -> complex:
-    """z**s for integer s by square-and-multiply; negative s inverts first."""
-    if s < 0:
-        z = 1.0 / z
-        s = -s
-    result = 1.0 + 0.0j
-    base = complex(z)
-    while s:
-        if s & 1:
-            result *= base
-        base *= base
-        s >>= 1
-    return result
+def _eigenvalue_powers(spec: FamilySpec, eigenvalues: np.ndarray, s: int) -> np.ndarray:
+    """lambda_k**s for all k by vectorized square-and-multiply.
 
-
-def _eigenvalue_powers(data: SpectralData, s: int) -> np.ndarray:
-    """lambda_k**s for all k, guarding negative powers of a zero eigenvalue."""
-    lam = data.eigenvalues
+    Negative s inverts first, after refusing a zero eigenvalue.
+    """
     if s < 0:
-        if data.spec.n % 2 == 1:
-            warnings.warn(
-                f"negative exponent s={s} with odd n={data.spec.n} extends the "
-                "closed form beyond its stated parity domain; the result is "
-                "well-defined because all eigenvalues are nonzero",
-                ExtendedDomainWarning,
-                stacklevel=3,
-            )
-        moduli = np.abs(lam)
+        moduli = np.abs(eigenvalues)
         threshold = EIGENVALUE_RTOL * float(moduli.max())
         small = int(np.argmin(moduli))
         if moduli[small] <= threshold:
             raise SingularMatrixError(
-                f"negative power undefined: eigenvalue {lam[small]:.6g} at "
+                f"negative power undefined: eigenvalue {eigenvalues[small]:.6g} at "
                 f"k={small + 1} has modulus below {EIGENVALUE_RTOL:g} of the "
                 "spectral radius"
             )
-    return np.array([_int_pow(z, s) for z in lam], dtype=np.complex128)
+        if spec.n % 2 == 1:
+            warnings.warn(
+                f"negative exponent s={s} with odd n={spec.n} extends the "
+                "closed form beyond its stated parity domain; the result is "
+                "well-defined because all eigenvalues are nonzero",
+                ExtendedDomainWarning,
+                stacklevel=4,
+            )
+        base = 1.0 / eigenvalues
+    else:
+        base = eigenvalues
+    result = np.ones_like(base)
+    e = abs(s)
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
+def _generator(spec: FamilySpec, eigenvalues: np.ndarray, s: int) -> np.ndarray:
+    """The generator h of the s-th power (see spectral.power_generator).
+
+    Raises PowerOverflowError when h is not finite or so large that the sum
+    of two of its entries could overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = power_generator(spec, _eigenvalue_powers(spec, eigenvalues, s))
+        peak = float(np.abs(h).max())
+    if not peak <= OVERFLOW_LIMIT:
+        raise PowerOverflowError(
+            f"power s={s} is not representable for family={spec.family} "
+            f"n={spec.n} a={spec.a} b={spec.b}: generator modulus {peak:.3e} "
+            f"is not finite or exceeds {OVERFLOW_LIMIT:.3e}"
+        )
+    return h
+
+
+def _eigenvalues(spec: FamilySpec) -> np.ndarray:
+    return eigenvalues_a(spec) if spec.family == FAMILY_A else eigenvalues_adagger(spec)
 
 
 def _check_indices(n: int, i: int, j: int):
@@ -145,36 +194,34 @@ def _check_indices(n: int, i: int, j: int):
 def power_entry_a(data: SpectralData, s: int, i: int, j: int) -> complex:
     """Entry (i, j) of the s-th power of a family-"a" matrix; i, j are 1-based.
 
-    The last row (i = n) carries an extra factor 1/2.
+    Reads h[|i-j|] + h[i+j-2] from the power's generator; the first column
+    and the last row (i = n) each carry a factor 1/2.
     """
     if data.spec.family != FAMILY_A:
         raise ValueError(f"expected family 'a' data, got {data.spec.family!r}")
     n = data.spec.n
     _check_indices(n, i, j)
-    lam_pows = _eigenvalue_powers(data, s)
-    beta = data.row_weights
-    gamma = data.col_scales
-    total = 0.0 + 0.0j
-    for k in range(n):
-        x = data.nodes[k] / 2.0
-        total += lam_pows[k] * beta[k] * cheb_t(i - 1, x) * cheb_t(j - 1, x)
-    prefactor = 0.5 if i == n else 1.0
-    return complex(prefactor * gamma[j - 1] * total)
+    h = _generator(data.spec, data.eigenvalues, s)
+    value = h[abs(i - j)] + h[i + j - 2]
+    if j == 1:
+        value *= 0.5
+    if i == n:
+        value *= 0.5
+    return complex(value)
 
 
 def power_entry_adagger(data: SpectralData, s: int, i: int, j: int) -> complex:
-    """Entry (i, j) of the s-th power of an "adagger" matrix; i, j are 1-based."""
+    """Entry (i, j) of the s-th power of an "adagger" matrix; i, j are 1-based.
+
+    Reads sign_r(i-1) * sign_r(j-1) * (h[|i-j|] - h[i+j]) from the power's
+    generator.
+    """
     if data.spec.family == FAMILY_A:
         raise ValueError("expected family 'adagger' or 'anti' data, got 'a'")
     n = data.spec.n
     _check_indices(n, i, j)
-    lam_pows = _eigenvalue_powers(data, s)
-    weights = data.row_weights
-    total = 0.0 + 0.0j
-    for k in range(n):
-        x = data.nodes[k] / 2.0
-        total += lam_pows[k] * weights[k] * cheb_u(i - 1, x) * cheb_u(j - 1, x)
-    return complex(sign_r(i - 1) * sign_r(j - 1) * total)
+    h = _generator(data.spec, data.eigenvalues, s)
+    return complex(sign_r(i - 1) * sign_r(j - 1) * (h[abs(i - j)] - h[i + j]))
 
 
 def power_entry_anti(data: SpectralData, s: int, i: int, j: int) -> complex:
@@ -192,6 +239,36 @@ def power_entry_anti(data: SpectralData, s: int, i: int, j: int) -> complex:
     return power_entry_adagger(data, s, n - i + 1, j)
 
 
+def _assemble(spec: FamilySpec, h: np.ndarray, s: int) -> np.ndarray:
+    """The s-th power from its generator h, as Toeplitz -+ Hankel views of h.
+
+    Family "a" is Toeplitz h[|i-j|] plus Hankel h[i+j] with the first column
+    and the last row halved; "adagger" is D (Toeplitz h[|i-j|] minus Hankel
+    h[i+j+2]) D with D = diag(sign_r).  The anti family flips the rows of
+    the "adagger" result for odd s.
+    """
+    n = spec.n
+    # h is even with period P = h.size - 1, so h[|i-j|] = h[P - i + j]: both
+    # views are row ranges of one window view of h extended by n - 1 samples.
+    period = h.size - 1
+    window = sliding_window_view(np.concatenate((h, h[1:n])), n)
+    toeplitz = window[period - n + 1:period + 1][::-1]
+    if spec.family == FAMILY_A:
+        matrix = toeplitz + window[:n]
+        matrix[:, 0] *= 0.5
+        matrix[-1] *= 0.5
+        return matrix
+    hankel = window[2:n + 2]
+    # D * adagger * D is the Toeplitz matrix (b, a, b).
+    signs = row_signs = np.array([sign_r(i) for i in range(n)], dtype=float)
+    if spec.family == FAMILY_ANTI and s % 2 == 1:
+        toeplitz, hankel, row_signs = toeplitz[::-1], hankel[::-1], signs[::-1]
+    matrix = toeplitz - hankel
+    matrix *= row_signs[:, None]
+    matrix *= signs
+    return matrix
+
+
 def _path_for(spec: FamilySpec, s: int) -> str:
     if spec.family == FAMILY_A:
         return PATH_A
@@ -203,17 +280,17 @@ def _path_for(spec: FamilySpec, s: int) -> str:
 def power_matrix(spec: FamilySpec, s: int) -> PowerResult:
     """Assemble the full s-th power of the matrix described by spec.
 
-    The assembly evaluates vec_matrix * diag(lambda**s) * inv_matrix, which
-    expands to exactly the entrywise sums of the power_entry functions.
+    s must be an integer (TypeError otherwise).  The power is built from
+    its generator in O(n**2) with no matrix product; the entries equal
+    those of the power_entry functions.  Raises ClosureError when the
+    generator weights fail their closure check, SingularMatrixError for a
+    negative power of a zero eigenvalue, and PowerOverflowError when the
+    result cannot be represented.
     """
-    s = int(s)
-    if s == 0:
-        return PowerResult(spec, 0, mat_identity(spec.n), _path_for(spec, 0))
-    data = decompose(spec)
-    lam_pows = _eigenvalue_powers(data, s)
-    matrix = (data.vec_matrix * lam_pows[None, :]) @ data.inv_matrix
-    if spec.family == FAMILY_ANTI and s % 2 == 1:
-        matrix = matrix[::-1].copy()
+    s = operator.index(s)
+    h = _generator(spec, _eigenvalues(spec), s)
+    # The identity is returned exactly rather than assembled with rounding.
+    matrix = mat_identity(spec.n) if s == 0 else _assemble(spec, h, s)
     return PowerResult(spec, s, matrix, _path_for(spec, s))
 
 
@@ -224,6 +301,7 @@ def power_verify(spec: FamilySpec, s: int, tol: float = 1e-8) -> PowerResult:
     of the eliminated inverse for s < 0.  Raises VerificationError (carrying
     both matrices) when the max-abs residual exceeds tol.
     """
+    s = operator.index(s)
     result = power_matrix(spec, s)
     m = build_matrix(spec)
     if s >= 0:

@@ -15,6 +15,16 @@ evaluated in real arithmetic; only the eigenvalues themselves are complex.
 Each decomposition is validated at construction time: if the analytic
 inverse fails to multiply V back to the identity within CLOSURE_TOL, a
 ClosureError is raised rather than returning silently wrong data.
+
+Powers never need V or its inverse.  Writing the half-nodes as
+x_k = cos(theta_k), the product-to-sum rule turns every entry of
+V diag(lambda**s) V^-1 into a sum or difference of two terms of one vector
+
+    h_m = sum_k lambda_k**s * w_k * cos(m * theta_k),
+
+and power_generator computes all of h with one FFT (a DCT-I over the angles
+pi*q/L).  It validates the weights w the same way, in O(n log n): with
+lambda**s = 1 they must give the identity's generator within CLOSURE_TOL.
 """
 
 from dataclasses import dataclass
@@ -39,6 +49,7 @@ __all__ = [
     "inv_transform_k",
     "inv_transform_t",
     "decompose",
+    "power_generator",
 ]
 
 CLOSURE_TOL = 1e-9
@@ -225,3 +236,76 @@ def decompose(spec: FamilySpec) -> SpectralData:
             f"n={spec.n}: residual {residual:.3e} >= {CLOSURE_TOL:g}"
         )
     return SpectralData(spec, eigenvalues, nodes, vec, inv, row_weights, col_scales)
+
+
+def _generator_weights(spec: FamilySpec) -> np.ndarray:
+    """Weights w_k of the power generator, ordered like the eigenvalues.
+
+    Family "a" uses the beta family.  For "adagger" and "anti" the row
+    weight of the analytic inverse is divided by 2*sin(theta_k)**2, which
+    cancels the sines in U_i(x) * U_j(x) = sin((i+1)theta) sin((j+1)theta)
+    / sin(theta)**2; exact weights give 1/(n+1) for every k.  The sines
+    are evaluated directly, not as 1 - (node/2)**2, which cancels near the
+    ends of the spectrum.
+    """
+    if spec.family == FAMILY_A:
+        return _beta_weights(spec.n)
+    n = spec.n
+    sines = np.sin(np.arange(1, n + 1) * np.pi / (n + 1))
+    return _dagger_row_weights(n) / (2.0 * sines**2)
+
+
+def _cosine_sums(spec: FamilySpec, values: np.ndarray) -> np.ndarray:
+    """sum_k values_k * cos(m * theta_k) for m = 0..2L, along the last axis.
+
+    theta_k lies on the grid pi*q/L: q = k - 1 with L = n - 1 for family
+    "a", and q = n + 1 - k with L = n + 1 otherwise, where the grid ends
+    q = 0 and q = L carry no eigenvalue.  One FFT of the even extension of
+    the grid, with its two end samples doubled, gives twice the sums for
+    m = 0..2L-1; the sums have period 2L.
+    """
+    if spec.family == FAMILY_A:
+        grid = values.astype(np.complex128)
+    else:
+        grid = np.zeros(values.shape[:-1] + (spec.n + 2,), dtype=np.complex128)
+        grid[..., 1:-1] = values[..., ::-1]
+    last = grid.shape[-1] - 1
+    grid[..., 0] *= 2.0
+    grid[..., last] *= 2.0
+    sums = np.fft.fft(np.concatenate((grid, grid[..., last - 1:0:-1]), axis=-1)) / 2.0
+    return np.concatenate((sums, sums[..., :1]), axis=-1)
+
+
+def _identity_generator(spec: FamilySpec, size: int) -> np.ndarray:
+    """The generator of the identity, h_m for m = 0..size-1.
+
+    Family "a": 1 where m is a multiple of 2(n-1), else 0.  Otherwise
+    [n, 0, -1, 0, -1, ...] / (n+1), with n again where m is a multiple of
+    2(n+1).
+    """
+    m = np.arange(size)
+    if spec.family == FAMILY_A:
+        return (m % (2 * spec.n - 2) == 0).astype(float)
+    unit = np.where(m % 2 == 0, -1.0, 0.0)
+    unit[m % (2 * spec.n + 2) == 0] = spec.n
+    return unit / (spec.n + 1)
+
+
+def power_generator(spec: FamilySpec, lam_pows: np.ndarray) -> np.ndarray:
+    """The generator h of the power whose eigenvalue powers are lam_pows.
+
+    h_m = sum_k lam_pows_k * w_k * cos(m * theta_k) for m = 0..2L, with w
+    from _generator_weights and L as in the angle grid (n - 1 for family
+    "a", n + 1 otherwise).  The weights alone go through the same FFT and
+    must reproduce the identity's generator; ClosureError is raised when
+    they miss it by CLOSURE_TOL or more.
+    """
+    weights = _generator_weights(spec)
+    unit, h = _cosine_sums(spec, np.stack((weights, lam_pows * weights)))
+    residual = float(np.abs(unit - _identity_generator(spec, unit.size)).max())
+    if residual >= CLOSURE_TOL:
+        raise ClosureError(
+            f"generator weights failed closure for family {spec.family!r}, "
+            f"n={spec.n}: residual {residual:.3e} >= {CLOSURE_TOL:g}"
+        )
+    return h

@@ -128,6 +128,15 @@ class TestPowerCommand:
         assert out == ""
         assert "even n" in err
 
+    def test_overflow_exits_one_with_empty_stdout(self, capsys):
+        code, out, err = run_cli(
+            capsys, "power", "--family", "a", "--n", "3", "--a", "2+0i",
+            "--b", "1+0i", "--s", "2000", "--format", "json",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_bad_literal_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["power", "--family", "a", "--n", "3", "--a", "1+i", "--b", "1+0i", "--s", "2"])

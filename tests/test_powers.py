@@ -28,6 +28,7 @@ from tripow.powers import (
     PATH_ANTI_EVEN_S,
     PATH_ANTI_ODD_S,
     ExtendedDomainWarning,
+    PowerOverflowError,
     VerificationError,
     power_entry_a,
     power_entry_adagger,
@@ -35,7 +36,7 @@ from tripow.powers import (
     power_matrix,
     power_verify,
 )
-from tripow.spectral import decompose
+from tripow.spectral import decompose, eigenvalues_a, eigenvalues_adagger
 
 
 def random_params(rng, min_b=0.25, scale=3.0):
@@ -52,6 +53,58 @@ def draw_invertible(rng, family, n, min_eig=0.35):
         spec = FamilySpec(family, n, *random_params(rng))
         if np.abs(decompose(spec).eigenvalues).min() >= min_eig:
             return spec
+
+
+def int_pow(z: complex, s: int) -> complex:
+    """z**s by scalar square-and-multiply; negative s inverts first."""
+    if s < 0:
+        z = 1.0 / z
+        s = -s
+    result = 1.0 + 0.0j
+    while s:
+        if s & 1:
+            result *= z
+        z *= z
+        s >>= 1
+    return result
+
+
+def unit_radius_spec(rng, family, n, min_ratio=0.3):
+    """Unit spectral radius, smallest eigenvalue modulus >= min_ratio."""
+    while True:
+        spec = FamilySpec(family, n, *random_params(rng))
+        lam = eigenvalues_a(spec) if family == FAMILY_A else eigenvalues_adagger(spec)
+        moduli = np.abs(lam)
+        if moduli.min() >= min_ratio * moduli.max():
+            radius = float(moduli.max())
+            return FamilySpec(family, n, spec.a / radius, spec.b / radius)
+
+
+REFERENCE_CASES = [
+    (family, n)
+    for family in (FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI)
+    for n in (1, 2, 3, 4, 5, 64, 257, 1024)
+    if not (family == FAMILY_A and n < 2) and not (family == FAMILY_ANTI and n % 2)
+]
+
+
+@pytest.mark.parametrize("family,n", REFERENCE_CASES)
+def test_power_matrix_matches_dense_reference(family, n):
+    # The reference is the dense product V diag(lambda**s) V^-1 of the
+    # validated decomposition, with scalar eigenvalue powers.
+    rng = np.random.default_rng(1000 * n + len(family))
+    spec = unit_radius_spec(rng, family, n)
+    data = decompose(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtendedDomainWarning)
+        for s in (0, 1, 2, 3, 8, 4096, -3):
+            lam_pows = np.array([int_pow(z, s) for z in data.eigenvalues])
+            reference = (data.vec_matrix * lam_pows) @ data.inv_matrix
+            if family == FAMILY_ANTI and s % 2 == 1:
+                reference = reference[::-1]
+            got = power_matrix(spec, s).matrix
+            error = mat_norm_maxabs(got - reference) / mat_norm_maxabs(reference)
+            assert error <= 1e-11, (s, error)
 
 
 class TestEntryFormulas:
@@ -228,6 +281,38 @@ class TestPowerMatrix:
             warnings.simplefilter("ignore", ExtendedDomainWarning)
             with pytest.raises(SingularMatrixError, match="k=2"):
                 power_matrix(FamilySpec(FAMILY_A, 3, 0.0, 1.0), -1)
+
+    def test_singularity_is_checked_before_the_domain_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError):
+                power_matrix(FamilySpec(FAMILY_ADAGGER, 3, 0.0, 1.0), -1)
+
+    @pytest.mark.parametrize("s", [2.7, 2.0])
+    def test_non_integral_exponent_is_rejected(self, s):
+        spec = FamilySpec(FAMILY_A, 3, 1.0, 1.0)
+        with pytest.raises(TypeError):
+            power_matrix(spec, s)
+        with pytest.raises(TypeError):
+            power_verify(spec, s)
+
+    def test_numpy_integer_exponent(self):
+        spec = FamilySpec(FAMILY_A, 3, 1.0, 1.0)
+        result = power_matrix(spec, np.int64(3))
+        assert result.exponent == 3 and type(result.exponent) is int
+        np.testing.assert_allclose(result.matrix, [[7, 14, 12], [7, 13, 14], [3, 7, 7]], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec,s",
+        [
+            (FamilySpec(FAMILY_A, 3, 2.0, 1.0), 2000),
+            (FamilySpec(FAMILY_ADAGGER, 4, 3.0, 1.0), 700),
+            (FamilySpec(FAMILY_ANTI, 4, 0.01, 0.1), -400),
+        ],
+    )
+    def test_overflow_raises(self, spec, s):
+        with pytest.raises(PowerOverflowError):
+            power_matrix(spec, s)
 
     def test_domain_warning_for_odd_n_negative_s(self):
         with pytest.warns(ExtendedDomainWarning):

@@ -285,14 +285,29 @@ class TestDecompose:
         for node in data_d.nodes:
             assert abs(char_value_adagger(n, node)) < 1e-9
 
-    def test_closure_error_is_raised_on_corruption(self):
-        # Force a bad coefficient family through the validation path.
+    def test_closure_error_is_raised_on_corruption(self, monkeypatch):
+        # Force a bad coefficient family through both validation paths: the
+        # dense one in decompose and the generator one in power_matrix.
         import tripow.spectral as spectral_mod
+        from tripow.powers import power_matrix
 
-        original = spectral_mod._beta_weights
-        spectral_mod._beta_weights = lambda n: original(n) * 1.5
-        try:
+        beta = spectral_mod._beta_weights
+        monkeypatch.setattr(spectral_mod, "_beta_weights", lambda n: beta(n) * 1.5)
+        with pytest.raises(ClosureError):
+            decompose(FamilySpec(FAMILY_A, 4, 1.0, 1.0))
+        with pytest.raises(ClosureError):
+            power_matrix(FamilySpec(FAMILY_A, 4, 1.0, 1.0), 2)
+
+        weights = spectral_mod._dagger_row_weights
+
+        def corrupted(n):
+            bad = weights(n).copy()
+            bad[0] *= 1.5
+            return bad
+
+        monkeypatch.setattr(spectral_mod, "_dagger_row_weights", corrupted)
+        for spec in (FamilySpec(FAMILY_ADAGGER, 5, 1.0, 1.0), FamilySpec(FAMILY_ANTI, 4, 1.0, 1.0)):
             with pytest.raises(ClosureError):
-                decompose(FamilySpec(FAMILY_A, 4, 1.0, 1.0))
-        finally:
-            spectral_mod._beta_weights = original
+                decompose(spec)
+            with pytest.raises(ClosureError):
+                power_matrix(spec, 2)
