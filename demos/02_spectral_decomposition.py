@@ -31,9 +31,9 @@ rebuilt = (data.vec_matrix * data.eigenvalues[None, :]) @ data.inv_matrix
 reconstruction = mat_norm_maxabs(rebuilt - build_matrix(spec))
 print("reconstruction residual |V diag(lambda) V^-1 - M|:", reconstruction)
 
-# The alternating family switches coefficient families with the parity of n:
-# mu weights for odd dimensions, eta weights for even ones.  The first
-# column of the analytic inverse exposes whichever family is in use.
+# The paper writes the alternating family's row weights in two forms, mu for
+# odd dimensions and eta for even ones; both equal 2 sin(k pi/(n+1))**2/(n+1).
+# The first column of the analytic inverse exposes them.
 for n in (5, 6):
     data = decompose(FamilySpec("adagger", n, 0.0, 1.0))
     kind = "mu (odd n)" if n % 2 else "eta (even n)"

@@ -10,6 +10,7 @@ Family "anti":    the exchange flip of "adagger", an anti-tridiagonal matrix;
 """
 
 import cmath
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,8 @@ FAMILIES = (FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI)
 class FamilySpec:
     """Which family to build, its dimension, and the two complex parameters.
 
-    Constraints are checked eagerly: b must be nonzero, family "a" needs
+    Constraints are checked eagerly: n is any integer type (stored as int),
+    booleans are refused for n, a and b, b must be nonzero, family "a" needs
     n >= 2, and family "anti" needs even n.
     """
 
@@ -48,11 +50,18 @@ class FamilySpec:
     b: complex
 
     def __post_init__(self):
+        if any(isinstance(v, (bool, np.bool_)) for v in (self.n, self.a, self.b)):
+            raise ValueError("n, a and b must be numbers, not booleans")
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            raise ValueError("n must be a positive integer") from None
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if not isinstance(self.n, int) or self.n < 1:
+        if self.n < 1:
             raise ValueError("n must be a positive integer")
         if not (cmath.isfinite(self.a) and cmath.isfinite(self.b)):
             raise ValueError("a and b must be finite")

@@ -103,21 +103,23 @@ class PowerOverflowError(OverflowError):
 class VerificationError(ArithmeticError):
     """Closed form and oracle disagree beyond the requested tolerance.
 
-    Carries both matrices as .closed_form and .oracle for inspection.
+    Carries both matrices as .closed_form and .oracle for inspection, and
+    the relative residual that exceeded the tolerance as .residual.
     """
 
-    def __init__(self, message, closed_form=None, oracle=None):
+    def __init__(self, message, closed_form=None, oracle=None, residual=None):
         super().__init__(message)
         self.closed_form = closed_form
         self.oracle = oracle
+        self.residual = residual
 
 
 @dataclass
 class PowerResult:
     """A computed matrix power plus provenance.
 
-    path names the formula route taken; residual_vs_oracle is populated only
-    by power_verify.
+    path names the formula route taken; residual_vs_oracle, the relative
+    residual against the brute force, is populated only by power_verify.
     """
 
     spec: FamilySpec
@@ -298,8 +300,11 @@ def power_verify(spec: FamilySpec, s: int, tol: float = 1e-8) -> PowerResult:
     """Compute the closed-form power and check it against the brute force.
 
     The oracle is binary exponentiation for s >= 0 and binary exponentiation
-    of the eliminated inverse for s < 0.  Raises VerificationError (carrying
-    both matrices) when the max-abs residual exceeds tol.
+    of the eliminated inverse for s < 0.  The residual is relative:
+    max|C - O| / max(1, max|O|) for closed form C and oracle O, which is the
+    absolute residual whenever no oracle entry exceeds 1 in modulus.
+    Raises VerificationError (carrying both matrices and the residual) when
+    it exceeds tol.
     """
     s = operator.index(s)
     result = power_matrix(spec, s)
@@ -308,13 +313,14 @@ def power_verify(spec: FamilySpec, s: int, tol: float = 1e-8) -> PowerResult:
         oracle = mat_pow_binary(m, s)
     else:
         oracle = mat_pow_binary(mat_inverse(m), -s)
-    residual = mat_norm_maxabs(result.matrix - oracle)
+    residual = mat_norm_maxabs(result.matrix - oracle) / max(1.0, mat_norm_maxabs(oracle))
     if residual > tol:
         raise VerificationError(
-            f"closed form disagrees with oracle: residual {residual:.3e} > "
+            f"closed form disagrees with oracle: relative residual {residual:.3e} > "
             f"tol {tol:g} for family={spec.family} n={spec.n} a={spec.a} "
             f"b={spec.b} s={s}",
             closed_form=result.matrix,
             oracle=oracle,
+            residual=residual,
         )
     return replace(result, residual_vs_oracle=residual)

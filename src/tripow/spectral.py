@@ -7,8 +7,9 @@ inverse are written down analytically:
   Chebyshev columns (last row halved) and V^-1 is assembled from the
   beta/gamma coefficient families.
 * family "adagger": eigenvalues a - 2b*cos(k*pi/(n+1)); V has signed
-  second-kind Chebyshev columns and V^-1 carries a per-row coefficient
-  that depends on the parity of n (mu for odd n, eta for even n).
+  second-kind Chebyshev columns and V^-1 carries the per-row coefficient
+  2*sin(k*pi/(n+1))**2/(n+1), which the paper writes in two forms that
+  agree (mu for odd n, eta for even n).
 
 The nodes (lambda - a)/b are always real, so the polynomial tables are
 evaluated in real arithmetic; only the eigenvalues themselves are complex.
@@ -138,8 +139,9 @@ def transform_t(spec: FamilySpec) -> np.ndarray:
 def inv_transform_t(spec: FamilySpec) -> np.ndarray:
     """Analytic inverse of transform_t.
 
-    Entry (k, j) is c_k * sign_r(j-1) * U_{j-1}(node_k / 2) where the row
-    coefficients c are the mu family for odd n and the eta family for even n.
+    Entry (k, j) is c_k * sign_r(j-1) * U_{j-1}(node_k / 2) with the row
+    coefficients c_k = 2*sin(k*pi/(n+1))**2/(n+1) (the paper's mu for odd n
+    and eta for even n).
     """
     if spec.family != FAMILY_ADAGGER:
         raise ValueError(f"expected family 'adagger', got {spec.family!r}")
@@ -159,28 +161,23 @@ def _gamma_scales(n: int) -> np.ndarray:
     return gamma
 
 
-def _mu_weights(n: int, psi: np.ndarray) -> np.ndarray:
-    # Implemented branch by branch as stated for odd n, then guarded by the
-    # closure check in decompose; psi is 1-based in the formulas below.
-    half = (n + 1) // 2
-    mu = np.empty(n)
-    for k in range(1, n + 1):
-        if k == half:
-            mu[k - 1] = 2.0 / (n + 1)
-        elif k <= (n - 1) // 2:
-            mu[k - 1] = psi[half + k - 1] ** 2 / (2 * n + 2)
-        else:
-            mu[k - 1] = psi[3 * (n + 1) // 2 - k - 1] ** 2 / (2 * n + 2)
-    return mu
+def _sines(n: int) -> np.ndarray:
+    """sin(k*pi/(n+1)) for k = 1..n, to full relative accuracy.
 
-
-def _eta_weights(n: int, psi: np.ndarray) -> np.ndarray:
-    return (4.0 - psi**2) / (2 * n + 2)
+    The angle is folded to min(k, n+1-k)*pi/(n+1) <= pi/2 first: near pi
+    the rounding of k*pi/(n+1) would cost up to about 2e-13 relative in
+    the smallest sines.
+    """
+    k = np.arange(1, n + 1)
+    return np.sin(np.minimum(k, n + 1 - k) * np.pi / (n + 1))
 
 
 def _dagger_row_weights(n: int) -> np.ndarray:
-    psi = nodes_adagger(n)
-    return _mu_weights(n, psi) if n % 2 == 1 else _eta_weights(n, psi)
+    # The paper states these weights as mu (odd n) and eta (even n); both
+    # equal 2 sin(k pi/(n+1))**2 / (n+1).  The sine form keeps full relative
+    # accuracy at the edge rows k = 1 and k = n, where the eta form's
+    # 4 - psi**2 cancels.
+    return 2.0 * _sines(n) ** 2 / (n + 1)
 
 
 @dataclass
@@ -189,10 +186,10 @@ class SpectralData:
 
     vec_matrix times diag(eigenvalues)**s times inv_matrix is the s-th power;
     row_weights and col_scales are the coefficient families from which
-    inv_matrix was assembled (beta/gamma for "a", mu or eta with unit column
-    scales for "adagger" and "anti").  For the anti family the decomposition
-    of its tridiagonal counterpart is stored, which is what the power
-    formulas consume.  Treat all arrays as read-only.
+    inv_matrix was assembled (beta/gamma for "a", the mu/eta row weights
+    with unit column scales for "adagger" and "anti").  For the anti family
+    the decomposition of its tridiagonal counterpart is stored, which is
+    what the power formulas consume.  Treat all arrays as read-only.
     """
 
     spec: FamilySpec
@@ -250,9 +247,7 @@ def _generator_weights(spec: FamilySpec) -> np.ndarray:
     """
     if spec.family == FAMILY_A:
         return _beta_weights(spec.n)
-    n = spec.n
-    sines = np.sin(np.arange(1, n + 1) * np.pi / (n + 1))
-    return _dagger_row_weights(n) / (2.0 * sines**2)
+    return _dagger_row_weights(spec.n) / (2.0 * _sines(spec.n) ** 2)
 
 
 def _cosine_sums(spec: FamilySpec, values: np.ndarray) -> np.ndarray:

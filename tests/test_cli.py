@@ -1,5 +1,7 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -10,14 +12,22 @@ import numpy as np
 import pytest
 
 from tripow.cli import BENCH_HEADER, format_complex, main, parse_complex
-from tripow.families import FAMILY_A, FamilySpec
-from tripow.powers import ExtendedDomainWarning, power_matrix
+from tripow.families import FAMILY_A, FamilySpec, build_matrix
+from tripow.linalg import mat_inverse, mat_norm_maxabs, mat_pow_binary
+from tripow.powers import ExtendedDomainWarning, VerificationError, power_matrix, power_verify
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def absolute_residual(spec, s):
+    """max|C - O| for the closed form C and the oracle O of power_verify."""
+    m = build_matrix(spec)
+    oracle = mat_pow_binary(m, s) if s >= 0 else mat_pow_binary(mat_inverse(m), -s)
+    return mat_norm_maxabs(power_matrix(spec, s).matrix - oracle)
 
 
 class TestComplexLiterals:
@@ -202,6 +212,27 @@ class TestVerifyCommand:
         assert code == 0
         assert "ok" in out
         assert err == ""
+        assert absolute_residual(FamilySpec("adagger", 7, 1j, 2.0), 3) <= 1e-8
+
+    def test_large_correct_result_passes(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--family", "a", "--n", "16", "--a", "3+0i",
+            "--b", "1+0i", "--s", "40", "--format", "csv",
+        )
+        assert code == 0, err
+        residual = float(out.splitlines()[1].split(",")[6])
+        assert residual < 1e-8
+
+    def test_breach_reports_the_relative_residual(self, capsys):
+        spec = FamilySpec("a", 4, 1.5, 0.5)
+        with pytest.raises(VerificationError) as err:
+            power_verify(spec, 3, tol=0.0)
+        code, out, _ = run_cli(
+            capsys, "verify", "--family", "a", "--n", "4", "--a", "1.5+0i",
+            "--b", "0.5+0i", "--s", "3", "--tol", "0", "--format", "csv",
+        )
+        assert code == 1
+        assert float(out.splitlines()[1].split(",")[6]) == err.value.residual
 
     def test_singular_case_exits_one(self, capsys):
         with warnings.catch_warnings():
@@ -231,6 +262,17 @@ class TestVerifyCommand:
         assert out1 == out2
         header = out1.splitlines()[0]
         assert header == "check,family,n,a,b,s,residual,tol,pass"
+        # the residual column is relative; each power case also holds the
+        # absolute bound 1e-8
+        powers = [row for row in csv.DictReader(io.StringIO(out1)) if row["check"] == "power"]
+        assert powers
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtendedDomainWarning)
+            for row in powers:
+                spec = FamilySpec(
+                    row["family"], int(row["n"]), parse_complex(row["a"]), parse_complex(row["b"])
+                )
+                assert absolute_residual(spec, int(row["s"])) <= 1e-8, row
 
 
 class TestFibCommand:

@@ -49,6 +49,23 @@ class TestFamilySpecValidation:
         with pytest.raises(ValueError, match="finite"):
             FamilySpec(FAMILY_A, 3, complex(float("nan"), 0), 1.0)
 
+    def test_numpy_integer_n_accepted(self):
+        spec = FamilySpec(FAMILY_ADAGGER, np.int64(4), 1, 1)
+        assert spec.n == 4 and type(spec.n) is int
+        assert spec == FamilySpec(FAMILY_ADAGGER, 4, 1, 1)
+
+    def test_non_integral_n_rejected(self):
+        for n in (4.0, "4", None):
+            with pytest.raises(ValueError, match="positive integer"):
+                FamilySpec(FAMILY_ADAGGER, n, 1.0, 1.0)
+
+    @pytest.mark.parametrize("field", ["n", "a", "b"])
+    @pytest.mark.parametrize("flag", [True, np.bool_(True)])
+    def test_booleans_rejected(self, field, flag):
+        values = {"n": 2, "a": 1.0, "b": 1.0, field: flag}
+        with pytest.raises(ValueError, match="booleans"):
+            FamilySpec(FAMILY_ADAGGER, **values)
+
     def test_coerces_to_complex(self):
         spec = FamilySpec(FAMILY_A, 3, 1, 2)
         assert isinstance(spec.a, complex) and isinstance(spec.b, complex)

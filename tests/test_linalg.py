@@ -1,10 +1,14 @@
 """Dense kernel tests: these are the oracles, so they get hand-checked values."""
 
+import re
+
 import numpy as np
 import pytest
 
-from tripow.families import FAMILY_A, FamilySpec, build_matrix
+from tripow.families import FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI, FamilySpec, build_matrix
 from tripow.linalg import (
+    _BLOCK,
+    SINGULAR_RTOL,
     SingularMatrixError,
     mat_approx_eq,
     mat_det,
@@ -20,6 +24,41 @@ def random_matrix(rng, n, scale=2.0):
     return (
         rng.uniform(-scale, scale, (n, n)) + 1j * rng.uniform(-scale, scale, (n, n))
     )
+
+
+def unblocked_inverse(m):
+    """Column-by-column Gauss-Jordan with partial pivoting: the reference.
+
+    Each column takes the largest-modulus pivot at or below the diagonal
+    and is cleared by a rank-1 update of the whole augmented matrix.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    n = m.shape[0]
+    scale = float(np.abs(m).max())
+    aug = np.hstack([m.copy(), mat_identity(n)])
+    for col in range(n):
+        pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
+        pivot = abs(aug[pivot_row, col])
+        if pivot < SINGULAR_RTOL * scale:
+            raise SingularMatrixError(
+                f"singular matrix: pivot modulus {pivot:.3e} at column {col + 1} "
+                f"is below {SINGULAR_RTOL:g} of the matrix scale {scale:.3e}"
+            )
+        if pivot_row != col:
+            aug[[col, pivot_row]] = aug[[pivot_row, col]]
+        aug[col] /= aug[col, col]
+        factors = aug[:, col].copy()
+        factors[col] = 0.0
+        aug -= np.outer(factors, aug[col])
+    return np.ascontiguousarray(aug[:, n:])
+
+
+def relative_error(x, ref):
+    return mat_norm_maxabs(x - ref) / mat_norm_maxabs(ref)
+
+
+# Sizes on both sides of one and two block edges.
+BLOCK_SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 256)
 
 
 class TestMatMul:
@@ -81,6 +120,29 @@ class TestMatPowBinary:
         with pytest.raises(ValueError, match="non-negative"):
             mat_pow_binary(mat_identity(2), -1)
 
+    def test_exponent_must_be_integral(self):
+        m = np.array([[1, 1], [1, 0]], dtype=complex)
+        for s in (2.7, 2.0):
+            with pytest.raises(TypeError):
+                mat_pow_binary(m, s)
+        np.testing.assert_array_equal(mat_pow_binary(m, np.int64(5)), [[8, 5], [5, 3]])
+
+    def test_first_power_is_a_copy(self):
+        m = mat_identity(3)
+        result = mat_pow_binary(m, 1)
+        result[0, 0] = 7.0
+        assert m[0, 0] == 1.0
+
+    def test_equals_chained_products_around_powers_of_two(self):
+        rng = np.random.default_rng(31)
+        m = random_matrix(rng, 6)
+        m /= np.abs(np.linalg.eigvals(m)).max()
+        chained = [mat_identity(6)]
+        for _ in range(65):
+            chained.append(chained[-1] @ m)
+        for s in (0, 1, 2, 3, 63, 64, 65):
+            assert relative_error(mat_pow_binary(m, s), chained[s]) <= 1e-12
+
     def test_matches_chained_multiplication(self):
         rng = np.random.default_rng(3)
         for _ in range(12):
@@ -125,6 +187,36 @@ class TestMatInverse:
             m += np.diag(np.full(n, 4.0 * n))
             residual = mat_norm_maxabs(mat_mul(m, mat_inverse(m)) - mat_identity(n))
             assert residual <= 1e-9
+
+
+class TestBlockedInverse:
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_matches_unblocked_reference_on_dense(self, n):
+        m = random_matrix(np.random.default_rng(n), n)
+        assert relative_error(mat_inverse(m), unblocked_inverse(m)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [(FAMILY_A, n) for n in BLOCK_SIZES if n >= 2]
+        + [(FAMILY_ADAGGER, n) for n in BLOCK_SIZES]
+        + [(FAMILY_ANTI, n + n % 2) for n in BLOCK_SIZES],
+    )
+    def test_matches_unblocked_reference_on_families(self, family, n):
+        # |a| > 2|b| keeps every eigenvalue a + b*node away from zero.
+        m = build_matrix(FamilySpec(family, n, 3.0 + 1.0j, 0.8 - 0.9j))
+        assert relative_error(mat_inverse(m), unblocked_inverse(m)) <= 1e-12
+
+    def test_singular_column_past_the_first_block(self):
+        rng = np.random.default_rng(46)
+        n, bad = 2 * _BLOCK + 1, _BLOCK + 13
+        m = random_matrix(rng, n)
+        m[:, bad] = m[:, :bad] @ rng.uniform(-1, 1, bad)
+        columns = []
+        for invert in (unblocked_inverse, mat_inverse):
+            with pytest.raises(SingularMatrixError) as err:
+                invert(m)
+            columns.append(re.search(r"at column (\d+) ", str(err.value)).group(1))
+        assert columns == [str(bad + 1)] * 2
 
 
 class TestMatDet:

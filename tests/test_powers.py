@@ -69,6 +69,12 @@ def int_pow(z: complex, s: int) -> complex:
     return result
 
 
+def dense_oracle(spec, s):
+    """The brute-force power that power_verify compares with."""
+    m = build_matrix(spec)
+    return mat_pow_binary(m, s) if s >= 0 else mat_pow_binary(mat_inverse(m), -s)
+
+
 def unit_radius_spec(rng, family, n, min_ratio=0.3):
     """Unit spectral radius, smallest eigenvalue modulus >= min_ratio."""
     while True:
@@ -326,17 +332,20 @@ class TestPowerMatrix:
 
 class TestPowerVerify:
     def test_family_a_case(self):
-        result = power_verify(FamilySpec(FAMILY_A, 5, 2 + 1j, 1 - 1j), 4, tol=1e-8)
+        spec = FamilySpec(FAMILY_A, 5, 2 + 1j, 1 - 1j)
+        result = power_verify(spec, 4, tol=1e-8)
         assert result.residual_vs_oracle is not None
-        assert result.residual_vs_oracle < 1e-8
+        assert mat_norm_maxabs(result.matrix - dense_oracle(spec, 4)) < 1e-8
 
     def test_odd_mu_path_case(self):
-        result = power_verify(FamilySpec(FAMILY_ADAGGER, 7, 1j, 2.0), 3, tol=1e-8)
-        assert result.residual_vs_oracle < 1e-8
+        spec = FamilySpec(FAMILY_ADAGGER, 7, 1j, 2.0)
+        result = power_verify(spec, 3, tol=1e-8)
+        assert mat_norm_maxabs(result.matrix - dense_oracle(spec, 3)) < 1e-8
 
     def test_anti_case(self):
-        result = power_verify(FamilySpec(FAMILY_ANTI, 6, 1.0, 1j), 5, tol=1e-8)
-        assert result.residual_vs_oracle < 1e-8
+        spec = FamilySpec(FAMILY_ANTI, 6, 1.0, 1j)
+        result = power_verify(spec, 5, tol=1e-8)
+        assert mat_norm_maxabs(result.matrix - dense_oracle(spec, 5)) < 1e-8
 
     def test_failure_carries_both_matrices(self):
         with pytest.raises(VerificationError) as err:
@@ -344,6 +353,24 @@ class TestPowerVerify:
         assert err.value.closed_form is not None
         assert err.value.oracle is not None
         assert err.value.closed_form.shape == err.value.oracle.shape
+        oracle_scale = max(1.0, mat_norm_maxabs(err.value.oracle))
+        assert err.value.residual == (
+            mat_norm_maxabs(err.value.closed_form - err.value.oracle) / oracle_scale
+        )
+
+    def test_residual_is_relative_to_the_oracle(self):
+        # Entries near 1e27: the absolute residual is about 1e12.
+        result = power_verify(FamilySpec(FAMILY_A, 16, 3.0, 1.0), 40, tol=1e-8)
+        assert mat_norm_maxabs(result.matrix) > 1e26
+        assert result.residual_vs_oracle < 1e-8
+
+    def test_small_results_report_the_absolute_residual(self):
+        spec = FamilySpec(FAMILY_ADAGGER, 9, 0.1 + 0.2j, 0.15 - 0.1j)
+        result = power_verify(spec, 5, tol=1e-8)
+        oracle = dense_oracle(spec, 5)
+        assert mat_norm_maxabs(oracle) <= 1.0
+        assert result.residual_vs_oracle == mat_norm_maxabs(result.matrix - oracle)
+        assert result.residual_vs_oracle > 0.0
 
 
 class TestOracleEquivalence:
@@ -362,7 +389,9 @@ class TestOracleEquivalence:
             s = int(rng.integers(0, 7))
             m = build_matrix(spec)
             tol = 1e-8 * (1 + mat_norm_maxabs(m) ** s)
-            power_verify(spec, s, tol=tol)
+            # an absolute bound, as power_verify divides by max(1, max|O|)
+            scale = max(1.0, mat_norm_maxabs(dense_oracle(spec, s)))
+            power_verify(spec, s, tol=tol / scale)
 
     def test_negative_power_inverse_law(self):
         rng = np.random.default_rng(55)

@@ -15,6 +15,7 @@ from tripow.families import (
 from tripow.linalg import mat_identity, mat_inverse, mat_norm_maxabs
 from tripow.spectral import (
     ClosureError,
+    _dagger_row_weights,
     decompose,
     eigenvalues_a,
     eigenvalues_adagger,
@@ -190,6 +191,35 @@ class TestAnalyticInverses:
         np.testing.assert_allclose(tinv[:, 0], (4 - psi**2) / 10, atol=1e-15)
         t = transform_t(FamilySpec(FAMILY_ADAGGER, 4, 0.0, 1.0))
         assert mat_norm_maxabs(t @ tinv - mat_identity(4)) < 1e-12
+
+    def test_paper_mu_and_eta_forms_equal_the_sine_form(self):
+        # The paper writes the "adagger" row weights as mu (odd n), from
+        # squared nodes of the opposite half of the spectrum, and as eta
+        # (even n); both equal 2 sin(k pi/(n+1))**2 / (n+1).
+        for n in range(1, 65):
+            psi = -2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+            if n % 2 == 1:
+                half = (n + 1) // 2
+                paper = np.empty(n)
+                for k in range(1, n + 1):
+                    if k == half:
+                        paper[k - 1] = 2.0 / (n + 1)
+                    elif k <= (n - 1) // 2:
+                        paper[k - 1] = psi[half + k - 1] ** 2 / (2 * n + 2)
+                    else:
+                        paper[k - 1] = psi[3 * (n + 1) // 2 - k - 1] ** 2 / (2 * n + 2)
+            else:
+                paper = (4.0 - psi**2) / (2 * n + 2)
+            np.testing.assert_allclose(_dagger_row_weights(n), paper, rtol=1e-12, atol=0)
+
+    def test_row_weights_keep_relative_accuracy_at_the_edge_rows(self):
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("needs an extended-precision long double")
+        pi = np.arccos(np.longdouble(-1))
+        for n in (1023, 2048):
+            k = np.arange(1, n + 1, dtype=np.longdouble)
+            exact = 2 * np.sin(k * pi / (n + 1)) ** 2 / (n + 1)
+            np.testing.assert_allclose(_dagger_row_weights(n), exact, rtol=2e-15, atol=0)
 
     def test_closure_tight_for_small_cases(self):
         spec3 = FamilySpec(FAMILY_ADAGGER, 3, 0.0, 1.0)
