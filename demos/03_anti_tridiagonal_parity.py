@@ -12,7 +12,6 @@ from tripow import (
     FamilySpec,
     build_exchange,
     build_matrix,
-    mat_mul,
     mat_norm_maxabs,
     mat_pow_binary,
     power_matrix,
@@ -30,7 +29,7 @@ print(build_matrix(anti).real)
 
 exchange = build_exchange(n)
 twin_matrix = build_matrix(twin)
-commutator = mat_norm_maxabs(mat_mul(exchange, twin_matrix) - mat_mul(twin_matrix, exchange))
+commutator = mat_norm_maxabs(exchange @ twin_matrix - twin_matrix @ exchange)
 print("\nexchange commutator norm (exactly zero):", commutator)
 
 for s in (2, 3):

@@ -10,16 +10,6 @@ checks every one against a dumb dense oracle, and carries the companion
 Fibonacci-polynomial determinant factorization.
 """
 
-from .chebyshev import (
-    ChebNodeSet,
-    cheb_extrema,
-    cheb_t,
-    cheb_t_table,
-    cheb_u,
-    cheb_u_roots,
-    cheb_u_table,
-    p_value,
-)
 from .families import (
     FAMILIES,
     FAMILY_A,
@@ -34,11 +24,9 @@ from .families import (
 from .fibpoly import fib_det_check, fib_factor_eval, fib_poly_eval
 from .linalg import (
     SingularMatrixError,
-    mat_approx_eq,
     mat_det,
     mat_identity,
     mat_inverse,
-    mat_mul,
     mat_norm_maxabs,
     mat_pow_binary,
 )
@@ -48,7 +36,6 @@ from .powers import (
     PATH_ADAGGER_ODD,
     PATH_ANTI_EVEN_S,
     PATH_ANTI_ODD_S,
-    PATH_ORACLE,
     ExtendedDomainWarning,
     PowerOverflowError,
     PowerResult,
@@ -77,14 +64,6 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChebNodeSet",
-    "cheb_extrema",
-    "cheb_t",
-    "cheb_t_table",
-    "cheb_u",
-    "cheb_u_roots",
-    "cheb_u_table",
-    "p_value",
     "FAMILIES",
     "FAMILY_A",
     "FAMILY_ADAGGER",
@@ -98,11 +77,9 @@ __all__ = [
     "fib_factor_eval",
     "fib_poly_eval",
     "SingularMatrixError",
-    "mat_approx_eq",
     "mat_det",
     "mat_identity",
     "mat_inverse",
-    "mat_mul",
     "mat_norm_maxabs",
     "mat_pow_binary",
     "PATH_A",
@@ -110,7 +87,6 @@ __all__ = [
     "PATH_ADAGGER_ODD",
     "PATH_ANTI_EVEN_S",
     "PATH_ANTI_ODD_S",
-    "PATH_ORACLE",
     "ExtendedDomainWarning",
     "PowerOverflowError",
     "PowerResult",

@@ -21,9 +21,9 @@ import numpy as np
 
 from .families import FAMILIES, FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI, FamilySpec, build_matrix
 from .fibpoly import fib_det_check, fib_factor_eval, fib_poly_eval
-from .linalg import SingularMatrixError, mat_norm_maxabs, mat_pow_binary
-from .powers import PowerOverflowError, VerificationError, power_matrix, power_verify
-from .spectral import ClosureError, decompose
+from .linalg import SingularMatrixError, mat_norm_maxabs
+from .powers import PowerOverflowError, VerificationError, oracle_power, power_matrix, power_verify
+from .spectral import ClosureError, decompose, eigenvalues
 
 __all__ = ["main", "parse_complex", "format_complex"]
 
@@ -110,11 +110,18 @@ def cmd_power(args, out) -> int:
 def cmd_eigen(args, out) -> int:
     spec = FamilySpec(args.family, args.n, args.a, args.b)
     data = decompose(spec)
+    values = data.eigenvalues
+    if spec.family == FAMILY_ANTI:
+        # decompose stores the "adagger" twin; the anti matrix has the same
+        # eigenvectors, and the exchange maps eigenvector k to
+        # (-1)**(k + n/2 + 1) times itself, which flips the sign of lambda_k.
+        k = np.arange(1, spec.n + 1)
+        values = values * (-1.0) ** (k + spec.n // 2 + 1)
     if args.format == "json":
         payload = {
             "family": spec.family,
             "n": spec.n,
-            "eigenvalues": [_complex_json(complex(v)) for v in data.eigenvalues],
+            "eigenvalues": [_complex_json(complex(v)) for v in values],
             "nodes": [float(v) for v in data.nodes],
         }
         if args.vectors:
@@ -124,12 +131,12 @@ def cmd_eigen(args, out) -> int:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["k", "eigenvalue", "node"])
         for k in range(spec.n):
-            writer.writerow([k + 1, format_complex(complex(data.eigenvalues[k])), repr(float(data.nodes[k]))])
+            writer.writerow([k + 1, format_complex(complex(values[k])), repr(float(data.nodes[k]))])
     else:
         print(f"family={spec.family} n={spec.n} a={format_complex(spec.a)} b={format_complex(spec.b)}", file=out)
         for k in range(spec.n):
             print(
-                f"  k={k + 1}  eigenvalue={format_complex(complex(data.eigenvalues[k]))}  "
+                f"  k={k + 1}  eigenvalue={format_complex(complex(values[k]))}  "
                 f"node={float(data.nodes[k])!r}",
                 file=out,
             )
@@ -182,8 +189,7 @@ def _suite_rows(seed, tol):
             spec = _draw_spec(rng, family)
             s = int(rng.integers(0, 7))
             rows.append(_verify_case(spec, s, tol))
-            lam = decompose(spec).eigenvalues
-            if np.abs(lam).min() >= 0.3:
+            if np.abs(eigenvalues(spec)).min() >= 0.3:
                 rows.append(_verify_case(spec, -int(rng.integers(1, 5)), tol))
     for n in range(2, 13, 2):
         spec = _draw_spec(rng, FAMILY_ANTI, n)
@@ -347,7 +353,7 @@ def _bench_spec(rng, family, n):
     if abs(b) < 0.25:
         b += 0.5 + 0.5j
     spec = FamilySpec(family, n, a, b)
-    radius = float(np.abs(decompose(spec).eigenvalues).max())
+    radius = float(np.abs(eigenvalues(spec)).max())
     return FamilySpec(family, n, a / radius, b / radius)
 
 
@@ -363,7 +369,7 @@ def cmd_bench(args, out) -> int:
             closed = power_matrix(spec, s).matrix
             t_closed = time.perf_counter_ns() - t0
             t0 = time.perf_counter_ns()
-            oracle = mat_pow_binary(matrix, s)
+            oracle = oracle_power(matrix, s)
             t_oracle = time.perf_counter_ns() - t0
             residual = mat_norm_maxabs(closed - oracle)
             writer.writerow([spec.family, n, s, "closed_form", t_closed, repr(residual)])

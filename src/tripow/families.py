@@ -1,5 +1,10 @@
 """The three structured matrix families and their characteristic values.
 
+The characteristic values evaluate the determinant recurrence of each
+normalized matrix, a second-kind Chebyshev recurrence.  They share no code
+with the spectral module, so the tests use them as an independent route to
+the eigenvalue nodes.
+
 Family "a":       tridiagonal, diagonal a, both off-diagonals b, with the
                   (1,2) and (n-1,n) entries doubled to 2b.
 Family "adagger": symmetric tridiagonal, diagonal a, off-diagonal pair k
@@ -14,8 +19,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-
-from .chebyshev import cheb_u, p_value
 
 __all__ = [
     "FAMILY_A",
@@ -118,15 +121,29 @@ def build_exchange(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)[::-1].copy()
 
 
+def _second_kind(order: int, alpha: float) -> float:
+    """U_order(alpha / 2) by the recurrence p_k = alpha*p_{k-1} - p_{k-2}.
+
+    p_0 = 1 and p_1 = alpha.  The recurrence is exact polynomial
+    evaluation for every real alpha, not only inside [-2, 2].
+    """
+    prev, cur = 1.0, float(alpha)
+    if order == 0:
+        return prev
+    for _ in range(order - 1):
+        prev, cur = cur, alpha * cur - prev
+    return cur
+
+
 def char_value_a(n: int, alpha: float) -> float:
     """Characteristic-determinant value of the normalized family-"a" matrix.
 
-    Equals (alpha**2 - 4) times the order n-2 normalized second-kind value;
-    its roots are 2*cos((k-1)*pi/(n-1)), the eigenvalue nodes.
+    Equals (alpha**2 - 4) * U_{n-2}(alpha / 2); its roots are
+    2*cos((k-1)*pi/(n-1)), the eigenvalue nodes.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
-    return (alpha * alpha - 4.0) * p_value(n - 2, alpha)
+    return (alpha * alpha - 4.0) * _second_kind(n - 2, alpha)
 
 
 def char_value_adagger(n: int, theta: float) -> float:
@@ -137,4 +154,4 @@ def char_value_adagger(n: int, theta: float) -> float:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return cheb_u(n, theta / 2.0)
+    return _second_kind(n, theta)

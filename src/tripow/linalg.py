@@ -16,12 +16,10 @@ import numpy as np
 __all__ = [
     "SingularMatrixError",
     "mat_identity",
-    "mat_mul",
     "mat_pow_binary",
     "mat_inverse",
     "mat_det",
     "mat_norm_maxabs",
-    "mat_approx_eq",
 ]
 
 # A pivot whose modulus falls below this fraction of the largest initial
@@ -50,18 +48,6 @@ def _as_square(m):
 def mat_identity(n: int) -> np.ndarray:
     """The n-by-n complex identity."""
     return np.eye(n, dtype=np.complex128)
-
-
-def mat_mul(lhs, rhs) -> np.ndarray:
-    """Product of two square matrices of equal dimension."""
-    lhs = _as_square(lhs)
-    rhs = _as_square(rhs)
-    if lhs.shape[0] != rhs.shape[0]:
-        raise ValueError(
-            f"incompatible operands: {lhs.shape[0]}x{lhs.shape[0]} times "
-            f"{rhs.shape[0]}x{rhs.shape[0]}"
-        )
-    return lhs @ rhs
 
 
 def mat_pow_binary(m, s: int) -> np.ndarray:
@@ -181,12 +167,3 @@ def mat_norm_maxabs(m) -> float:
     """Largest entry modulus."""
     m = np.asarray(m, dtype=np.complex128)
     return float(np.abs(m).max())
-
-
-def mat_approx_eq(lhs, rhs, tol: float) -> bool:
-    """True when the largest entrywise difference modulus is at most tol."""
-    lhs = np.asarray(lhs, dtype=np.complex128)
-    rhs = np.asarray(rhs, dtype=np.complex128)
-    if lhs.shape != rhs.shape:
-        raise ValueError(f"dimension mismatch: {lhs.shape} vs {rhs.shape}")
-    return bool(np.abs(lhs - rhs).max() <= tol)

@@ -50,13 +50,7 @@ from .linalg import (
     mat_norm_maxabs,
     mat_pow_binary,
 )
-from .spectral import (
-    SpectralData,
-    eigenvalues_a,
-    eigenvalues_adagger,
-    power_generator,
-    sign_r,
-)
+from .spectral import SpectralData, eigenvalues, power_generator, sign_r
 
 __all__ = [
     "PATH_A",
@@ -64,7 +58,6 @@ __all__ = [
     "PATH_ADAGGER_EVEN",
     "PATH_ANTI_ODD_S",
     "PATH_ANTI_EVEN_S",
-    "PATH_ORACLE",
     "ExtendedDomainWarning",
     "PowerOverflowError",
     "VerificationError",
@@ -74,6 +67,7 @@ __all__ = [
     "power_entry_anti",
     "power_matrix",
     "power_verify",
+    "oracle_power",
 ]
 
 PATH_A = "closed-form-A"
@@ -81,7 +75,6 @@ PATH_ADAGGER_ODD = "closed-form-ADagger-odd"
 PATH_ADAGGER_EVEN = "closed-form-ADagger-even"
 PATH_ANTI_ODD_S = "closed-form-anti-odd-s"
 PATH_ANTI_EVEN_S = "closed-form-anti-even-s"
-PATH_ORACLE = "oracle"
 
 # Eigenvalues whose modulus falls below this fraction of the spectral radius
 # block negative powers.
@@ -129,18 +122,18 @@ class PowerResult:
     residual_vs_oracle: float | None = None
 
 
-def _eigenvalue_powers(spec: FamilySpec, eigenvalues: np.ndarray, s: int) -> np.ndarray:
+def _eigenvalue_powers(spec: FamilySpec, lam: np.ndarray, s: int) -> np.ndarray:
     """lambda_k**s for all k by vectorized square-and-multiply.
 
     Negative s inverts first, after refusing a zero eigenvalue.
     """
     if s < 0:
-        moduli = np.abs(eigenvalues)
+        moduli = np.abs(lam)
         threshold = EIGENVALUE_RTOL * float(moduli.max())
         small = int(np.argmin(moduli))
         if moduli[small] <= threshold:
             raise SingularMatrixError(
-                f"negative power undefined: eigenvalue {eigenvalues[small]:.6g} at "
+                f"negative power undefined: eigenvalue {lam[small]:.6g} at "
                 f"k={small + 1} has modulus below {EIGENVALUE_RTOL:g} of the "
                 "spectral radius"
             )
@@ -152,9 +145,9 @@ def _eigenvalue_powers(spec: FamilySpec, eigenvalues: np.ndarray, s: int) -> np.
                 ExtendedDomainWarning,
                 stacklevel=4,
             )
-        base = 1.0 / eigenvalues
+        base = 1.0 / lam
     else:
-        base = eigenvalues
+        base = lam
     result = np.ones_like(base)
     e = abs(s)
     while e:
@@ -166,14 +159,14 @@ def _eigenvalue_powers(spec: FamilySpec, eigenvalues: np.ndarray, s: int) -> np.
     return result
 
 
-def _generator(spec: FamilySpec, eigenvalues: np.ndarray, s: int) -> np.ndarray:
+def _generator(spec: FamilySpec, lam: np.ndarray, s: int) -> np.ndarray:
     """The generator h of the s-th power (see spectral.power_generator).
 
     Raises PowerOverflowError when h is not finite or so large that the sum
     of two of its entries could overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        h = power_generator(spec, _eigenvalue_powers(spec, eigenvalues, s))
+        h = power_generator(spec, _eigenvalue_powers(spec, lam, s))
         peak = float(np.abs(h).max())
     if not peak <= OVERFLOW_LIMIT:
         raise PowerOverflowError(
@@ -182,10 +175,6 @@ def _generator(spec: FamilySpec, eigenvalues: np.ndarray, s: int) -> np.ndarray:
             f"is not finite or exceeds {OVERFLOW_LIMIT:.3e}"
         )
     return h
-
-
-def _eigenvalues(spec: FamilySpec) -> np.ndarray:
-    return eigenvalues_a(spec) if spec.family == FAMILY_A else eigenvalues_adagger(spec)
 
 
 def _check_indices(n: int, i: int, j: int):
@@ -290,17 +279,27 @@ def power_matrix(spec: FamilySpec, s: int) -> PowerResult:
     result cannot be represented.
     """
     s = operator.index(s)
-    h = _generator(spec, _eigenvalues(spec), s)
+    h = _generator(spec, eigenvalues(spec), s)
     # The identity is returned exactly rather than assembled with rounding.
     matrix = mat_identity(spec.n) if s == 0 else _assemble(spec, h, s)
     return PowerResult(spec, s, matrix, _path_for(spec, s))
 
 
+def oracle_power(matrix: np.ndarray, s: int) -> np.ndarray:
+    """The brute-force s-th power of a dense matrix.
+
+    Binary exponentiation for s >= 0, and binary exponentiation of the
+    Gauss-Jordan inverse for s < 0 (SingularMatrixError when it has none).
+    """
+    if s >= 0:
+        return mat_pow_binary(matrix, s)
+    return mat_pow_binary(mat_inverse(matrix), -s)
+
+
 def power_verify(spec: FamilySpec, s: int, tol: float = 1e-8) -> PowerResult:
     """Compute the closed-form power and check it against the brute force.
 
-    The oracle is binary exponentiation for s >= 0 and binary exponentiation
-    of the eliminated inverse for s < 0.  The residual is relative:
+    The oracle is oracle_power of the dense matrix.  The residual is relative:
     max|C - O| / max(1, max|O|) for closed form C and oracle O, which is the
     absolute residual whenever no oracle entry exceeds 1 in modulus.
     Raises VerificationError (carrying both matrices and the residual) when
@@ -308,11 +307,7 @@ def power_verify(spec: FamilySpec, s: int, tol: float = 1e-8) -> PowerResult:
     """
     s = operator.index(s)
     result = power_matrix(spec, s)
-    m = build_matrix(spec)
-    if s >= 0:
-        oracle = mat_pow_binary(m, s)
-    else:
-        oracle = mat_pow_binary(mat_inverse(m), -s)
+    oracle = oracle_power(build_matrix(spec), s)
     residual = mat_norm_maxabs(result.matrix - oracle) / max(1.0, mat_norm_maxabs(oracle))
     if residual > tol:
         raise VerificationError(

@@ -1,30 +1,39 @@
 """Closed-form spectral decompositions of the structured families.
 
 Every family diagonalizes as M = V diag(lambda) V^-1 where both V and its
-inverse are written down analytically:
+inverse are written down analytically.  The eigenvalues are
+lambda_k = a + 2b*cos(theta_k) on a fixed angle grid theta_k = pi*q_k/L
+(see _angle_grid), and V holds Chebyshev polynomials at the half-nodes
+cos(theta_k), each evaluated as one sine or cosine of an integer multiple
+of pi/L:
 
-* family "a": eigenvalues a + 2b*cos((k-1)pi/(n-1)); V has first-kind
-  Chebyshev columns (last row halved) and V^-1 is assembled from the
-  beta/gamma coefficient families.
-* family "adagger": eigenvalues a - 2b*cos(k*pi/(n+1)); V has signed
-  second-kind Chebyshev columns and V^-1 carries the per-row coefficient
-  2*sin(k*pi/(n+1))**2/(n+1), which the paper writes in two forms that
-  agree (mu for odd n, eta for even n).
+* family "a": T_i(cos theta) = cos(i*theta), a cosine-type transform; the
+  last row is halved, and V^-1 is assembled from the beta/gamma
+  coefficient families.
+* family "adagger": sign_r(i) * U_i(cos theta) with
+  U_i(cos theta) = sin((i+1)*theta)/sin(theta), a sine-type transform;
+  V^-1 carries the per-row coefficient 2*sin(theta_k)**2/(n+1), which the
+  paper writes in two forms that agree (mu for odd n, eta for even n).
+* family "anti": the exchange flip of "adagger".  It shares the twin's
+  eigenvectors, and since the exchange maps eigenvector k to
+  (-1)**(k + n/2 + 1) times itself, its eigenvalues are the twin's with
+  that sign.  decompose stores the twin's decomposition, which is what the
+  power formulas consume.
 
-The nodes (lambda - a)/b are always real, so the polynomial tables are
-evaluated in real arithmetic; only the eigenvalues themselves are complex.
-Each decomposition is validated at construction time: if the analytic
-inverse fails to multiply V back to the identity within CLOSURE_TOL, a
-ClosureError is raised rather than returning silently wrong data.
+The nodes (lambda - a)/b are always real, so V is real; only the
+eigenvalues themselves are complex.  Each decomposition is validated at
+construction time: if the analytic inverse fails to multiply V back to the
+identity within CLOSURE_TOL, a ClosureError is raised rather than
+returning silently wrong data.
 
-Powers never need V or its inverse.  Writing the half-nodes as
-x_k = cos(theta_k), the product-to-sum rule turns every entry of
-V diag(lambda**s) V^-1 into a sum or difference of two terms of one vector
+Powers never need V or its inverse.  The product-to-sum rule turns every
+entry of V diag(lambda**s) V^-1 into a sum or difference of two terms of
+one vector
 
     h_m = sum_k lambda_k**s * w_k * cos(m * theta_k),
 
-and power_generator computes all of h with one FFT (a DCT-I over the angles
-pi*q/L).  It validates the weights w the same way, in O(n log n): with
+and power_generator computes all of h with one FFT (a DCT-I over the same
+angle grid).  It validates the weights w the same way, in O(n log n): with
 lambda**s = 1 they must give the identity's generator within CLOSURE_TOL.
 """
 
@@ -32,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import cheb_t_table, cheb_u_table
 from .families import FAMILY_A, FAMILY_ADAGGER, FamilySpec
 from .linalg import mat_identity, mat_norm_maxabs
 
@@ -45,6 +53,7 @@ __all__ = [
     "nodes_adagger",
     "eigenvalues_a",
     "eigenvalues_adagger",
+    "eigenvalues",
     "transform_k",
     "transform_t",
     "inv_transform_k",
@@ -87,60 +96,115 @@ def eigenvalues_a(spec: FamilySpec) -> np.ndarray:
 
 
 def eigenvalues_adagger(spec: FamilySpec) -> np.ndarray:
-    """Eigenvalues a + b*node shared by "adagger" and its exchange flip."""
+    """Eigenvalues a + b*node of the "adagger" matrix, ordered k=1..n.
+
+    For family "anti" these are the eigenvalues of its "adagger" twin,
+    which its power formulas are written in; the anti matrix's own
+    eigenvalues are (-1)**(k + n/2 + 1) times them.
+    """
     if spec.family == FAMILY_A:
         raise ValueError("expected family 'adagger' or 'anti', got 'a'")
     return spec.a + spec.b * nodes_adagger(spec.n)
 
 
-def transform_k(spec: FamilySpec) -> np.ndarray:
-    """Eigenvector matrix of family "a".
+def eigenvalues(spec: FamilySpec) -> np.ndarray:
+    """eigenvalues_a or eigenvalues_adagger, whichever fits spec's family."""
+    return eigenvalues_a(spec) if spec.family == FAMILY_A else eigenvalues_adagger(spec)
 
-    Row i holds T_{i-1} at the half-nodes; the last row carries an extra
-    factor 1/2.  Column j is an eigenvector for eigenvalue j, normalized to
-    first component 1.
+
+def _angle_grid(spec: FamilySpec) -> tuple[np.ndarray, int]:
+    """The eigenvalue angles theta_k = pi*q_k/L as integers (q, L), k=1..n.
+
+    q = k - 1 with L = n - 1 for family "a"; q = n + 1 - k with L = n + 1
+    otherwise, where the grid ends q = 0 and q = L carry no eigenvalue.
+    The half-nodes are cos(theta_k) = node_k / 2.
+    """
+    if spec.family == FAMILY_A:
+        return np.arange(spec.n), spec.n - 1
+    return np.arange(spec.n, 0, -1), spec.n + 1
+
+
+def _sin_pi(num, den: int) -> np.ndarray:
+    """sin(pi * num / den) for integers num (an array) and den > 0.
+
+    The angle is reduced in integers to r*pi/den with 0 <= r <= den/2, so
+    every value keeps full relative accuracy: rounding pi*num/den directly
+    would cost an absolute error that grows with num.
+    """
+    m = np.asarray(num) % (2 * den)
+    sign = np.where(m < den, 1.0, -1.0)
+    m = m % den
+    return sign * np.sin(np.minimum(m, den - m) * np.pi / den)
+
+
+def _grid_multiples(spec: FamilySpec, first: int) -> tuple[np.ndarray, int]:
+    """(i * q_k) mod 2L for i = first..first+n-1 (rows) and k = 1..n, and L.
+
+    Entry (i, k) of a transform is a function of i * theta_k, which has
+    period 2L in these integers, so each transform evaluates one sine or
+    cosine per point of the period and gathers the table from it.
+    """
+    q, period = _angle_grid(spec)
+    return np.outer(np.arange(first, first + spec.n), q) % (2 * period), period
+
+
+def _cosine_table(spec: FamilySpec) -> np.ndarray:
+    """table[i, k] = T_i(cos theta_k) = cos(i * theta_k) for i = 0..n-1."""
+    multiples, period = _grid_multiples(spec, 0)
+    # cos(pi*m/L) = sin(pi*(L - 2m)/(2L)).
+    return _sin_pi(period - 2 * np.arange(2 * period), 2 * period)[multiples]
+
+
+def transform_k(spec: FamilySpec) -> np.ndarray:
+    """Eigenvector matrix of family "a", a cosine-type transform.
+
+    Entry (i, k) is T_{i-1}(cos theta_k) = cos((i-1) * theta_k) on the angle
+    grid; the last row carries an extra factor 1/2.  Column k is an
+    eigenvector for eigenvalue k, normalized to first component 1.
     """
     if spec.family != FAMILY_A:
         raise ValueError(f"expected family 'a', got {spec.family!r}")
-    n = spec.n
-    table = cheb_t_table(n - 1, nodes_a(n) / 2.0)
-    table[n - 1] *= 0.5
+    table = _cosine_table(spec)
+    table[-1] *= 0.5
     return table
 
 
 def inv_transform_k(spec: FamilySpec) -> np.ndarray:
     """Analytic inverse of transform_k, assembled from row and column weights.
 
-    Entry (k, j) is gamma_j * beta_k * T_{j-1}(node_k / 2) with
+    Entry (k, j) is gamma_j * beta_k * cos((j-1) * theta_k) with
     gamma = (1, 2, ..., 2) and beta = (1, 2, ..., 2, 1) / (2n - 2).
     """
     if spec.family != FAMILY_A:
         raise ValueError(f"expected family 'a', got {spec.family!r}")
     n = spec.n
-    table = cheb_t_table(n - 1, nodes_a(n) / 2.0)
-    beta = _beta_weights(n)
-    gamma = _gamma_scales(n)
-    return (beta[:, None] * table.T) * gamma[None, :]
+    return (_beta_weights(n)[:, None] * _cosine_table(spec).T) * _gamma_scales(n)
 
 
 def transform_t(spec: FamilySpec) -> np.ndarray:
-    """Eigenvector matrix of family "adagger".
+    """Eigenvector matrix of family "adagger", a sine-type transform.
 
-    Row i holds sign_r(i-1) * U_{i-1} at the half-nodes.  Column j is an
-    eigenvector for eigenvalue j, normalized to first component 1.
+    Entry (i, k) is sign_r(i-1) * U_{i-1}(cos theta_k), with
+    U_{i-1}(cos theta) = sin(i * theta) / sin(theta) on the angle grid.
+    Column k is an eigenvector for eigenvalue k, normalized to first
+    component 1.
     """
     if spec.family != FAMILY_ADAGGER:
         raise ValueError(f"expected family 'adagger', got {spec.family!r}")
     n = spec.n
-    signs = np.array([sign_r(i) for i in range(n)], dtype=float)
-    return signs[:, None] * cheb_u_table(n - 1, nodes_adagger(n) / 2.0)
+    multiples, period = _grid_multiples(spec, 1)
+    table = _sin_pi(np.arange(2 * period), period)[multiples]
+    # sin(theta_k) is _sines(n)[k-1], the first row's numerator bit for bit.
+    table /= _sines(n)
+    table *= np.array([sign_r(i) for i in range(n)], dtype=float)[:, None]
+    return table
 
 
 def inv_transform_t(spec: FamilySpec) -> np.ndarray:
     """Analytic inverse of transform_t.
 
-    Entry (k, j) is c_k * sign_r(j-1) * U_{j-1}(node_k / 2) with the row
-    coefficients c_k = 2*sin(k*pi/(n+1))**2/(n+1) (the paper's mu for odd n
+    Entry (k, j) is c_k * sign_r(j-1) * U_{j-1}(cos theta_k) with the row
+    coefficients c_k = 2*sin(theta_k)**2/(n+1) (the paper's mu for odd n
     and eta for even n).
     """
     if spec.family != FAMILY_ADAGGER:
@@ -164,12 +228,10 @@ def _gamma_scales(n: int) -> np.ndarray:
 def _sines(n: int) -> np.ndarray:
     """sin(k*pi/(n+1)) for k = 1..n, to full relative accuracy.
 
-    The angle is folded to min(k, n+1-k)*pi/(n+1) <= pi/2 first: near pi
-    the rounding of k*pi/(n+1) would cost up to about 2e-13 relative in
-    the smallest sines.
+    Near pi the rounding of k*pi/(n+1) would cost up to about 2e-13
+    relative in the smallest sines; _sin_pi folds the angle first.
     """
-    k = np.arange(1, n + 1)
-    return np.sin(np.minimum(k, n + 1 - k) * np.pi / (n + 1))
+    return _sin_pi(np.arange(1, n + 1), n + 1)
 
 
 def _dagger_row_weights(n: int) -> np.ndarray:
@@ -184,12 +246,11 @@ def _dagger_row_weights(n: int) -> np.ndarray:
 class SpectralData:
     """One family instance's full closed-form decomposition.
 
-    vec_matrix times diag(eigenvalues)**s times inv_matrix is the s-th power;
-    row_weights and col_scales are the coefficient families from which
-    inv_matrix was assembled (beta/gamma for "a", the mu/eta row weights
-    with unit column scales for "adagger" and "anti").  For the anti family
-    the decomposition of its tridiagonal counterpart is stored, which is
-    what the power formulas consume.  Treat all arrays as read-only.
+    vec_matrix times diag(eigenvalues)**s times inv_matrix is the s-th power.
+    For the anti family the decomposition of its "adagger" twin is stored,
+    which is what the power formulas consume; the anti matrix has the same
+    eigenvectors, with the sign-flipped eigenvalues of eigenvalues_adagger.
+    Treat all arrays as read-only.
     """
 
     spec: FamilySpec
@@ -197,8 +258,6 @@ class SpectralData:
     nodes: np.ndarray
     vec_matrix: np.ndarray
     inv_matrix: np.ndarray
-    row_weights: np.ndarray
-    col_scales: np.ndarray
 
 
 def decompose(spec: FamilySpec) -> SpectralData:
@@ -210,21 +269,15 @@ def decompose(spec: FamilySpec) -> SpectralData:
     """
     if spec.family == FAMILY_A:
         nodes = nodes_a(spec.n)
-        eigenvalues = eigenvalues_a(spec)
         vec = transform_k(spec)
         inv = inv_transform_k(spec)
-        row_weights = _beta_weights(spec.n)
-        col_scales = _gamma_scales(spec.n)
     else:
         twin = spec if spec.family == FAMILY_ADAGGER else FamilySpec(
             FAMILY_ADAGGER, spec.n, spec.a, spec.b
         )
         nodes = nodes_adagger(spec.n)
-        eigenvalues = eigenvalues_adagger(spec)
         vec = transform_t(twin)
         inv = inv_transform_t(twin)
-        row_weights = _dagger_row_weights(spec.n)
-        col_scales = np.ones(spec.n)
 
     residual = mat_norm_maxabs(vec @ inv - mat_identity(spec.n))
     if residual >= CLOSURE_TOL:
@@ -232,7 +285,7 @@ def decompose(spec: FamilySpec) -> SpectralData:
             f"analytic inverse failed closure for family {spec.family!r}, "
             f"n={spec.n}: residual {residual:.3e} >= {CLOSURE_TOL:g}"
         )
-    return SpectralData(spec, eigenvalues, nodes, vec, inv, row_weights, col_scales)
+    return SpectralData(spec, eigenvalues(spec), nodes, vec, inv)
 
 
 def _generator_weights(spec: FamilySpec) -> np.ndarray:
@@ -253,21 +306,17 @@ def _generator_weights(spec: FamilySpec) -> np.ndarray:
 def _cosine_sums(spec: FamilySpec, values: np.ndarray) -> np.ndarray:
     """sum_k values_k * cos(m * theta_k) for m = 0..2L, along the last axis.
 
-    theta_k lies on the grid pi*q/L: q = k - 1 with L = n - 1 for family
-    "a", and q = n + 1 - k with L = n + 1 otherwise, where the grid ends
-    q = 0 and q = L carry no eigenvalue.  One FFT of the even extension of
-    the grid, with its two end samples doubled, gives twice the sums for
+    The values are placed at their points q of the angle grid pi*q/L (see
+    _angle_grid), zero elsewhere.  One FFT of the even extension of the
+    grid, with its two end samples doubled, gives twice the sums for
     m = 0..2L-1; the sums have period 2L.
     """
-    if spec.family == FAMILY_A:
-        grid = values.astype(np.complex128)
-    else:
-        grid = np.zeros(values.shape[:-1] + (spec.n + 2,), dtype=np.complex128)
-        grid[..., 1:-1] = values[..., ::-1]
-    last = grid.shape[-1] - 1
+    q, period = _angle_grid(spec)
+    grid = np.zeros(values.shape[:-1] + (period + 1,), dtype=np.complex128)
+    grid[..., q] = values
     grid[..., 0] *= 2.0
-    grid[..., last] *= 2.0
-    sums = np.fft.fft(np.concatenate((grid, grid[..., last - 1:0:-1]), axis=-1)) / 2.0
+    grid[..., period] *= 2.0
+    sums = np.fft.fft(np.concatenate((grid, grid[..., period - 1:0:-1]), axis=-1)) / 2.0
     return np.concatenate((sums, sums[..., :1]), axis=-1)
 
 

@@ -28,7 +28,7 @@ from tripow.families import (
     build_matrix,
 )
 from tripow.fibpoly import fib_det_check, fib_factor_eval, fib_poly_eval
-from tripow.linalg import mat_identity, mat_inverse, mat_mul, mat_norm_maxabs, mat_pow_binary
+from tripow.linalg import mat_identity, mat_inverse, mat_norm_maxabs, mat_pow_binary
 from tripow.powers import (
     ExtendedDomainWarning,
     power_entry_anti,
@@ -240,12 +240,12 @@ def test_criterion_08_anti_tridiagonal_parity_law():
         twin_matrix = build_matrix(twin)
         exchange = build_exchange(n)
         assert mat_norm_maxabs(
-            mat_mul(exchange, twin_matrix) - mat_mul(twin_matrix, exchange)
+            exchange @ twin_matrix - twin_matrix @ exchange
         ) == 0.0
         data = decompose(anti)
         for s in range(0, 7):
             twin_power = power_matrix(twin, s).matrix
-            expected = twin_power if s % 2 == 0 else mat_mul(exchange, twin_power)
+            expected = twin_power if s % 2 == 0 else exchange @ twin_power
             got = np.array(
                 [
                     [power_entry_anti(data, s, i, j) for j in range(1, n + 1)]

@@ -13,8 +13,14 @@ import pytest
 
 from tripow.cli import BENCH_HEADER, format_complex, main, parse_complex
 from tripow.families import FAMILY_A, FamilySpec, build_matrix
-from tripow.linalg import mat_inverse, mat_norm_maxabs, mat_pow_binary
-from tripow.powers import ExtendedDomainWarning, VerificationError, power_matrix, power_verify
+from tripow.linalg import mat_norm_maxabs
+from tripow.powers import (
+    ExtendedDomainWarning,
+    VerificationError,
+    oracle_power,
+    power_matrix,
+    power_verify,
+)
 
 
 def run_cli(capsys, *argv):
@@ -25,8 +31,7 @@ def run_cli(capsys, *argv):
 
 def absolute_residual(spec, s):
     """max|C - O| for the closed form C and the oracle O of power_verify."""
-    m = build_matrix(spec)
-    oracle = mat_pow_binary(m, s) if s >= 0 else mat_pow_binary(mat_inverse(m), -s)
+    oracle = oracle_power(build_matrix(spec), s)
     return mat_norm_maxabs(power_matrix(spec, s).matrix - oracle)
 
 
@@ -202,6 +207,22 @@ class TestEigenCommand:
         top_row = [complex(c["re"], c["im"]) for c in vectors[0]]
         assert top_row == [1, 1, 1]
 
+    @pytest.mark.parametrize("n", range(2, 17, 2))
+    def test_anti_vectors_and_eigenvalues_diagonalize_the_matrix(self, capsys, n):
+        a, b = 0.3 - 1.1j, -0.7 + 0.4j
+        code, out, _ = run_cli(
+            capsys, "eigen", "--family", "anti", "--n", str(n),
+            f"--a={format_complex(a)}", f"--b={format_complex(b)}", "--vectors",
+            "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        mu = np.array([complex(v["re"], v["im"]) for v in payload["eigenvalues"]])
+        vectors = np.array([[complex(c["re"], c["im"]) for c in row] for row in payload["vectors"]])
+        m = build_matrix(FamilySpec("anti", n, a, b))
+        residual = mat_norm_maxabs(m @ vectors - vectors * mu)
+        assert residual <= 1e-13 * mat_norm_maxabs(m) * mat_norm_maxabs(vectors)
+
 
 class TestVerifyCommand:
     def test_single_case_passes(self, capsys):
@@ -332,6 +353,15 @@ class TestBenchCommand:
             return [row[:4] + row[5:] for row in rows]
 
         assert strip_timing(out1) == strip_timing(out2)
+
+    def test_negative_exponent_uses_the_inverse_oracle(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--family", "a", "--n", "8", "--s", "3,-2")
+        assert code == 0, err
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [(row[2], row[3]) for row in rows] == [
+            ("3", "closed_form"), ("3", "binary_pow"), ("-2", "closed_form"), ("-2", "binary_pow"),
+        ]
+        assert all(float(row[5]) < 1e-6 for row in rows)
 
 
 def test_module_entry_point_runs():

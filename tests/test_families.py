@@ -13,7 +13,7 @@ from tripow.families import (
     char_value_a,
     char_value_adagger,
 )
-from tripow.linalg import mat_det, mat_identity, mat_mul, mat_norm_maxabs
+from tripow.linalg import mat_det, mat_identity, mat_norm_maxabs
 
 
 def random_params(rng, min_b=0.25):
@@ -122,7 +122,7 @@ class TestBuildMatrix:
             a, b = random_params(rng)
             anti = build_matrix(FamilySpec(FAMILY_ANTI, n, a, b))
             twin = build_matrix(FamilySpec(FAMILY_ADAGGER, n, a, b))
-            np.testing.assert_array_equal(anti, mat_mul(build_exchange(n), twin))
+            np.testing.assert_array_equal(anti, build_exchange(n) @ twin)
 
 
 class TestExchange:
@@ -132,7 +132,7 @@ class TestExchange:
 
     def test_involution(self):
         j = build_exchange(4)
-        np.testing.assert_array_equal(mat_mul(j, j), mat_identity(4))
+        np.testing.assert_array_equal(j @ j, mat_identity(4))
 
     def test_commutes_with_adagger_exactly(self):
         rng = np.random.default_rng(23)
@@ -140,7 +140,7 @@ class TestExchange:
             a, b = random_params(rng)
             twin = build_matrix(FamilySpec(FAMILY_ADAGGER, n, a, b))
             j = build_exchange(n)
-            assert mat_norm_maxabs(mat_mul(j, twin) - mat_mul(twin, j)) == 0.0
+            assert mat_norm_maxabs(j @ twin - twin @ j) == 0.0
 
 
 class TestCharValues:

@@ -17,7 +17,6 @@ from tripow.linalg import (
     SingularMatrixError,
     mat_identity,
     mat_inverse,
-    mat_mul,
     mat_norm_maxabs,
     mat_pow_binary,
 )
@@ -187,7 +186,7 @@ class TestAntiParity:
     def test_odd_power_is_exchange_times_twin_power(self):
         spec = FamilySpec(FAMILY_ANTI, 4, 1.0, 1.0)
         twin = build_matrix(FamilySpec(FAMILY_ADAGGER, 4, 1.0, 1.0))
-        expected = mat_mul(build_exchange(4), mat_pow_binary(twin, 3))
+        expected = build_exchange(4) @ mat_pow_binary(twin, 3)
         got = power_matrix(spec, 3).matrix
         assert mat_norm_maxabs(got - expected) < 1e-10
 
@@ -201,7 +200,7 @@ class TestAntiParity:
             j = build_exchange(n)
             for s in range(0, 6):
                 twin_power = power_matrix(twin, s).matrix
-                expected = twin_power if s % 2 == 0 else mat_mul(j, twin_power)
+                expected = twin_power if s % 2 == 0 else j @ twin_power
                 got = np.array(
                     [
                         [power_entry_anti(data, s, i, jj) for jj in range(1, n + 1)]
@@ -402,7 +401,7 @@ class TestOracleEquivalence:
                 for s in (1, 2, 4):
                     forward = power_matrix(spec, s).matrix
                     backward = power_matrix(spec, -s).matrix
-                    assert mat_norm_maxabs(mat_mul(backward, forward) - mat_identity(n)) < 1e-7
+                    assert mat_norm_maxabs(backward @ forward - mat_identity(n)) < 1e-7
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(56)
@@ -412,7 +411,7 @@ class TestOracleEquivalence:
             spec = FamilySpec(family, n, *random_params(rng, scale=2.0))
             s1, s2 = int(rng.integers(0, 4)), int(rng.integers(0, 4))
             combined = power_matrix(spec, s1 + s2).matrix
-            product = mat_mul(power_matrix(spec, s1).matrix, power_matrix(spec, s2).matrix)
+            product = power_matrix(spec, s1).matrix @ power_matrix(spec, s2).matrix
             assert mat_norm_maxabs(combined - product) < 1e-7
 
     def test_last_row_as_tight_as_the_rest(self):

@@ -271,6 +271,14 @@ class TestDecompose:
             )
             assert residual < 1e-9
 
+    def test_closure_is_tight_at_n_1024(self):
+        # Entries of V are single sines and cosines of exactly reduced
+        # angles, so the closure error does not grow with the order.
+        for family in (FAMILY_A, FAMILY_ADAGGER):
+            data = decompose(FamilySpec(family, 1024, 0.5, 1.0))
+            residual = mat_norm_maxabs(data.vec_matrix @ data.inv_matrix - mat_identity(1024))
+            assert residual < 1e-14
+
     def test_reconstruction(self):
         rng = np.random.default_rng(39)
         count = 0
