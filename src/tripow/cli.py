@@ -23,7 +23,7 @@ from .families import FAMILIES, FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI, FamilySpe
 from .fibpoly import fib_det_check, fib_factor_eval, fib_poly_eval
 from .linalg import SingularMatrixError, mat_norm_maxabs
 from .powers import PowerOverflowError, VerificationError, oracle_power, power_matrix, power_verify
-from .spectral import ClosureError, decompose, eigenvalues
+from .spectral import ClosureError, decompose, eigenvalues, nodes_a, nodes_adagger
 
 __all__ = ["main", "parse_complex", "format_complex"]
 
@@ -109,10 +109,13 @@ def cmd_power(args, out) -> int:
 
 def cmd_eigen(args, out) -> int:
     spec = FamilySpec(args.family, args.n, args.a, args.b)
-    data = decompose(spec)
-    values = data.eigenvalues
+    # Eigenvalues and nodes are O(n); only the vectors need decompose, with
+    # its transforms and O(n**3) closure check.
+    values = eigenvalues(spec)
+    nodes = nodes_a(spec.n) if spec.family == FAMILY_A else nodes_adagger(spec.n)
+    vectors = decompose(spec).vec_matrix if args.vectors else None
     if spec.family == FAMILY_ANTI:
-        # decompose stores the "adagger" twin; the anti matrix has the same
+        # eigenvalues gives the "adagger" twin's; the anti matrix has the same
         # eigenvectors, and the exchange maps eigenvector k to
         # (-1)**(k + n/2 + 1) times itself, which flips the sign of lambda_k.
         k = np.arange(1, spec.n + 1)
@@ -122,27 +125,27 @@ def cmd_eigen(args, out) -> int:
             "family": spec.family,
             "n": spec.n,
             "eigenvalues": [_complex_json(complex(v)) for v in values],
-            "nodes": [float(v) for v in data.nodes],
+            "nodes": [float(v) for v in nodes],
         }
         if args.vectors:
-            payload["vectors"] = _matrix_entries(data.vec_matrix)
+            payload["vectors"] = _matrix_entries(vectors)
         print(json.dumps(payload), file=out)
     elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["k", "eigenvalue", "node"])
         for k in range(spec.n):
-            writer.writerow([k + 1, format_complex(complex(values[k])), repr(float(data.nodes[k]))])
+            writer.writerow([k + 1, format_complex(complex(values[k])), repr(float(nodes[k]))])
     else:
         print(f"family={spec.family} n={spec.n} a={format_complex(spec.a)} b={format_complex(spec.b)}", file=out)
         for k in range(spec.n):
             print(
                 f"  k={k + 1}  eigenvalue={format_complex(complex(values[k]))}  "
-                f"node={float(data.nodes[k])!r}",
+                f"node={float(nodes[k])!r}",
                 file=out,
             )
         if args.vectors:
             print("eigenvector matrix (columns are eigenvectors):", file=out)
-            _print_matrix_pretty(data.vec_matrix, out)
+            _print_matrix_pretty(vectors, out)
     return 0
 
 

@@ -29,6 +29,7 @@ returning inf or NaN.
 """
 
 import operator
+import os
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -84,6 +85,8 @@ EIGENVALUE_RTOL = 1e-12
 # the sum of two of them and would overflow.
 OVERFLOW_LIMIT = sys.float_info.max / 2
 
+_PACKAGE_DIR = os.path.dirname(__file__)
+
 
 class ExtendedDomainWarning(UserWarning):
     """The request is valid but outside the stated parity-restricted domain."""
@@ -122,6 +125,19 @@ class PowerResult:
     residual_vs_oracle: float | None = None
 
 
+def _outside_stacklevel() -> int:
+    """The warnings.warn stacklevel that names the first caller outside tripow.
+
+    The level counts from the function that calls this one, so every entry
+    point (power_matrix, power_verify, the power_entry functions, the CLI)
+    reports its own caller from one warning site.
+    """
+    frame, level = sys._getframe(1), 1
+    while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _eigenvalue_powers(spec: FamilySpec, lam: np.ndarray, s: int) -> np.ndarray:
     """lambda_k**s for all k by vectorized square-and-multiply.
 
@@ -143,7 +159,7 @@ def _eigenvalue_powers(spec: FamilySpec, lam: np.ndarray, s: int) -> np.ndarray:
                 "closed form beyond its stated parity domain; the result is "
                 "well-defined because all eigenvalues are nonzero",
                 ExtendedDomainWarning,
-                stacklevel=4,
+                stacklevel=_outside_stacklevel(),
             )
         base = 1.0 / lam
     else:
@@ -290,6 +306,10 @@ def oracle_power(matrix: np.ndarray, s: int) -> np.ndarray:
 
     Binary exponentiation for s >= 0, and binary exponentiation of the
     Gauss-Jordan inverse for s < 0 (SingularMatrixError when it has none).
+    Each product skips only the exact zeros outside its operands' row spans,
+    which linalg finds from the entries alone: a tridiagonal or
+    anti-tridiagonal input costs far less than n**3 per early squaring, and
+    nothing of the closed form (eigenvalues, nodes, families) enters.
     """
     if s >= 0:
         return mat_pow_binary(matrix, s)

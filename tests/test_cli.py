@@ -11,6 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
+import tripow.cli
+import tripow.spectral
 from tripow.cli import BENCH_HEADER, format_complex, main, parse_complex
 from tripow.families import FAMILY_A, FamilySpec, build_matrix
 from tripow.linalg import mat_norm_maxabs
@@ -33,6 +35,10 @@ def absolute_residual(spec, s):
     """max|C - O| for the closed form C and the oracle O of power_verify."""
     oracle = oracle_power(build_matrix(spec), s)
     return mat_norm_maxabs(power_matrix(spec, s).matrix - oracle)
+
+
+def _refuse(*args):
+    raise AssertionError("decompose must not run")
 
 
 class TestComplexLiterals:
@@ -223,6 +229,19 @@ class TestEigenCommand:
         residual = mat_norm_maxabs(m @ vectors - vectors * mu)
         assert residual <= 1e-13 * mat_norm_maxabs(m) * mat_norm_maxabs(vectors)
 
+    def test_values_skip_decompose_and_vectors_keep_the_closure_check(self, capsys, monkeypatch):
+        argv = ("eigen", "--family", "a", "--n", "5", "--a", "1+0i", "--b", "1+0i", "--format", "json")
+        expected = run_cli(capsys, *argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(tripow.cli, "decompose", _refuse)
+            assert run_cli(capsys, *argv) == expected
+        inverse = tripow.spectral.inv_transform_k
+        monkeypatch.setattr(tripow.spectral, "inv_transform_k", lambda spec: 2 * inverse(spec))
+        assert run_cli(capsys, *argv) == expected
+        code, out, err = run_cli(capsys, *argv, "--vectors")
+        assert (code, out) == (1, "")
+        assert "closure" in err
+
 
 class TestVerifyCommand:
     def test_single_case_passes(self, capsys):
@@ -264,6 +283,17 @@ class TestVerifyCommand:
             )
         assert code == 1
         assert "k=2" in err
+
+    def test_domain_warning_names_the_caller(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run_cli(
+                capsys, "verify", "--family", "adagger", "--n", "5", "--a", "3+0i",
+                "--b", "1+0i", "--s", "-2",
+            )
+        assert code == 0
+        assert [w.category for w in caught] == [ExtendedDomainWarning]
+        assert caught[0].filename == __file__
 
     def test_missing_arguments_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--family", "a", "--n", "3")

@@ -10,6 +10,7 @@ from tripow.linalg import (
     _BLOCK,
     SINGULAR_RTOL,
     SingularMatrixError,
+    _spans,
     mat_det,
     mat_identity,
     mat_inverse,
@@ -145,6 +146,66 @@ class TestMatPowBinary:
                 chained = chained @ m
             scale = max(1.0, mat_norm_maxabs(chained))
             assert mat_norm_maxabs(mat_pow_binary(m, s) - chained) <= 1e-9 * scale
+
+
+def _tridiagonal(rng, n):
+    m = np.diag(random_matrix(rng, 1, 1.0)[0, 0] + random_matrix(rng, n, 0.2)[0])
+    off = random_matrix(rng, 2, 1.0)[0]
+    return m + np.diag(np.full(n - 1, off[0]), 1) + np.diag(np.full(n - 1, off[1]), -1)
+
+
+def _zero_middle(rng, n):
+    m = _tridiagonal(rng, n)
+    m[n // 2] = 0.0
+    m[:, n // 2] = 0.0
+    return m
+
+
+ENVELOPE_MATRICES = {
+    "tridiagonal": _tridiagonal,
+    "anti-tridiagonal": lambda rng, n: _tridiagonal(rng, n)[::-1],
+    "diagonal": lambda rng, n: np.diag(random_matrix(rng, n)[0]),
+    "zero": lambda rng, n: np.zeros((n, n), dtype=complex),
+    "zero-row-and-column": _zero_middle,
+    "lower-bidiagonal": lambda rng, n: np.tril(np.triu(random_matrix(rng, n), -1)),
+    "upper-bidiagonal": lambda rng, n: np.triu(np.tril(random_matrix(rng, n), 1)),
+    "dense": random_matrix,
+}
+
+
+class TestEnvelopePowers:
+    """mat_pow_binary skips exact zeros; a chain of plain products is the reference."""
+
+    def test_spans_are_exact(self):
+        rows = np.zeros((4, 6), dtype=complex)
+        rows[0, [0, 2]] = 1.0
+        rows[1] = 1.0
+        rows[3, 2], rows[3, 4] = np.nan, np.inf
+        first, stop = _spans(rows, 10, 16)
+        np.testing.assert_array_equal(first, [10, 10, 16, 12])
+        np.testing.assert_array_equal(stop, [13, 16, 0, 15])
+        first, stop = _spans(np.array([[1, 0], [1, 1]], dtype=complex), 0, 2)
+        np.testing.assert_array_equal(first, [0, 0])
+        np.testing.assert_array_equal(stop, [1, 2])
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("kind", ENVELOPE_MATRICES)
+    def test_matches_chained_products_and_keeps_zeros(self, kind, n):
+        m = np.ascontiguousarray(ENVELOPE_MATRICES[kind](np.random.default_rng(n), n))
+        radius = np.abs(np.linalg.eigvals(m)).max()
+        if radius > 0:
+            m /= radius
+        pattern = (m != 0).astype(float)
+        chained, reach = [mat_identity(n)], [np.eye(n)]
+        for _ in range(65):
+            chained.append(chained[-1] @ m)
+            reach.append(np.minimum(reach[-1] @ pattern, 1.0))
+        for s in (0, 1, 2, 3, 63, 64, 65):
+            power = mat_pow_binary(m, s)
+            # Entries that no path of length s reaches are exactly zero.
+            assert not power[reach[s] == 0].any(), (kind, n, s)
+            scale = mat_norm_maxabs(chained[s])
+            assert mat_norm_maxabs(power - chained[s]) <= 1e-12 * scale, (kind, n, s)
 
 
 class TestMatInverse:

@@ -323,6 +323,23 @@ class TestPowerMatrix:
         with pytest.warns(ExtendedDomainWarning):
             power_matrix(FamilySpec(FAMILY_ADAGGER, 3, 3.0, 1.0), -1)
 
+    def test_domain_warning_names_the_caller(self):
+        # power_entry_anti never warns: the anti family refuses odd n first.
+        spec = FamilySpec(FAMILY_ADAGGER, 5, 3.0, 1.0)
+        data_a = decompose(FamilySpec(FAMILY_A, 5, 3.0, 1.0))
+        calls = {
+            "power_matrix": lambda: power_matrix(spec, -2),
+            "power_verify": lambda: power_verify(spec, -2),
+            "power_entry_a": lambda: power_entry_a(data_a, -2, 1, 2),
+            "power_entry_adagger": lambda: power_entry_adagger(decompose(spec), -2, 1, 2),
+        }
+        for name, call in calls.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert [w.category for w in caught] == [ExtendedDomainWarning], name
+            assert caught[0].filename == __file__, name
+
     def test_no_warning_for_even_n_negative_s(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
