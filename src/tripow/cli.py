@@ -48,7 +48,11 @@ def parse_complex(text: str) -> complex:
 
 def format_complex(z: complex) -> str:
     """Render a complex value as re+imi, round-trippable by parse_complex."""
-    return f"{z.real!r}{z.imag:+}i"
+    return _format_parts(z.real, z.imag)
+
+
+def _format_parts(re: float, im: float) -> str:
+    return f"{re!r}{im:+}i"
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -65,12 +69,18 @@ def _complex_json(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
+def _matrix_parts(matrix) -> list[list[tuple[float, float]]]:
+    """The (re, im) float pairs of a matrix, row by row."""
+    matrix = np.asarray(matrix)
+    return [list(zip(re, im)) for re, im in zip(matrix.real.tolist(), matrix.imag.tolist())]
+
+
 def _matrix_entries(matrix) -> list[list[dict]]:
-    return [[_complex_json(complex(v)) for v in row] for row in np.asarray(matrix)]
+    return [[{"re": re, "im": im} for re, im in row] for row in _matrix_parts(matrix)]
 
 
 def _print_matrix_pretty(matrix, out):
-    cells = [[format_complex(complex(v)) for v in row] for row in np.asarray(matrix)]
+    cells = [[_format_parts(re, im) for re, im in row] for row in _matrix_parts(matrix)]
     width = max(len(c) for row in cells for c in row)
     for row in cells:
         print("[ " + "  ".join(c.rjust(width) for c in row) + " ]", file=out)
@@ -89,8 +99,8 @@ def _emit_power(result, fmt, out):
     elif fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow([f"c{j + 1}" for j in range(result.spec.n)])
-        for row in result.matrix:
-            writer.writerow([format_complex(complex(v)) for v in row])
+        for row in _matrix_parts(result.matrix):
+            writer.writerow([_format_parts(re, im) for re, im in row])
     else:
         print(
             f"family={result.spec.family} n={result.spec.n} s={result.exponent} "

@@ -17,17 +17,24 @@ sum to two entries of one generator h_m = sum_k lambda_k**s w_k cos(m theta_k)
 (0-based i, j; the "adagger" weights absorb the 1/sin(theta)**2 of the
 second-kind product).  A full power is therefore a Toeplitz view plus or
 minus a Hankel view of h with fixed edge factors: O(n**2) with no matrix
-product, and every single entry is O(n log n).  The anti family splits on
-the parity of s: even powers coincide with the tridiagonal counterpart, odd
-powers are its exchange flip.
+product, and every single entry is O(n log n).  Each entry is written once.
+sign_r has period 4, so on the rows i = r (mod 4) the factor
+sign_r(i) * sign_r(j) is a period-4 sign of the index into h; it folds
+into four signed copies of h, and those rows are one subtraction of two
+window views.  The anti family splits on the parity of s: even powers
+coincide with the tridiagonal counterpart, odd powers are its exchange
+flip, written as the same rows in reverse order.
 
 Negative exponents are accepted whenever every eigenvalue is nonzero.
 Eigenvalue powers use square-and-multiply on the reciprocal, never a
-complex logarithm, so no branch-cut choices are involved.  A power whose
-entries cannot be represented raises PowerOverflowError instead of
-returning inf or NaN.
+complex logarithm, so no branch-cut choices are involved.  When the plain
+eigenvalue powers overflow although the power itself fits, they are
+carried as mantissas times 2**E and h is scaled by 2**E after the FFT.  A
+power whose entries cannot be represented raises PowerOverflowError
+instead of returning inf or NaN.
 """
 
+import math
 import operator
 import os
 import sys
@@ -51,7 +58,7 @@ from .linalg import (
     mat_norm_maxabs,
     mat_pow_binary,
 )
-from .spectral import SpectralData, eigenvalues, power_generator, sign_r
+from .spectral import _SIGN4, SpectralData, eigenvalues, power_generator, sign_r
 
 __all__ = [
     "PATH_A",
@@ -138,58 +145,100 @@ def _outside_stacklevel() -> int:
     return level
 
 
-def _eigenvalue_powers(spec: FamilySpec, lam: np.ndarray, s: int) -> np.ndarray:
-    """lambda_k**s for all k by vectorized square-and-multiply.
+def _power_base(spec: FamilySpec, lam: np.ndarray, s: int) -> np.ndarray:
+    """The eigenvalues for s >= 0, their reciprocals for s < 0.
 
-    Negative s inverts first, after refusing a zero eigenvalue.
+    A negative s is refused for a zero eigenvalue, and warned about for
+    odd n.
     """
-    if s < 0:
-        moduli = np.abs(lam)
-        threshold = EIGENVALUE_RTOL * float(moduli.max())
-        small = int(np.argmin(moduli))
-        if moduli[small] <= threshold:
-            raise SingularMatrixError(
-                f"negative power undefined: eigenvalue {lam[small]:.6g} at "
-                f"k={small + 1} has modulus below {EIGENVALUE_RTOL:g} of the "
-                "spectral radius"
-            )
-        if spec.n % 2 == 1:
-            warnings.warn(
-                f"negative exponent s={s} with odd n={spec.n} extends the "
-                "closed form beyond its stated parity domain; the result is "
-                "well-defined because all eigenvalues are nonzero",
-                ExtendedDomainWarning,
-                stacklevel=_outside_stacklevel(),
-            )
-        base = 1.0 / lam
-    else:
-        base = lam
-    result = np.ones_like(base)
-    e = abs(s)
+    if s >= 0:
+        return lam
+    moduli = np.abs(lam)
+    threshold = EIGENVALUE_RTOL * float(moduli.max())
+    small = int(np.argmin(moduli))
+    if moduli[small] <= threshold:
+        raise SingularMatrixError(
+            f"negative power undefined: eigenvalue {lam[small]:.6g} at "
+            f"k={small + 1} has modulus below {EIGENVALUE_RTOL:g} of the "
+            "spectral radius"
+        )
+    if spec.n % 2 == 1:
+        warnings.warn(
+            f"negative exponent s={s} with odd n={spec.n} extends the "
+            "closed form beyond its stated parity domain; the result is "
+            "well-defined because all eigenvalues are nonzero",
+            ExtendedDomainWarning,
+            stacklevel=_outside_stacklevel(),
+        )
+    return 1.0 / lam
+
+
+def _unit_scaled(values: np.ndarray, exponent: int) -> tuple[np.ndarray, int]:
+    """values * 2**exponent rewritten with the largest modulus in [1/2, 1).
+
+    The rescaling is by an exact power of two; values that are all zero or
+    not finite come back as they are.
+    """
+    peak = float(np.abs(values).max())
+    if not 0.0 < peak < np.inf:
+        return values, exponent
+    shift = math.frexp(peak)[1]
+    scaled = values.copy()
+    parts = scaled.view(np.float64)
+    np.ldexp(parts, -shift, out=parts)
+    return scaled, exponent + shift
+
+
+def _binary_powers(base: np.ndarray, e: int, renormalize: bool) -> tuple[np.ndarray, int]:
+    """base**e for e >= 0 by vectorized square-and-multiply, as (mantissas, E).
+
+    base**e = mantissas * 2**E.  Without renormalize, E is 0 and the plain
+    products may overflow; with it, every product is brought back to unit
+    scale by _unit_scaled, so no product can overflow.
+    """
+    result, exponent, base_exp = np.ones_like(base), 0, 0
     while e:
         if e & 1:
-            result = result * base
+            result, exponent = result * base, exponent + base_exp
+            if renormalize:
+                result, exponent = _unit_scaled(result, exponent)
         e >>= 1
         if e:
-            base = base * base
-    return result
+            base, base_exp = base * base, 2 * base_exp
+            if renormalize:
+                base, base_exp = _unit_scaled(base, base_exp)
+    return result, exponent
 
 
 def _generator(spec: FamilySpec, lam: np.ndarray, s: int) -> np.ndarray:
     """The generator h of the s-th power (see spectral.power_generator).
 
-    Raises PowerOverflowError when h is not finite or so large that the sum
-    of two of its entries could overflow.
+    The plain eigenvalue powers are tried first.  Only when they or the FFT
+    overflow are the powers recomputed as mantissas times 2**E, the FFT
+    run on the mantissas, and h scaled by 2**E at the end; so every power
+    that fits without scaling keeps its plain rounding bit for bit.  Raises
+    PowerOverflowError when h is not finite or so large that the sum of
+    two of its entries could overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        h = power_generator(spec, _eigenvalue_powers(spec, lam, s))
+        base = _power_base(spec, lam, s)
+        mantissas, exponent = _binary_powers(base, abs(s), renormalize=False)
+        h = power_generator(spec, mantissas)
+        if not np.isfinite(h).all():
+            mantissas, exponent = _binary_powers(base, abs(s), renormalize=True)
+            h = power_generator(spec, mantissas)
         peak = float(np.abs(h).max())
-    if not peak <= OVERFLOW_LIMIT:
+        scaled_peak = float(np.ldexp(peak, exponent))
+    if not scaled_peak <= OVERFLOW_LIMIT:
         raise PowerOverflowError(
             f"power s={s} is not representable for family={spec.family} "
-            f"n={spec.n} a={spec.a} b={spec.b}: generator modulus {peak:.3e} "
-            f"is not finite or exceeds {OVERFLOW_LIMIT:.3e}"
+            f"n={spec.n} a={spec.a} b={spec.b}: generator modulus "
+            f"{peak:.3e} * 2**{exponent} is not finite or exceeds "
+            f"{OVERFLOW_LIMIT:.3e}"
         )
+    if exponent:
+        parts = h.view(np.float64)
+        np.ldexp(parts, exponent, out=parts)
     return h
 
 
@@ -250,29 +299,40 @@ def _assemble(spec: FamilySpec, h: np.ndarray, s: int) -> np.ndarray:
     """The s-th power from its generator h, as Toeplitz -+ Hankel views of h.
 
     Family "a" is Toeplitz h[|i-j|] plus Hankel h[i+j] with the first column
-    and the last row halved; "adagger" is D (Toeplitz h[|i-j|] minus Hankel
-    h[i+j+2]) D with D = diag(sign_r).  The anti family flips the rows of
-    the "adagger" result for odd s.
+    and the last row halved.  "adagger" is sign_r(i) * sign_r(j) * (Toeplitz
+    h[|i-j|] minus Hankel h[i+j+2]), and each entry is written once.  On the
+    rows with i = r (mod 4) sign_r(i) is fixed, and sign_r(j) is a period-4
+    sign of the Toeplitz index P - i + j and of the Hankel index i + j + 2;
+    so the signs fold into four copies of h, one per shift of that period-4
+    sign, and the rows of each residue r are one subtraction of two window
+    views.  The anti family writes the same rows in reverse order for odd s.
     """
     n = spec.n
     # h is even with period P = h.size - 1, so h[|i-j|] = h[P - i + j]: both
     # views are row ranges of one window view of h extended by n - 1 samples.
     period = h.size - 1
-    window = sliding_window_view(np.concatenate((h, h[1:n])), n)
-    toeplitz = window[period - n + 1:period + 1][::-1]
+    extended = np.concatenate((h, h[1:n]))
     if spec.family == FAMILY_A:
-        matrix = toeplitz + window[:n]
+        window = sliding_window_view(extended, n)
+        matrix = window[period - n + 1:period + 1][::-1] + window[:n]
         matrix[:, 0] *= 0.5
         matrix[-1] *= 0.5
         return matrix
-    hankel = window[2:n + 2]
-    # D * adagger * D is the Toeplitz matrix (b, a, b).
-    signs = row_signs = np.array([sign_r(i) for i in range(n)], dtype=float)
-    if spec.family == FAMILY_ANTI and s % 2 == 1:
-        toeplitz, hankel, row_signs = toeplitz[::-1], hankel[::-1], signs[::-1]
-    matrix = toeplitz - hankel
-    matrix *= row_signs[:, None]
-    matrix *= signs
+    matrix = np.empty((n, n), dtype=np.complex128)
+    rows = matrix[::-1] if spec.family == FAMILY_ANTI and s % 2 == 1 else matrix
+    # Copy k is extended[m] * _SIGN4[(m + k) % 4].  On row i = r (mod 4),
+    # j = t - P + r (mod 4) at Toeplitz index t and j = u - 2 - r at Hankel
+    # index u, which picks the copy for each view.
+    shifts = np.arange(4)[:, None] + np.arange(extended.size)
+    windows = sliding_window_view(extended * _SIGN4[shifts % 4], n, axis=1)
+    for r in range(min(n, 4)):
+        count = (n - r + 3) // 4
+        toeplitz = windows[(r - period) % 4][period - r::-4][:count]
+        hankel = windows[(-2 - r) % 4][r + 2::4][:count]
+        if _SIGN4[r] < 0:
+            # sign_r(i) = -1: subtract the other way round, which is exact.
+            toeplitz, hankel = hankel, toeplitz
+        np.subtract(toeplitz, hankel, out=rows[r::4])
     return matrix
 
 

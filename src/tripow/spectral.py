@@ -64,6 +64,9 @@ __all__ = [
 
 CLOSURE_TOL = 1e-9
 
+# sign_r(i) for i mod 4 = 0, 1, 2, 3; index it with i % 4 to vectorize sign_r.
+_SIGN4 = np.array([1.0, 1.0, -1.0, -1.0])
+
 
 class ClosureError(ArithmeticError):
     """An analytically built inverse failed to reproduce the identity."""
@@ -196,7 +199,7 @@ def transform_t(spec: FamilySpec) -> np.ndarray:
     table = _sin_pi(np.arange(2 * period), period)[multiples]
     # sin(theta_k) is _sines(n)[k-1], the first row's numerator bit for bit.
     table /= _sines(n)
-    table *= np.array([sign_r(i) for i in range(n)], dtype=float)[:, None]
+    table *= _SIGN4[np.arange(n) % 4, None]
     return table
 
 

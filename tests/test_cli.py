@@ -263,6 +263,14 @@ class TestVerifyCommand:
         residual = float(out.splitlines()[1].split(",")[6])
         assert residual < 1e-8
 
+    def test_power_beyond_float_eigenvalue_powers_passes(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--family", "a", "--n", "16", "--a", "3+0i",
+            "--b", "1+0i", "--s", "442",
+        )
+        assert code == 0, err
+        assert "ok" in out
+
     def test_breach_reports_the_relative_residual(self, capsys):
         spec = FamilySpec("a", 4, 1.5, 0.5)
         with pytest.raises(VerificationError) as err:

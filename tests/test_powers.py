@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tripow.families import (
     FAMILY_A,
@@ -29,13 +30,16 @@ from tripow.powers import (
     ExtendedDomainWarning,
     PowerOverflowError,
     VerificationError,
+    _assemble,
+    _binary_powers,
+    oracle_power,
     power_entry_a,
     power_entry_adagger,
     power_entry_anti,
     power_matrix,
     power_verify,
 )
-from tripow.spectral import decompose, eigenvalues_a, eigenvalues_adagger
+from tripow.spectral import decompose, eigenvalues_a, eigenvalues_adagger, sign_r
 
 
 def random_params(rng, min_b=0.25, scale=3.0):
@@ -83,6 +87,27 @@ def unit_radius_spec(rng, family, n, min_ratio=0.3):
         if moduli.min() >= min_ratio * moduli.max():
             radius = float(moduli.max())
             return FamilySpec(family, n, spec.a / radius, spec.b / radius)
+
+
+def three_pass_assemble(spec, h, s):
+    """The "adagger"/"anti" power from h in three passes: the reference.
+
+    Subtracts the Hankel view from the Toeplitz view, then multiplies by
+    the row signs and by the column signs, flipping the rows for odd anti
+    powers; the library writes each entry once instead.
+    """
+    n = spec.n
+    period = h.size - 1
+    window = sliding_window_view(np.concatenate((h, h[1:n])), n)
+    toeplitz = window[period - n + 1:period + 1][::-1]
+    hankel = window[2:n + 2]
+    signs = row_signs = np.array([sign_r(i) for i in range(n)], dtype=float)
+    if spec.family == FAMILY_ANTI and s % 2 == 1:
+        toeplitz, hankel, row_signs = toeplitz[::-1], hankel[::-1], signs[::-1]
+    matrix = toeplitz - hankel
+    matrix *= row_signs[:, None]
+    matrix *= signs
+    return matrix
 
 
 REFERENCE_CASES = [
@@ -344,6 +369,51 @@ class TestPowerMatrix:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             power_matrix(FamilySpec(FAMILY_ADAGGER, 4, 3.0, 1.0), -1)
+
+
+class TestAssembly:
+    @pytest.mark.parametrize(
+        "family,n",
+        [
+            (family, n)
+            for family in (FAMILY_ADAGGER, FAMILY_ANTI)
+            for n in (*range(1, 18), 64, 1024)
+            if not (family == FAMILY_ANTI and n % 2)
+        ],
+    )
+    def test_single_pass_matches_three_pass_reference(self, family, n):
+        # Any h of the generator's length 2n + 3 will do, and a random one
+        # has no symmetry to hide a misplaced index or sign.
+        rng = np.random.default_rng(n)
+        h = rng.standard_normal(2 * n + 3) + 1j * rng.standard_normal(2 * n + 3)
+        spec = FamilySpec(family, n, 1.0, 1.0)
+        for s in (1, 2, 3, 8, -3, 4096):
+            assert np.array_equal(_assemble(spec, h, s), three_pass_assemble(spec, h, s)), s
+
+
+class TestScaledPowers:
+    def test_renormalized_powers_are_the_plain_ones_scaled(self):
+        # Rescaling by powers of two is exact while nothing overflows or
+        # goes subnormal, so both runs agree bit for bit after ldexp.
+        rng = np.random.default_rng(55)
+        base = rng.uniform(0.5, 3.0, 16) * np.exp(1j * rng.uniform(0, 2 * np.pi, 16))
+        for e in (1, 2, 7, 64, 300):
+            plain, plain_exp = _binary_powers(base, e, renormalize=False)
+            mantissas, exponent = _binary_powers(base, e, renormalize=True)
+            assert plain_exp == 0
+            assert float(np.abs(mantissas).max()) < 1.0
+            parts = np.ldexp(mantissas.view(np.float64), exponent)
+            np.testing.assert_array_equal(parts, plain.view(np.float64))
+
+    def test_power_beyond_float_eigenvalue_powers(self):
+        # 5**442 overflows float64, but the weights bring the entries back
+        # under it: the largest is about 6.1e307.
+        spec = FamilySpec(FAMILY_A, 16, 3.0, 1.0)
+        got = power_matrix(spec, 442).matrix
+        oracle = oracle_power(build_matrix(spec), 442)
+        scale = mat_norm_maxabs(oracle)
+        assert 1e307 < scale < np.inf
+        assert mat_norm_maxabs(got - oracle) / scale <= 1e-12
 
 
 class TestPowerVerify:
