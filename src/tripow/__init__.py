@@ -31,11 +31,6 @@ from .linalg import (
     mat_pow_binary,
 )
 from .powers import (
-    PATH_A,
-    PATH_ADAGGER_EVEN,
-    PATH_ADAGGER_ODD,
-    PATH_ANTI_EVEN_S,
-    PATH_ANTI_ODD_S,
     ExtendedDomainWarning,
     PowerOverflowError,
     PowerResult,
@@ -82,11 +77,6 @@ __all__ = [
     "mat_inverse",
     "mat_norm_maxabs",
     "mat_pow_binary",
-    "PATH_A",
-    "PATH_ADAGGER_EVEN",
-    "PATH_ADAGGER_ODD",
-    "PATH_ANTI_EVEN_S",
-    "PATH_ANTI_ODD_S",
     "ExtendedDomainWarning",
     "PowerOverflowError",
     "PowerResult",

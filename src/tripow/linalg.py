@@ -1,18 +1,22 @@
 """Dense complex matrix kernels forming the brute-force reference path.
 
-Everything here is deliberately plain (chained products, exponentiation by
-squaring, Gauss-Jordan elimination with partial pivoting) so that the
-closed-form code elsewhere in the package can be checked against a route
-that shares none of its machinery.  The inverse is blocked: the pivots are
-chosen one column at a time as in textbook Gauss-Jordan, but the O(n**3)
-updates run as matrix products over blocks of columns (Golub and Van Loan,
-Matrix Computations, 3.2.11), and the inverse is stored in place of the
-eliminated columns.  Products in binary powering skip the exact zeros
-outside each row's first and last nonzero column, as banded products do
-(ibid., 1.2): powers of a tridiagonal or anti-tridiagonal matrix stay
-narrow for many squarings.  The envelope is read from the entries alone, so
-it knows nothing of the families or their closed forms, and it drops only
-terms with an exact zero factor.  Nothing here calls numpy.linalg.
+Everything here is deliberately plain (exponentiation by squaring, LU
+elimination with partial pivoting) so that the closed-form code elsewhere
+in the package can be checked against a route that shares none of its
+machinery.  Both kernels pay only for the band that they read from the
+entries.  Products in binary powering skip the exact zeros outside each
+row's first and last nonzero column, as banded products do (Golub and Van
+Loan, Matrix Computations, 1.2): powers of a tridiagonal or
+anti-tridiagonal matrix stay narrow for many squarings.  The input's row
+spans are scanned once; each product's spans follow from its operands'.
+The inverse orders the rows by their first nonzero column and runs a
+blocked banded LU with partial pivoting (ibid., 4.3), whose upper bandwidth
+grows to at most p + q, and then one block back-substitution; the pivots
+are still chosen one column at a time, and the O(n**3) work of a dense
+input runs as matrix products over blocks of columns.  The band is read
+from the entries alone, so it knows nothing of the families or their closed
+forms, and only terms with an exact zero factor are dropped.  Nothing here
+calls numpy.linalg.
 """
 
 import operator
@@ -32,9 +36,13 @@ __all__ = [
 # entry modulus is treated as zero.
 SINGULAR_RTOL = 1e-12
 
-# Columns eliminated per block of mat_inverse, and rows per block of a
-# product in mat_pow_binary.
+# Rows per block of a product in mat_pow_binary.
 _BLOCK = 32
+
+# Columns eliminated per panel of mat_inverse.  On a narrow band each pivot
+# step costs more in call overhead than in arithmetic, and a narrower panel
+# makes the step cheaper.
+_PANEL = 16
 
 
 class SingularMatrixError(ArithmeticError):
@@ -74,6 +82,22 @@ def _spans(rows, offset: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return first, stop
 
 
+def _product_spans(a_spans, b_spans, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row spans of a @ b, read from the spans of a and b.
+
+    Row i of the product can be nonzero only in the columns that b's rows
+    a_first[i]:a_stop[i] span, so its span runs from the least first to the
+    greatest stop of those rows.  One reduceat over the interleaved (first,
+    stop) indices takes both; a sentinel row at index n, reached by the
+    empty span (n, 0), keeps empty rows empty.
+    """
+    (a_first, a_stop), (b_first, b_stop) = a_spans, b_spans
+    bounds = np.column_stack((a_first, a_stop)).ravel()
+    first = np.minimum.reduceat(np.append(b_first, n), bounds)[::2]
+    stop = np.maximum.reduceat(np.append(b_stop, 0), bounds)[::2]
+    return first, stop
+
+
 def _product(a, a_spans, b, b_spans):
     """a @ b and its row spans, skipping the exact zeros outside the spans.
 
@@ -81,16 +105,16 @@ def _product(a, a_spans, b, b_spans):
     span by the rows of b in that range, and fills only the columns those
     rows of b span; every other entry of the product is exactly zero.  The
     terms skipped all have an exact zero factor, so the product equals a @ b
-    whenever both are finite.  Two operands with full spans take one plain
-    product instead.
+    whenever both are finite.  The product's spans come from the operands'
+    (_product_spans): they may be wider than its nonzeros when terms cancel,
+    never narrower.  Two operands with full spans take one plain product.
     """
     n = a.shape[0]
     (a_first, a_stop), (b_first, b_stop) = a_spans, b_spans
+    spans = _product_spans(a_spans, b_spans, n)
     if max(a_first.max(), b_first.max()) == 0 and min(a_stop.min(), b_stop.min()) == n:
-        c = a @ b
-        return c, _spans(c, 0, n)
+        return a @ b, spans
     c = np.zeros((n, n), dtype=np.complex128)
-    c_first, c_stop = np.full(n, n), np.zeros(n, dtype=int)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
         k0, k1 = a_first[start:stop].min(), a_stop[start:stop].max()
@@ -99,10 +123,8 @@ def _product(a, a_spans, b, b_spans):
         j0, j1 = b_first[k0:k1].min(), b_stop[k0:k1].max()
         if j0 >= j1:
             continue
-        block = a[start:stop, k0:k1] @ b[k0:k1, j0:j1]
-        c[start:stop, j0:j1] = block
-        c_first[start:stop], c_stop[start:stop] = _spans(block, j0, n)
-    return c, (c_first, c_stop)
+        c[start:stop, j0:j1] = a[start:stop, k0:k1] @ b[k0:k1, j0:j1]
+    return c, spans
 
 
 def mat_pow_binary(m, s: int) -> np.ndarray:
@@ -114,7 +136,7 @@ def mat_pow_binary(m, s: int) -> np.ndarray:
     its operands' row spans (the first and last nonzero column of each row):
     the square of a tridiagonal or anti-tridiagonal matrix stays narrow for
     many squarings, and two dense operands cost one plain product.  The input
-    is scanned once; each product's spans come from the blocks it computed.
+    is scanned once; each product's spans follow from its operands' spans.
     """
     m = _as_square(m)
     s = operator.index(s)
@@ -151,71 +173,100 @@ def _eliminate_panel(panel, scale: float, first: int) -> np.ndarray:
     """
     order = np.arange(panel.shape[0])
     for c in range(panel.shape[1]):
-        pivot_row = c + int(np.argmax(np.abs(panel[c:, c])))
-        pivot = abs(panel[pivot_row, c])
+        factors = panel[:, c].copy()
+        pivot_row = c + int(np.abs(factors[c:]).argmax())
+        pivot_value = factors[pivot_row]
+        pivot = abs(pivot_value)
         if pivot < SINGULAR_RTOL * scale:
             raise SingularMatrixError(
                 f"singular matrix: pivot modulus {pivot:.3e} at column {first + c + 1} "
                 f"is below {SINGULAR_RTOL:g} of the matrix scale {scale:.3e}"
             )
         if pivot_row != c:
-            panel[[c, pivot_row]] = panel[[pivot_row, c]]
-            order[[c, pivot_row]] = order[[pivot_row, c]]
-        factors = panel[:, c].copy()
-        pivot_value = factors[c]
+            line = panel[c].copy()
+            panel[c], panel[pivot_row] = panel[pivot_row], line
+            order[c], order[pivot_row] = order[pivot_row], order[c]
+            factors[pivot_row] = factors[c]
         factors[c] = 0.0
         # The column becomes that of the identity before the step, so the
         # step leaves its own multipliers there.
         panel[:, c] = 0.0
         panel[c, c] = 1.0
-        panel[c] /= pivot_value
-        panel -= np.outer(factors, panel[c])
+        pivot_line = panel[c]
+        pivot_line /= pivot_value
+        panel -= np.multiply.outer(factors, pivot_line)
     return order
 
 
 def mat_inverse(m) -> np.ndarray:
-    """Inverse by blocked Gauss-Jordan elimination with partial pivoting on modulus.
+    """Inverse by blocked banded LU with partial pivoting on modulus.
 
-    Column-replacement form: the columns of the inverse are stored in place
-    of the columns they replace, so no identity half is carried along.
-    Elimination runs _BLOCK columns at a time.  The block's columns are
-    eliminated one by one on a copy of the rows that can still pivot, which
-    fixes the row order and gives B^-1 for the block's pivot rows B.  The
-    rows are then permuted once, and every column outside the block is
-    updated with two products: T_B <- B^-1 T_B on the pivot rows, then
-    T_R <- T_R - R T_B on the other rows, where R is the block's other rows
-    before elimination.  The block's own columns become those of the
-    inverse: B^-1 on the pivot rows and -R B^-1 elsewhere.  The result is
-    the inverse of the row-permuted input, so its columns are permuted back
-    at the end.
+    The rows are first ordered by their first nonzero column (a stable
+    sort), which makes an anti-tridiagonal matrix, or any row permutation
+    of a banded one, banded again; a dense input is simply the full band.
+    Elimination runs _PANEL columns at a time, as the banded LU of Golub
+    and Van Loan (Matrix Computations, 4.3) in block form.  A block's panel
+    holds its columns on the rows that reach them, those whose first
+    nonzero column lies left of the block's end: every later row is still
+    exactly zero there.  _eliminate_panel fixes the row order and gives B^-1
+    for the pivot rows B and -R B^-1 for the other rows R.  These block
+    transforms clear only the rows below the block, and only over the
+    columns that the panel's rows span, which partial pivoting widens to at
+    most p + q past the block for lower and upper bandwidths p and q.
+
+    The transforms also take the identity to Y = L^-1, where L U is the
+    row-ordered input.  Y is kept in column-replacement form: the block's
+    own columns of Y are the panel itself, and only its columns left of the
+    block need products.  Y then sits below and U above the block diagonal
+    of one array.  Back-substitution, last block first, gives X = U^-1 Y,
+    each block from the at most p + q rows of X right of it.  X is the
+    inverse of the row-ordered input, so its columns are permuted back.
 
     Raises SingularMatrixError when the best available pivot has modulus
-    below SINGULAR_RTOL times the largest entry modulus of the input.
+    below SINGULAR_RTOL times the largest entry modulus of the input.  A
+    row left out of a panel is zero in the panel's columns, so each pivot is
+    chosen from the same candidates as in a dense elimination.
     """
     m = _as_square(m)
     n = m.shape[0]
-    scale = float(np.abs(m).max())
+    moduli = np.abs(m)
+    scale = float(moduli.max())
     if scale == 0.0:
         raise SingularMatrixError("cannot invert the zero matrix")
-    work = m.copy()
-    rows = np.arange(n)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        # Rows above start hold earlier pivots and cannot pivot again.
-        panel = work[start:, start:stop].copy()
+    first, stop = _spans(moduli, 0, n)
+    rows = np.argsort(first, kind="stable")
+    work = m[rows]
+    first = first[rows]
+    # Rows up to r span no column at or past reach[r], even after fill-in.
+    reach = np.maximum.accumulate(stop[rows])
+    rights = []
+    for start in range(0, n, _PANEL):
+        block_end = min(start + _PANEL, n)
+        # Later rows start right of the block and are zero in its columns;
+        # a panel shorter than the block would leave a column without pivot.
+        end = max(int(np.searchsorted(first, block_end)), block_end)
+        right = max(int(reach[end - 1]), block_end)
+        rights.append(right)
+        panel = work[start:end, start:block_end].copy()
         order = _eliminate_panel(panel, scale, start)
-        work[start:] = work[start:][order]
-        rows[start:] = rows[start:][order]
-        inv_b = panel[:stop - start]
-        for rest in (work[:, :start], work[:, stop:]):
-            rest[start:stop] = inv_b @ rest[start:stop]
-            rest[:start] -= work[:start, start:stop] @ rest[start:stop]
-            rest[stop:] -= work[stop:, start:stop] @ rest[start:stop]
-        work[:start, start:stop] = -(work[:start, start:stop] @ inv_b)
-        work[start:, start:stop] = panel
-    inverse = np.empty_like(work)
-    inverse[:, rows] = work
-    return inverse
+        work[start:end, :right] = work[start:end, :right][order]
+        rows[start:end] = rows[start:end][order]
+        inv_b, neg_r_inv_b = panel[:block_end - start], panel[block_end - start:]
+        for cols in (slice(0, start), slice(block_end, right)):
+            pivot_rows = work[start:block_end, cols]
+            work[block_end:end, cols] += neg_r_inv_b @ pivot_rows
+            work[start:block_end, cols] = inv_b @ pivot_rows
+        work[start:end, start:block_end] = panel
+    for start in reversed(range(0, n, _PANEL)):
+        block_end = min(start + _PANEL, n)
+        right = rights[start // _PANEL]
+        upper = work[start:block_end, block_end:right].copy()
+        work[start:block_end, block_end:right] = 0.0
+        work[start:block_end] -= upper @ work[block_end:right]
+    # Column rows[k] of the inverse is column k of X.
+    if (rows == np.arange(n)).all():
+        return work
+    return work.take(np.argsort(rows), axis=1)
 
 
 def mat_det(m) -> complex:

@@ -61,11 +61,6 @@ from .linalg import (
 from .spectral import _SIGN4, SpectralData, eigenvalues, power_generator, sign_r
 
 __all__ = [
-    "PATH_A",
-    "PATH_ADAGGER_ODD",
-    "PATH_ADAGGER_EVEN",
-    "PATH_ANTI_ODD_S",
-    "PATH_ANTI_EVEN_S",
     "ExtendedDomainWarning",
     "PowerOverflowError",
     "VerificationError",
@@ -78,11 +73,13 @@ __all__ = [
     "oracle_power",
 ]
 
-PATH_A = "closed-form-A"
-PATH_ADAGGER_ODD = "closed-form-ADagger-odd"
-PATH_ADAGGER_EVEN = "closed-form-ADagger-even"
-PATH_ANTI_ODD_S = "closed-form-anti-odd-s"
-PATH_ANTI_EVEN_S = "closed-form-anti-even-s"
+# PowerResult.path by family, indexed by the parity of n for "adagger" and
+# of s for "anti".  The strings are part of the JSON output.
+_PATHS = {
+    FAMILY_A: ("closed-form-A", "closed-form-A"),
+    FAMILY_ADAGGER: ("closed-form-ADagger-even", "closed-form-ADagger-odd"),
+    FAMILY_ANTI: ("closed-form-anti-even-s", "closed-form-anti-odd-s"),
+}
 
 # Eigenvalues whose modulus falls below this fraction of the spectral radius
 # block negative powers.
@@ -336,14 +333,6 @@ def _assemble(spec: FamilySpec, h: np.ndarray, s: int) -> np.ndarray:
     return matrix
 
 
-def _path_for(spec: FamilySpec, s: int) -> str:
-    if spec.family == FAMILY_A:
-        return PATH_A
-    if spec.family == FAMILY_ADAGGER:
-        return PATH_ADAGGER_ODD if spec.n % 2 == 1 else PATH_ADAGGER_EVEN
-    return PATH_ANTI_ODD_S if s % 2 == 1 else PATH_ANTI_EVEN_S
-
-
 def power_matrix(spec: FamilySpec, s: int) -> PowerResult:
     """Assemble the full s-th power of the matrix described by spec.
 
@@ -358,16 +347,18 @@ def power_matrix(spec: FamilySpec, s: int) -> PowerResult:
     h = _generator(spec, eigenvalues(spec), s)
     # The identity is returned exactly rather than assembled with rounding.
     matrix = mat_identity(spec.n) if s == 0 else _assemble(spec, h, s)
-    return PowerResult(spec, s, matrix, _path_for(spec, s))
+    parity = s % 2 if spec.family == FAMILY_ANTI else spec.n % 2
+    return PowerResult(spec, s, matrix, _PATHS[spec.family][parity])
 
 
 def oracle_power(matrix: np.ndarray, s: int) -> np.ndarray:
     """The brute-force s-th power of a dense matrix.
 
     Binary exponentiation for s >= 0, and binary exponentiation of the
-    Gauss-Jordan inverse for s < 0 (SingularMatrixError when it has none).
-    Each product skips only the exact zeros outside its operands' row spans,
-    which linalg finds from the entries alone: a tridiagonal or
+    inverse for s < 0 (SingularMatrixError when it has none), so a large |s|
+    costs O(log |s|) products.  The inverse is a banded LU over the band
+    and row order read from the entries, and each product skips only the
+    exact zeros outside its operands' row spans: a tridiagonal or
     anti-tridiagonal input costs far less than n**3 per early squaring, and
     nothing of the closed form (eigenvalues, nodes, families) enters.
     """

@@ -8,6 +8,7 @@ import pytest
 from tripow.families import FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI, FamilySpec, build_matrix
 from tripow.linalg import (
     _BLOCK,
+    _PANEL,
     SINGULAR_RTOL,
     SingularMatrixError,
     _spans,
@@ -58,6 +59,8 @@ def relative_error(x, ref):
 
 # Sizes on both sides of one and two block edges.
 BLOCK_SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 256)
+# The same, and both sides of the inverse's first panel edge.
+INVERSE_SIZES = tuple(sorted({*BLOCK_SIZES, _PANEL - 1, _PANEL, _PANEL + 1}))
 
 
 class TestMatMul:
@@ -169,6 +172,8 @@ ENVELOPE_MATRICES = {
     "zero-row-and-column": _zero_middle,
     "lower-bidiagonal": lambda rng, n: np.tril(np.triu(random_matrix(rng, n), -1)),
     "upper-bidiagonal": lambda rng, n: np.triu(np.tril(random_matrix(rng, n), 1)),
+    # Row spans that are not monotone in the row index.
+    "permuted-tridiagonal": lambda rng, n: _tridiagonal(rng, n)[rng.permutation(n)],
     "dense": random_matrix,
 }
 
@@ -206,6 +211,24 @@ class TestEnvelopePowers:
             assert not power[reach[s] == 0].any(), (kind, n, s)
             scale = mat_norm_maxabs(chained[s])
             assert mat_norm_maxabs(power - chained[s]) <= 1e-12 * scale, (kind, n, s)
+
+
+def _band(rng, n, lower, upper):
+    """Random entries on the band, with a shifted diagonal; pivots still swap."""
+    m = np.triu(np.tril(random_matrix(rng, n, 1.0), upper), -lower)
+    return m + np.diag(np.full(n, 1.5))
+
+
+BAND_MATRICES = {
+    "tridiagonal": lambda rng, n: _band(rng, n, 1, 1),
+    "anti-tridiagonal": lambda rng, n: _band(rng, n, 1, 1)[::-1],
+    "lower-bidiagonal": lambda rng, n: _band(rng, n, 1, 0),
+    "upper-bidiagonal": lambda rng, n: _band(rng, n, 0, 1),
+    "pentadiagonal": lambda rng, n: _band(rng, n, 2, 2),
+    "diagonal": lambda rng, n: _band(rng, n, 0, 0),
+    # The row order has to come from the entries.
+    "permuted-tridiagonal": lambda rng, n: _band(rng, n, 1, 1)[rng.permutation(n)],
+}
 
 
 class TestMatInverse:
@@ -246,21 +269,41 @@ class TestMatInverse:
 
 
 class TestBlockedInverse:
-    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("n", INVERSE_SIZES)
     def test_matches_unblocked_reference_on_dense(self, n):
+        # The full band.
         m = random_matrix(np.random.default_rng(n), n)
         assert relative_error(mat_inverse(m), unblocked_inverse(m)) <= 1e-12
 
     @pytest.mark.parametrize(
         "family, n",
-        [(FAMILY_A, n) for n in BLOCK_SIZES if n >= 2]
-        + [(FAMILY_ADAGGER, n) for n in BLOCK_SIZES]
-        + [(FAMILY_ANTI, n + n % 2) for n in BLOCK_SIZES],
+        [(FAMILY_A, n) for n in INVERSE_SIZES if n >= 2]
+        + [(FAMILY_ADAGGER, n) for n in INVERSE_SIZES]
+        + [(FAMILY_ANTI, n + n % 2) for n in INVERSE_SIZES],
     )
     def test_matches_unblocked_reference_on_families(self, family, n):
         # |a| > 2|b| keeps every eigenvalue a + b*node away from zero.
         m = build_matrix(FamilySpec(family, n, 3.0 + 1.0j, 0.8 - 0.9j))
         assert relative_error(mat_inverse(m), unblocked_inverse(m)) <= 1e-12
+
+    @pytest.mark.parametrize("n", INVERSE_SIZES)
+    @pytest.mark.parametrize("kind", BAND_MATRICES)
+    def test_matches_unblocked_reference_on_band_shapes(self, kind, n):
+        m = np.ascontiguousarray(BAND_MATRICES[kind](np.random.default_rng(n), n))
+        assert relative_error(mat_inverse(m), unblocked_inverse(m)) <= 1e-12
+
+    def test_singular_tridiagonal_column_past_the_first_block(self):
+        n, bad = 2 * _BLOCK + 1, _BLOCK + 13
+        m = _band(np.random.default_rng(46), n, 1, 1)
+        # Columns bad - 1 and bad become parallel and stay tridiagonal.
+        m[bad - 2, bad - 1] = m[bad + 1, bad] = 0.0
+        m[bad - 1:bad + 1, bad] = 2.0 * m[bad - 1:bad + 1, bad - 1]
+        columns = []
+        for invert in (unblocked_inverse, mat_inverse):
+            with pytest.raises(SingularMatrixError) as err:
+                invert(m)
+            columns.append(re.search(r"at column (\d+) ", str(err.value)).group(1))
+        assert columns == [str(bad + 1)] * 2
 
     def test_singular_column_past_the_first_block(self):
         rng = np.random.default_rng(46)

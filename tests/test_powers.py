@@ -22,11 +22,6 @@ from tripow.linalg import (
     mat_pow_binary,
 )
 from tripow.powers import (
-    PATH_A,
-    PATH_ADAGGER_EVEN,
-    PATH_ADAGGER_ODD,
-    PATH_ANTI_EVEN_S,
-    PATH_ANTI_ODD_S,
     ExtendedDomainWarning,
     PowerOverflowError,
     VerificationError,
@@ -253,11 +248,14 @@ class TestPowerMatrix:
             assert mat_norm_maxabs(result.matrix - build_matrix(spec)) < 1e-10
 
     def test_paths_are_labelled(self):
-        assert power_matrix(FamilySpec(FAMILY_A, 3, 1.0, 1.0), 2).path == PATH_A
-        assert power_matrix(FamilySpec(FAMILY_ADAGGER, 3, 1.0, 1.0), 2).path == PATH_ADAGGER_ODD
-        assert power_matrix(FamilySpec(FAMILY_ADAGGER, 4, 1.0, 1.0), 2).path == PATH_ADAGGER_EVEN
-        assert power_matrix(FamilySpec(FAMILY_ANTI, 4, 1.0, 1.0), 3).path == PATH_ANTI_ODD_S
-        assert power_matrix(FamilySpec(FAMILY_ANTI, 4, 1.0, 1.0), 2).path == PATH_ANTI_EVEN_S
+        # The strings are the JSON "path" values.
+        assert power_matrix(FamilySpec(FAMILY_A, 3, 1.0, 1.0), 2).path == "closed-form-A"
+        assert power_matrix(FamilySpec(FAMILY_A, 4, 1.0, 1.0), 3).path == "closed-form-A"
+        assert power_matrix(FamilySpec(FAMILY_ADAGGER, 3, 1.0, 1.0), 2).path == "closed-form-ADagger-odd"
+        assert power_matrix(FamilySpec(FAMILY_ADAGGER, 4, 1.0, 1.0), 2).path == "closed-form-ADagger-even"
+        assert power_matrix(FamilySpec(FAMILY_ANTI, 4, 1.0, 1.0), 3).path == "closed-form-anti-odd-s"
+        assert power_matrix(FamilySpec(FAMILY_ANTI, 4, 1.0, 1.0), 2).path == "closed-form-anti-even-s"
+        assert power_matrix(FamilySpec(FAMILY_ANTI, 4, 1.0, 1.0), -3).path == "closed-form-anti-odd-s"
 
     def test_negative_cube_regression(self):
         # 1/1000-scaled reference, rounded to three decimals
