@@ -48,11 +48,7 @@ def parse_complex(text: str) -> complex:
 
 def format_complex(z: complex) -> str:
     """Render a complex value as re+imi, round-trippable by parse_complex."""
-    return _format_parts(z.real, z.imag)
-
-
-def _format_parts(re: float, im: float) -> str:
-    return f"{re!r}{im:+}i"
+    return f"{z.real!r}{z.imag:+}i"
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -69,18 +65,43 @@ def _complex_json(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _matrix_parts(matrix) -> list[list[tuple[float, float]]]:
-    """The (re, im) float pairs of a matrix, row by row."""
-    matrix = np.asarray(matrix)
-    return [list(zip(re, im)) for re, im in zip(matrix.real.tolist(), matrix.imag.tolist())]
+def _entry_texts(matrix, re_text, im_text) -> list[list[str]]:
+    """re_text(repr(re)) + im_text(repr(im)) for each entry of a matrix, row by row.
+
+    float.__repr__ runs once per distinct float bit pattern of the matrix, so
+    +0.0 and -0.0 keep their own text, and re_text and im_text run once per
+    distinct float.  Raises ValueError, before anything is printed, when an
+    entry is not finite.
+    """
+    parts = np.ascontiguousarray(matrix, dtype=np.complex128).view(np.float64)
+    if not np.isfinite(parts).all():
+        raise ValueError("matrix has a non-finite entry; refusing to print it")
+    unique, index = np.unique(parts.view(np.uint64).ravel(), return_inverse=True)
+    reprs = list(map(float.__repr__, unique.view(np.float64).tolist()))
+    index = index.reshape(parts.shape)
+    re_texts = np.array([re_text(r) for r in reprs], dtype=object)
+    im_texts = np.array([im_text(r) for r in reprs], dtype=object)
+    return (re_texts[index[:, 0::2]] + im_texts[index[:, 1::2]]).tolist()
 
 
-def _matrix_entries(matrix) -> list[list[dict]]:
-    return [[{"re": re, "im": im} for re, im in row] for row in _matrix_parts(matrix)]
+def _signed_imaginary(text: str) -> str:
+    """f"{im:+}i" from repr(im), the imaginary half of format_complex."""
+    return (text if text.startswith("-") else "+" + text) + "i"
 
 
-def _print_matrix_pretty(matrix, out):
-    cells = [[_format_parts(re, im) for re, im in row] for row in _matrix_parts(matrix)]
+def _complex_cells(matrix) -> list[list[str]]:
+    """format_complex of every entry of a matrix, row by row."""
+    return _entry_texts(matrix, str, _signed_imaginary)
+
+
+def _json_with_matrix(payload: dict, key: str, matrix) -> str:
+    """json.dumps of payload with one more key, last: matrix as rows of {"re", "im"}."""
+    rows = _entry_texts(matrix, lambda re: '{"re": ' + re + ', "im": ', lambda im: im + "}")
+    entries = "[[" + "], [".join(", ".join(row) for row in rows) + "]]"
+    return f'{json.dumps(payload)[:-1]}, "{key}": {entries}}}'
+
+
+def _print_matrix_pretty(cells, out):
     width = max(len(c) for row in cells for c in row)
     for row in cells:
         print("[ " + "  ".join(c.rjust(width) for c in row) + " ]", file=out)
@@ -93,21 +114,21 @@ def _emit_power(result, fmt, out):
             "n": result.spec.n,
             "s": result.exponent,
             "path": result.path,
-            "entries": _matrix_entries(result.matrix),
         }
-        print(json.dumps(payload), file=out)
-    elif fmt == "csv":
+        print(_json_with_matrix(payload, "entries", result.matrix), file=out)
+        return
+    cells = _complex_cells(result.matrix)
+    if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow([f"c{j + 1}" for j in range(result.spec.n)])
-        for row in _matrix_parts(result.matrix):
-            writer.writerow([_format_parts(re, im) for re, im in row])
+        writer.writerows(cells)
     else:
         print(
             f"family={result.spec.family} n={result.spec.n} s={result.exponent} "
             f"path={result.path}",
             file=out,
         )
-        _print_matrix_pretty(result.matrix, out)
+        _print_matrix_pretty(cells, out)
 
 
 def cmd_power(args, out) -> int:
@@ -137,15 +158,15 @@ def cmd_eigen(args, out) -> int:
             "eigenvalues": [_complex_json(complex(v)) for v in values],
             "nodes": [float(v) for v in nodes],
         }
-        if args.vectors:
-            payload["vectors"] = _matrix_entries(vectors)
-        print(json.dumps(payload), file=out)
+        text = _json_with_matrix(payload, "vectors", vectors) if args.vectors else json.dumps(payload)
+        print(text, file=out)
     elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["k", "eigenvalue", "node"])
         for k in range(spec.n):
             writer.writerow([k + 1, format_complex(complex(values[k])), repr(float(nodes[k]))])
     else:
+        cells = _complex_cells(vectors) if args.vectors else None
         print(f"family={spec.family} n={spec.n} a={format_complex(spec.a)} b={format_complex(spec.b)}", file=out)
         for k in range(spec.n):
             print(
@@ -155,7 +176,7 @@ def cmd_eigen(args, out) -> int:
             )
         if args.vectors:
             print("eigenvector matrix (columns are eigenvectors):", file=out)
-            _print_matrix_pretty(vectors, out)
+            _print_matrix_pretty(cells, out)
     return 0
 
 

@@ -76,12 +76,18 @@ class FamilySpec:
             raise ValueError("anti-tridiagonal family requires even n")
 
 
+def _off_diagonals(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Writable views of the super- and subdiagonal of a C-contiguous square array."""
+    flat = m.reshape(-1)
+    step = len(m) + 1
+    return flat[1::step], flat[len(m)::step]
+
+
 def _build_a(n: int, a: complex, b: complex) -> np.ndarray:
     m = np.zeros((n, n), dtype=np.complex128)
     np.fill_diagonal(m, a)
-    for i in range(n - 1):
-        m[i + 1, i] = b
-        m[i, i + 1] = b
+    for off in _off_diagonals(m):
+        off[:] = b
     # Both corner rules double an off-diagonal entry.  At n=2 they land on
     # the same entry and compose to 4b, the unique reading under which the
     # closed-form eigenvalues a +- 2b are exact.
@@ -93,10 +99,10 @@ def _build_a(n: int, a: complex, b: complex) -> np.ndarray:
 def _build_adagger(n: int, a: complex, b: complex) -> np.ndarray:
     m = np.zeros((n, n), dtype=np.complex128)
     np.fill_diagonal(m, a)
-    for k in range(1, n):
-        sign = 1.0 if k % 2 == 1 else -1.0
-        m[k - 1, k] = sign * b
-        m[k, k - 1] = sign * b
+    # Pair k = 1..n-1 sits at offset k - 1 of each off-diagonal.
+    for off in _off_diagonals(m):
+        off[0::2] = 1.0 * b
+        off[1::2] = -1.0 * b
     return m
 
 

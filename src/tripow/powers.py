@@ -25,6 +25,13 @@ window views.  The anti family splits on the parity of s: even powers
 coincide with the tridiagonal counterpart, odd powers are its exchange
 flip, written as the same rows in reverse order.
 
+h is exactly even: it equals h[::-1] bit for bit (see
+spectral.power_generator).  So the powers keep their symmetries exactly:
+every "adagger" power equals its transpose, every even-n "adagger" and
+"anti" power is centrosymmetric (entry (n-1-i, n-1-j) equals entry
+(i, j)), and an "a" power is centrosymmetric once its halved first column
+and last row are doubled back.
+
 Negative exponents are accepted whenever every eigenvalue is nonzero.
 Eigenvalue powers use square-and-multiply on the reciprocal, never a
 complex logarithm, so no branch-cut choices are involved.  When the plain

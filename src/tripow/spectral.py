@@ -312,7 +312,10 @@ def _cosine_sums(spec: FamilySpec, values: np.ndarray) -> np.ndarray:
     The values are placed at their points q of the angle grid pi*q/L (see
     _angle_grid), zero elsewhere.  One FFT of the even extension of the
     grid, with its two end samples doubled, gives twice the sums for
-    m = 0..2L-1; the sums have period 2L.
+    m = 0..2L-1.  The sums are even about m = L (cos((2L - m) * theta_k) =
+    cos(m * theta_k)), but the FFT rounds them only nearly so; the result
+    keeps its sums for m = 0..L and mirrors them, so sums[2L - m] equals
+    sums[m] exactly.
     """
     q, period = _angle_grid(spec)
     grid = np.zeros(values.shape[:-1] + (period + 1,), dtype=np.complex128)
@@ -320,7 +323,7 @@ def _cosine_sums(spec: FamilySpec, values: np.ndarray) -> np.ndarray:
     grid[..., 0] *= 2.0
     grid[..., period] *= 2.0
     sums = np.fft.fft(np.concatenate((grid, grid[..., period - 1:0:-1]), axis=-1)) / 2.0
-    return np.concatenate((sums, sums[..., :1]), axis=-1)
+    return np.concatenate((sums[..., :period + 1], sums[..., period - 1::-1]), axis=-1)
 
 
 def _identity_generator(spec: FamilySpec, size: int) -> np.ndarray:
@@ -343,7 +346,9 @@ def power_generator(spec: FamilySpec, lam_pows: np.ndarray) -> np.ndarray:
 
     h_m = sum_k lam_pows_k * w_k * cos(m * theta_k) for m = 0..2L, with w
     from _generator_weights and L as in the angle grid (n - 1 for family
-    "a", n + 1 otherwise).  The weights alone go through the same FFT and
+    "a", n + 1 otherwise).  h is exactly even about L: h[2L - m] == h[m]
+    for every m, bit for bit, so the powers assembled from it keep their
+    symmetries exactly.  The weights alone go through the same FFT and
     must reproduce the identity's generator; ClosureError is raised when
     they miss it by CLOSURE_TOL or more.
     """

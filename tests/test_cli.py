@@ -14,10 +14,11 @@ import pytest
 import tripow.cli
 import tripow.spectral
 from tripow.cli import BENCH_HEADER, format_complex, main, parse_complex
-from tripow.families import FAMILY_A, FamilySpec, build_matrix
+from tripow.families import FAMILIES, FAMILY_A, FAMILY_ANTI, FamilySpec, build_matrix
 from tripow.linalg import mat_norm_maxabs
 from tripow.powers import (
     ExtendedDomainWarning,
+    PowerResult,
     VerificationError,
     oracle_power,
     power_matrix,
@@ -39,6 +40,63 @@ def absolute_residual(spec, s):
 
 def _refuse(*args):
     raise AssertionError("decompose must not run")
+
+
+# Reference writers: one dict or one format call per entry, then json.dumps or
+# csv.writer, as the matrix output was written before distinct floats were
+# formatted once.  The CLI's text must equal theirs byte for byte.
+def reference_entries(matrix):
+    matrix = np.asarray(matrix)
+    return [
+        [{"re": re, "im": im} for re, im in zip(re_row, im_row)]
+        for re_row, im_row in zip(matrix.real.tolist(), matrix.imag.tolist())
+    ]
+
+
+def reference_cells(matrix):
+    return [[f"{c['re']!r}{c['im']:+}i" for c in row] for row in reference_entries(matrix)]
+
+
+def reference_pretty(matrix):
+    cells = reference_cells(matrix)
+    width = max(len(c) for row in cells for c in row)
+    return "".join("[ " + "  ".join(c.rjust(width) for c in row) + " ]\n" for row in cells)
+
+
+def reference_power_text(result, fmt):
+    if fmt == "json":
+        payload = {
+            "family": result.spec.family,
+            "n": result.spec.n,
+            "s": result.exponent,
+            "path": result.path,
+            "entries": reference_entries(result.matrix),
+        }
+        return json.dumps(payload) + "\n"
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow([f"c{j + 1}" for j in range(result.spec.n)])
+        for row in reference_cells(result.matrix):
+            writer.writerow(row)
+        return out.getvalue()
+    head = (
+        f"family={result.spec.family} n={result.spec.n} s={result.exponent} "
+        f"path={result.path}\n"
+    )
+    return head + reference_pretty(result.matrix)
+
+
+def emitted_power_text(result, fmt):
+    out = io.StringIO()
+    tripow.cli._emit_power(result, fmt, out)
+    return out.getvalue()
+
+
+# Every float of the matrix in both parts: both zeros, the smallest subnormal,
+# a value near the normal limit, values whose repr switches to exponent form
+# (1e-05, 1e+16) and one that repr rounds to 17 digits.
+EDGE_FLOATS = (0.0, -0.0, 5e-324, 2.2e-308, 0.1, 1.0, 1e-5, 1e16, -1e308, 123456789012345678.0)
 
 
 class TestComplexLiterals:
@@ -241,6 +299,60 @@ class TestEigenCommand:
         code, out, err = run_cli(capsys, *argv, "--vectors")
         assert (code, out) == (1, "")
         assert "closure" in err
+
+
+class TestMatrixText:
+    def edge_result(self):
+        values = np.array(EDGE_FLOATS + tuple(-v for v in EDGE_FLOATS))
+        matrix = np.empty((values.size, values.size), dtype=np.complex128)
+        matrix.real = values[:, None]
+        matrix.imag = values[None, :]
+        return PowerResult(FamilySpec(FAMILY_A, values.size, 1.0, 1.0), 1, matrix, "closed-form-A")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_edge_floats_match_the_reference_writers(self, fmt):
+        result = self.edge_result()
+        assert emitted_power_text(result, fmt) == reference_power_text(result, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    @pytest.mark.parametrize(
+        "family,n",
+        [(f, n) for f in FAMILIES for n in (2, 3, 16, 64) if not (f == FAMILY_ANTI and n % 2)],
+    )
+    def test_powers_match_the_reference_writers(self, capsys, fmt, family, n):
+        a, b = 0.3 + 0.7j, -1.25 + 0.5j
+        for s in (0, 5):
+            code, out, _ = run_cli(
+                capsys, "power", "--family", family, "--n", str(n), f"--a={format_complex(a)}",
+                f"--b={format_complex(b)}", f"--s={s}", "--format", fmt,
+            )
+            assert code == 0
+            result = power_matrix(FamilySpec(family, n, a, b), s)
+            assert out == reference_power_text(result, fmt)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_eigen_vectors_match_the_reference_writers(self, capsys, family):
+        argv = ("eigen", "--family", family, "--n", "6", "--a", "0.3+0.7i", "--b", "1-0.5i")
+        vectors = tripow.spectral.decompose(FamilySpec(family, 6, 0.3 + 0.7j, 1 - 0.5j)).vec_matrix
+        _, values_json, _ = run_cli(capsys, *argv, "--format", "json")
+        _, vectors_json, _ = run_cli(capsys, *argv, "--format", "json", "--vectors")
+        expected = {**json.loads(values_json), "vectors": reference_entries(vectors)}
+        assert vectors_json == json.dumps(expected) + "\n"
+        _, values_pretty, _ = run_cli(capsys, *argv)
+        _, vectors_pretty, _ = run_cli(capsys, *argv, "--vectors")
+        expected = "eigenvector matrix (columns are eigenvectors):\n" + reference_pretty(vectors)
+        assert vectors_pretty == values_pretty + expected
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entry_raises_before_printing(self, fmt, bad):
+        for part in ("real", "imag"):
+            result = self.edge_result()
+            getattr(result.matrix, part)[3, 4] = bad
+            out = io.StringIO()
+            with pytest.raises(ValueError, match="non-finite"):
+                tripow.cli._emit_power(result, fmt, out)
+            assert out.getvalue() == ""
 
 
 class TestVerifyCommand:

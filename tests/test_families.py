@@ -16,6 +16,26 @@ from tripow.families import (
 from tripow.linalg import mat_det, mat_identity, mat_norm_maxabs
 
 
+def loop_build(family, n, a, b):
+    """The per-index loops build_matrix replaced, kept as its reference."""
+    m = np.zeros((n, n), dtype=np.complex128)
+    np.fill_diagonal(m, a)
+    for k in range(1, n):
+        value = b if family == FAMILY_A else (1.0 if k % 2 == 1 else -1.0) * b
+        m[k - 1, k] = value
+        m[k, k - 1] = value
+    if family == FAMILY_A:
+        m[0, 1] *= 2.0
+        m[n - 2, n - 1] *= 2.0
+    return m[::-1].copy() if family == FAMILY_ANTI else m
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(
+        np.ascontiguousarray(x).view(np.uint64), np.ascontiguousarray(y).view(np.uint64)
+    )
+
+
 def random_params(rng, min_b=0.25):
     while True:
         a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
@@ -123,6 +143,20 @@ class TestBuildMatrix:
             anti = build_matrix(FamilySpec(FAMILY_ANTI, n, a, b))
             twin = build_matrix(FamilySpec(FAMILY_ADAGGER, n, a, b))
             np.testing.assert_array_equal(anti, build_exchange(n) @ twin)
+
+
+class TestBuildMatrixReference:
+    @pytest.mark.parametrize("family", [FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI])
+    def test_entries_and_zero_signs_match_the_loops(self, family):
+        # Signed zeros in a and b, where sign * b can make -0.0.
+        params = [(0j, 1j), (complex(-0.0, -0.0), complex(-0.0, -2.0)), (1 + 2j, complex(0.5, -0.0))]
+        params += [random_params(np.random.default_rng(seed)) for seed in range(3)]
+        for n in range(1 if family == FAMILY_ADAGGER else 2, 40):
+            if family == FAMILY_ANTI and n % 2:
+                continue
+            for a, b in params:
+                built = build_matrix(FamilySpec(family, n, a, b))
+                assert same_bits(built, loop_build(family, n, a, b)), (n, a, b)
 
 
 class TestExchange:

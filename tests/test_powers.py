@@ -27,6 +27,7 @@ from tripow.powers import (
     VerificationError,
     _assemble,
     _binary_powers,
+    _generator,
     oracle_power,
     power_entry_a,
     power_entry_adagger,
@@ -34,7 +35,7 @@ from tripow.powers import (
     power_matrix,
     power_verify,
 )
-from tripow.spectral import decompose, eigenvalues_a, eigenvalues_adagger, sign_r
+from tripow.spectral import decompose, eigenvalues, eigenvalues_a, eigenvalues_adagger, sign_r
 
 
 def random_params(rng, min_b=0.25, scale=3.0):
@@ -387,6 +388,52 @@ class TestAssembly:
         spec = FamilySpec(family, n, 1.0, 1.0)
         for s in (1, 2, 3, 8, -3, 4096):
             assert np.array_equal(_assemble(spec, h, s), three_pass_assemble(spec, h, s)), s
+
+
+def assert_exact_structure(spec, s):
+    """The generator is even and the power keeps its symmetries bit for bit.
+
+    Every "adagger" power is symmetric; even-n "adagger" and "anti" powers
+    are centrosymmetric (P[n-1-i, n-1-j] == P[i, j]); an "a" power is
+    centrosymmetric once its halved first column and last row are doubled
+    back.  == compares exact values, with -0.0 equal to +0.0.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtendedDomainWarning)
+        h = _generator(spec, eigenvalues(spec), s)
+        p = power_matrix(spec, s).matrix
+    assert np.array_equal(h, h[::-1])
+    if spec.family == FAMILY_A:
+        p = p.copy()
+        p[:, 0] *= 2.0
+        p[-1] *= 2.0
+        assert np.array_equal(p, p[::-1, ::-1])
+        return
+    if spec.family == FAMILY_ADAGGER:
+        assert np.array_equal(p, p.T)
+    if spec.n % 2 == 0:
+        assert np.array_equal(p, p[::-1, ::-1])
+
+
+class TestExactStructure:
+    @pytest.mark.parametrize(
+        "family,n",
+        [
+            (family, n)
+            for family in (FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI)
+            for n in (*range(2, 10), 64, 1024)
+            if not (family == FAMILY_ANTI and n % 2)
+        ],
+    )
+    def test_powers_keep_their_symmetries_exactly(self, family, n):
+        # Spectral radius at most 1, so s=4096 cannot overflow.
+        spec = FamilySpec(family, n, 0.6j, 0.4)
+        for s in (1, 2, 3, 8, 4096, -3):
+            assert_exact_structure(spec, s)
+
+    def test_scaled_power_keeps_its_symmetry(self):
+        # The eigenvalue powers overflow, so h is scaled by 2**E after the FFT.
+        assert_exact_structure(FamilySpec(FAMILY_A, 16, 3.0, 1.0), 442)
 
 
 class TestScaledPowers:
