@@ -23,7 +23,7 @@ from .families import FAMILIES, FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI, FamilySpe
 from .fibpoly import fib_det_check, fib_factor_eval, fib_poly_eval
 from .linalg import SingularMatrixError, mat_norm_maxabs
 from .powers import PowerOverflowError, VerificationError, oracle_power, power_matrix, power_verify
-from .spectral import ClosureError, decompose, eigenvalues, nodes_a, nodes_adagger
+from .spectral import ClosureError, _nodes, decompose, eigenvalues
 
 __all__ = ["main", "parse_complex", "format_complex"]
 
@@ -143,7 +143,7 @@ def cmd_eigen(args, out) -> int:
     # Eigenvalues and nodes are O(n); only the vectors need decompose, with
     # its transforms and O(n**3) closure check.
     values = eigenvalues(spec)
-    nodes = nodes_a(spec.n) if spec.family == FAMILY_A else nodes_adagger(spec.n)
+    nodes = _nodes(spec.family, spec.n)
     vectors = decompose(spec).vec_matrix if args.vectors else None
     if spec.family == FAMILY_ANTI:
         # eigenvalues gives the "adagger" twin's; the anti matrix has the same
@@ -418,40 +418,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_s):
-        p.add_argument("--family", choices=FAMILIES, required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--a", type=parse_complex, required=True, metavar="RE+IMi")
-        p.add_argument("--b", type=parse_complex, required=True, metavar="RE+IMi")
+    def add_common(p, with_s, required=True):
+        p.add_argument("--family", choices=FAMILIES, required=required)
+        p.add_argument("--n", type=int, required=required)
+        p.add_argument("--a", type=parse_complex, required=required, metavar="RE+IMi")
+        p.add_argument("--b", type=parse_complex, required=required, metavar="RE+IMi")
         if with_s:
-            p.add_argument("--s", type=int, required=True)
+            p.add_argument("--s", type=int, required=required)
+
+    def add_format(p):
         p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
 
     p_power = sub.add_parser("power", help="compute a matrix power")
     add_common(p_power, with_s=True)
+    add_format(p_power)
     p_power.set_defaults(func=cmd_power)
 
     p_eigen = sub.add_parser("eigen", help="eigenvalues, nodes, eigenvectors")
     add_common(p_eigen, with_s=False)
+    add_format(p_eigen)
     p_eigen.add_argument("--vectors", action="store_true", help="include the eigenvector matrix")
     p_eigen.set_defaults(func=cmd_eigen)
 
     p_verify = sub.add_parser("verify", help="closed form vs brute force")
-    p_verify.add_argument("--family", choices=FAMILIES)
-    p_verify.add_argument("--n", type=int)
-    p_verify.add_argument("--a", type=parse_complex, metavar="RE+IMi")
-    p_verify.add_argument("--b", type=parse_complex, metavar="RE+IMi")
-    p_verify.add_argument("--s", type=int)
+    add_common(p_verify, with_s=True, required=False)
     p_verify.add_argument("--suite", action="store_true", help="run the randomized suite")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tol", type=float, default=1e-8)
-    p_verify.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+    add_format(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_fib = sub.add_parser("fib", help="Fibonacci polynomial identities")
     p_fib.add_argument("--n", type=int, required=True)
     p_fib.add_argument("--x", type=parse_complex, required=True, metavar="RE+IMi")
-    p_fib.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+    add_format(p_fib)
     p_fib.set_defaults(func=cmd_fib)
 
     p_bench = sub.add_parser("bench", help="timing table (always CSV)")

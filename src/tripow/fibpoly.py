@@ -7,15 +7,19 @@ family-"a" matrix ties the polynomial to a determinant:
     det = (x**2 + 4) * F_{n-1}(x)
 
 and, because the determinant is the product of the closed-form eigenvalues,
-to a product over cosine factors.  The first and last factors multiply to
-exactly x**2 + 4, so the product form below cancels them analytically and
-never divides, staying finite even at x = +-2i.
+to a product over cosine factors x + i*node_k, with the nodes of family "a"
+on the spectral angle grid (spectral.nodes_a).  The first and last factors
+multiply to exactly x**2 + 4, so the product form below cancels them
+analytically and never divides, staying finite even at x = +-2i.  The
+nodes are exactly antisymmetric with an exact zero for odd n, so the
+product vanishes exactly where F_{n-1} does at x = 0.
 """
 
 import math
 
 from .families import FAMILY_A, FamilySpec, build_matrix
 from .linalg import mat_det
+from .spectral import nodes_a
 
 __all__ = ["fib_poly_eval", "fib_det_check", "fib_factor_eval"]
 
@@ -56,13 +60,11 @@ def fib_det_check(n: int, x: complex) -> tuple[complex, complex]:
 def fib_factor_eval(n: int, x: complex) -> complex:
     """F_{n-1}(x) as a division-free product of cosine factors.
 
-    Multiplies x + 2i*cos((k-1)*pi/(n-1)) over the interior k = 2..n-1 only;
-    the k = 1 and k = n factors are (x + 2i)(x - 2i) = x**2 + 4 and are
-    cancelled analytically against the denominator of the printed identity.
+    Multiplies x + i*node_k = x + 2i*cos((k-1)*pi/(n-1)) over the interior
+    k = 2..n-1 of nodes_a(n) only; the k = 1 and k = n factors are
+    (x + 2i)(x - 2i) = x**2 + 4 and are cancelled analytically against the
+    denominator of the printed identity.
     """
     _require_order(n)
     x = complex(x)
-    result = 1.0 + 0.0j
-    for k in range(2, n):
-        result *= x + 2.0j * math.cos((k - 1) * math.pi / (n - 1))
-    return result
+    return math.prod((x + 1j * node for node in nodes_a(n)[1:-1].tolist()), start=1.0 + 0.0j)

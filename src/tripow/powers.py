@@ -8,16 +8,18 @@ with phi the first-kind (family "a") or signed second-kind ("adagger")
 Chebyshev polynomials at the half-nodes x_k = cos(theta_k), w/g the row and
 column weight families of the analytic inverse, and pre_i a 1/2 prefactor
 on the last row of family "a" only.  The product-to-sum rule collapses the
-sum to two entries of one generator h_m = sum_k lambda_k**s w_k cos(m theta_k)
-(spectral.power_generator, one FFT):
+sum to two entries of one generator h_m = sum_k lambda_k**s w_k cos(m theta_k):
 
     family "a":  (h[|i-j|] + h[i+j]) / 2 * g_j * pre_i
     "adagger":   sign_r(i) * sign_r(j) * (h[|i-j|] - h[i+j+2])
 
 (0-based i, j; the "adagger" weights absorb the 1/sin(theta)**2 of the
-second-kind product).  A full power is therefore a Toeplitz view plus or
-minus a Hankel view of h with fixed edge factors: O(n**2) with no matrix
-product, and every single entry is O(n log n).  Each entry is written once.
+second-kind product).  On the angle grid pi*q/L the weights are all 1/L
+(the end weights of "a" doubled), so h is half the DCT-I of lambda**s / L,
+one FFT (spectral.power_generator).  A full power is therefore a Toeplitz
+view plus or minus a Hankel view of h with fixed edge factors: O(n**2) with
+no matrix product, and every single entry is O(n log n).  Each entry is
+written once.
 sign_r has period 4, so on the rows i = r (mod 4) the factor
 sign_r(i) * sign_r(j) is a period-4 sign of the index into h; it folds
 into four signed copies of h, and those rows are one subtraction of two

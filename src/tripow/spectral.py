@@ -2,10 +2,13 @@
 
 Every family diagonalizes as M = V diag(lambda) V^-1 where both V and its
 inverse are written down analytically.  The eigenvalues are
-lambda_k = a + 2b*cos(theta_k) on a fixed angle grid theta_k = pi*q_k/L
-(see _angle_grid), and V holds Chebyshev polynomials at the half-nodes
-cos(theta_k), each evaluated as one sine or cosine of an integer multiple
-of pi/L:
+lambda_k = a + b*node_k, node_k = 2*cos(theta_k), on the angle grid
+theta_k = pi*q_k/L of the family and n (_angle_grid).  Every sine and cosine
+in tripow (nodes, eigenvector tables, row weights, Fibonacci factors) is one
+sine of an exactly reduced multiple of pi/L (_sin_pi), so the nodes are
+exactly antisymmetric, the middle node of odd n is 0.0, and the nodes are
+twice the cosine table's cos(theta_k) bit for bit.  V holds Chebyshev
+polynomials at the half-nodes cos(theta_k):
 
 * family "a": T_i(cos theta) = cos(i*theta), a cosine-type transform; the
   last row is halved, and V^-1 is assembled from the beta/gamma
@@ -20,11 +23,11 @@ of pi/L:
   that sign.  decompose stores the twin's decomposition, which is what the
   power formulas consume.
 
-The nodes (lambda - a)/b are always real, so V is real; only the
-eigenvalues themselves are complex.  Each decomposition is validated at
-construction time: if the analytic inverse fails to multiply V back to the
-identity within CLOSURE_TOL, a ClosureError is raised rather than
-returning silently wrong data.
+The nodes are always real, so V is real; only the eigenvalues themselves
+are complex.  Each decomposition is validated at construction time: if the
+analytic inverse fails to multiply V back to the identity within
+CLOSURE_TOL, a ClosureError is raised rather than returning silently wrong
+data.
 
 Powers never need V or its inverse.  The product-to-sum rule turns every
 entry of V diag(lambda**s) V^-1 into a sum or difference of two terms of
@@ -32,9 +35,12 @@ one vector
 
     h_m = sum_k lambda_k**s * w_k * cos(m * theta_k),
 
-and power_generator computes all of h with one FFT (a DCT-I over the same
-angle grid).  It validates the weights w the same way, in O(n log n): with
-lambda**s = 1 they must give the identity's generator within CLOSURE_TOL.
+with the inverse's row weights w_k, which cancel to 1/L: for "a" once the
+end weights are doubled as in a DCT-I, for "adagger" once 2*sin**2/(n+1) is
+divided by the 2*sin**2 of U_i * U_j.  So h is half the DCT-I of
+lambda**s / L on the grid, one FFT (power_generator), which validates the
+grid in O(n log n): lambda**s = 1 must give the identity's generator within
+CLOSURE_TOL.
 """
 
 from dataclasses import dataclass
@@ -78,17 +84,17 @@ def sign_r(index: int) -> int:
 
 
 def nodes_a(n: int) -> np.ndarray:
-    """Real eigenvalue nodes of family "a": 2*cos((k-1)*pi/(n-1)), k=1..n."""
+    """Real eigenvalue nodes of family "a", 2*cos((k-1)*pi/(n-1)) on the angle grid, k=1..n."""
     if n < 2:
         raise ValueError("family 'a' requires n >= 2")
-    return 2.0 * np.cos(np.arange(n) * np.pi / (n - 1))
+    return _nodes(FAMILY_A, n)
 
 
 def nodes_adagger(n: int) -> np.ndarray:
-    """Real eigenvalue nodes of family "adagger": -2*cos(k*pi/(n+1)), k=1..n."""
+    """Real eigenvalue nodes of family "adagger", -2*cos(k*pi/(n+1)) on the angle grid, k=1..n."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return -2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+    return _nodes(FAMILY_ADAGGER, n)
 
 
 def eigenvalues_a(spec: FamilySpec) -> np.ndarray:
@@ -112,19 +118,19 @@ def eigenvalues_adagger(spec: FamilySpec) -> np.ndarray:
 
 def eigenvalues(spec: FamilySpec) -> np.ndarray:
     """eigenvalues_a or eigenvalues_adagger, whichever fits spec's family."""
-    return eigenvalues_a(spec) if spec.family == FAMILY_A else eigenvalues_adagger(spec)
+    return spec.a + spec.b * _nodes(spec.family, spec.n)
 
 
-def _angle_grid(spec: FamilySpec) -> tuple[np.ndarray, int]:
+def _angle_grid(family: str, n: int) -> tuple[np.ndarray, int]:
     """The eigenvalue angles theta_k = pi*q_k/L as integers (q, L), k=1..n.
 
     q = k - 1 with L = n - 1 for family "a"; q = n + 1 - k with L = n + 1
     otherwise, where the grid ends q = 0 and q = L carry no eigenvalue.
     The half-nodes are cos(theta_k) = node_k / 2.
     """
-    if spec.family == FAMILY_A:
-        return np.arange(spec.n), spec.n - 1
-    return np.arange(spec.n, 0, -1), spec.n + 1
+    if family == FAMILY_A:
+        return np.arange(n), n - 1
+    return np.arange(n, 0, -1), n + 1
 
 
 def _sin_pi(num, den: int) -> np.ndarray:
@@ -140,6 +146,16 @@ def _sin_pi(num, den: int) -> np.ndarray:
     return sign * np.sin(np.minimum(m, den - m) * np.pi / den)
 
 
+def _cos_pi(num, den: int) -> np.ndarray:
+    """cos(pi*num/den) as _sin_pi(den - 2*num, 2*den): exactly odd about num = den/2."""
+    return _sin_pi(den - 2 * np.asarray(num), 2 * den)
+
+
+def _nodes(family: str, n: int) -> np.ndarray:
+    """The eigenvalue nodes 2*cos(theta_k) on the angle grid, k = 1..n."""
+    return 2.0 * _cos_pi(*_angle_grid(family, n))
+
+
 def _grid_multiples(spec: FamilySpec, first: int) -> tuple[np.ndarray, int]:
     """(i * q_k) mod 2L for i = first..first+n-1 (rows) and k = 1..n, and L.
 
@@ -147,15 +163,14 @@ def _grid_multiples(spec: FamilySpec, first: int) -> tuple[np.ndarray, int]:
     period 2L in these integers, so each transform evaluates one sine or
     cosine per point of the period and gathers the table from it.
     """
-    q, period = _angle_grid(spec)
+    q, period = _angle_grid(spec.family, spec.n)
     return np.outer(np.arange(first, first + spec.n), q) % (2 * period), period
 
 
 def _cosine_table(spec: FamilySpec) -> np.ndarray:
     """table[i, k] = T_i(cos theta_k) = cos(i * theta_k) for i = 0..n-1."""
     multiples, period = _grid_multiples(spec, 0)
-    # cos(pi*m/L) = sin(pi*(L - 2m)/(2L)).
-    return _sin_pi(period - 2 * np.arange(2 * period), 2 * period)[multiples]
+    return _cos_pi(np.arange(2 * period), period)[multiples]
 
 
 def transform_k(spec: FamilySpec) -> np.ndarray:
@@ -190,10 +205,10 @@ def transform_t(spec: FamilySpec) -> np.ndarray:
     Entry (i, k) is sign_r(i-1) * U_{i-1}(cos theta_k), with
     U_{i-1}(cos theta) = sin(i * theta) / sin(theta) on the angle grid.
     Column k is an eigenvector for eigenvalue k, normalized to first
-    component 1.
+    component 1.  Family "anti" shares these eigenvectors.
     """
-    if spec.family != FAMILY_ADAGGER:
-        raise ValueError(f"expected family 'adagger', got {spec.family!r}")
+    if spec.family == FAMILY_A:
+        raise ValueError("expected family 'adagger' or 'anti', got 'a'")
     n = spec.n
     multiples, period = _grid_multiples(spec, 1)
     table = _sin_pi(np.arange(2 * period), period)[multiples]
@@ -210,8 +225,8 @@ def inv_transform_t(spec: FamilySpec) -> np.ndarray:
     coefficients c_k = 2*sin(theta_k)**2/(n+1) (the paper's mu for odd n
     and eta for even n).
     """
-    if spec.family != FAMILY_ADAGGER:
-        raise ValueError(f"expected family 'adagger', got {spec.family!r}")
+    if spec.family == FAMILY_A:
+        raise ValueError("expected family 'adagger' or 'anti', got 'a'")
     weights = _dagger_row_weights(spec.n)
     return weights[:, None] * transform_t(spec).T
 
@@ -271,57 +286,32 @@ def decompose(spec: FamilySpec) -> SpectralData:
     the coefficient families rather than a property of the input.
     """
     if spec.family == FAMILY_A:
-        nodes = nodes_a(spec.n)
-        vec = transform_k(spec)
-        inv = inv_transform_k(spec)
+        vec, inv = transform_k(spec), inv_transform_k(spec)
     else:
-        twin = spec if spec.family == FAMILY_ADAGGER else FamilySpec(
-            FAMILY_ADAGGER, spec.n, spec.a, spec.b
-        )
-        nodes = nodes_adagger(spec.n)
-        vec = transform_t(twin)
-        inv = inv_transform_t(twin)
-
+        vec, inv = transform_t(spec), inv_transform_t(spec)
     residual = mat_norm_maxabs(vec @ inv - mat_identity(spec.n))
     if residual >= CLOSURE_TOL:
         raise ClosureError(
             f"analytic inverse failed closure for family {spec.family!r}, "
             f"n={spec.n}: residual {residual:.3e} >= {CLOSURE_TOL:g}"
         )
-    return SpectralData(spec, eigenvalues(spec), nodes, vec, inv)
-
-
-def _generator_weights(spec: FamilySpec) -> np.ndarray:
-    """Weights w_k of the power generator, ordered like the eigenvalues.
-
-    Family "a" uses the beta family.  For "adagger" and "anti" the row
-    weight of the analytic inverse is divided by 2*sin(theta_k)**2, which
-    cancels the sines in U_i(x) * U_j(x) = sin((i+1)theta) sin((j+1)theta)
-    / sin(theta)**2; exact weights give 1/(n+1) for every k.  The sines
-    are evaluated directly, not as 1 - (node/2)**2, which cancels near the
-    ends of the spectrum.
-    """
-    if spec.family == FAMILY_A:
-        return _beta_weights(spec.n)
-    return _dagger_row_weights(spec.n) / (2.0 * _sines(spec.n) ** 2)
+    return SpectralData(spec, eigenvalues(spec), _nodes(spec.family, spec.n), vec, inv)
 
 
 def _cosine_sums(spec: FamilySpec, values: np.ndarray) -> np.ndarray:
-    """sum_k values_k * cos(m * theta_k) for m = 0..2L, along the last axis.
+    """Half the DCT-I of values on the angle grid, for m = 0..2L, along the last axis.
 
-    The values are placed at their points q of the angle grid pi*q/L (see
-    _angle_grid), zero elsewhere.  One FFT of the even extension of the
-    grid, with its two end samples doubled, gives twice the sums for
-    m = 0..2L-1.  The sums are even about m = L (cos((2L - m) * theta_k) =
-    cos(m * theta_k)), but the FFT rounds them only nearly so; the result
-    keeps its sums for m = 0..L and mirrors them, so sums[2L - m] equals
-    sums[m] exactly.
+    The values x_k are placed at their points q_k of the grid pi*q/L (see
+    _angle_grid), zero elsewhere, and the result is
+    x_{q=0}/2 + (-1)**m * x_{q=L}/2 + sum of x_k * cos(m * theta_k) over the
+    interior points, from one FFT of the even extension of the grid.  The
+    sums are even about m = L (cos((2L - m) * theta_k) = cos(m * theta_k)),
+    but the FFT rounds them only nearly so; the result keeps its sums for
+    m = 0..L and mirrors them, so sums[2L - m] equals sums[m] exactly.
     """
-    q, period = _angle_grid(spec)
+    q, period = _angle_grid(spec.family, spec.n)
     grid = np.zeros(values.shape[:-1] + (period + 1,), dtype=np.complex128)
     grid[..., q] = values
-    grid[..., 0] *= 2.0
-    grid[..., period] *= 2.0
     sums = np.fft.fft(np.concatenate((grid, grid[..., period - 1:0:-1]), axis=-1)) / 2.0
     return np.concatenate((sums[..., :period + 1], sums[..., period - 1::-1]), axis=-1)
 
@@ -344,16 +334,17 @@ def _identity_generator(spec: FamilySpec, size: int) -> np.ndarray:
 def power_generator(spec: FamilySpec, lam_pows: np.ndarray) -> np.ndarray:
     """The generator h of the power whose eigenvalue powers are lam_pows.
 
-    h_m = sum_k lam_pows_k * w_k * cos(m * theta_k) for m = 0..2L, with w
-    from _generator_weights and L as in the angle grid (n - 1 for family
-    "a", n + 1 otherwise).  h is exactly even about L: h[2L - m] == h[m]
-    for every m, bit for bit, so the powers assembled from it keep their
-    symmetries exactly.  The weights alone go through the same FFT and
-    must reproduce the identity's generator; ClosureError is raised when
-    they miss it by CLOSURE_TOL or more.
+    h_m = sum_k lam_pows_k * w_k * cos(m * theta_k) for m = 0..2L, with L
+    as in the angle grid (n - 1 for family "a", n + 1 otherwise) and the
+    weights w of the analytic inverse, which cancel to 1/L: h is half the
+    DCT-I of lam_pows / L on the grid (_cosine_sums).  h is exactly even
+    about L: h[2L - m] == h[m] for every m, bit for bit, so the powers
+    assembled from it keep their symmetries exactly.  The uniform weights
+    1/L alone go through the same FFT and must give the identity's
+    generator; ClosureError is raised when they miss it by CLOSURE_TOL.
     """
-    weights = _generator_weights(spec)
-    unit, h = _cosine_sums(spec, np.stack((weights, lam_pows * weights)))
+    weight = 1.0 / _angle_grid(spec.family, spec.n)[1]
+    unit, h = _cosine_sums(spec, np.stack((np.ones_like(lam_pows), lam_pows)) * weight)
     residual = float(np.abs(unit - _identity_generator(spec, unit.size)).max())
     if residual >= CLOSURE_TOL:
         raise ClosureError(

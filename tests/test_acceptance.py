@@ -37,13 +37,7 @@ from tripow.powers import (
 )
 from tripow.spectral import decompose
 
-
-def _random_params(rng, min_b=0.25, scale=3.0):
-    while True:
-        a = complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
-        b = complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
-        if abs(b) >= min_b:
-            return a, b
+from helpers import random_params
 
 
 def _oracle_scale(m, s):
@@ -61,7 +55,7 @@ def test_criterion_01_cube_pattern_regression():
     start = time.perf_counter()
     rng = np.random.default_rng(101)
     for _ in range(10):
-        a, b = _random_params(rng)
+        a, b = random_params(rng)
         x = a**3 + 6 * a * b**2
         y = 3 * a**2 * b + 4 * b**3
         z = 3 * a * b**2
@@ -107,7 +101,7 @@ def test_criterion_03_fourth_power_pattern_regression():
     """
     rng = np.random.default_rng(103)
     for _ in range(10):
-        a, b = _random_params(rng)
+        a, b = random_params(rng)
         x = a**4 + 6 * a**2 * b**2 + 2 * b**4
         y = 4 * a**3 * b + 8 * a * b**3
         z = -6 * a**2 * b**2 - 2 * b**4
@@ -170,7 +164,7 @@ def test_criterion_06_oracle_equivalence_suite():
                 n = 2 * int(rng.integers(1, 7))
             else:
                 n = int(rng.integers(1, 13))
-            spec = FamilySpec(family, n, *_random_params(rng))
+            spec = FamilySpec(family, n, *random_params(rng))
             min_eig = float(np.abs(decompose(spec).eigenvalues).min())
             # cases % 4 drifts across the family cycle, so every family sees
             # negative exponents when its eigenvalues stay away from zero
@@ -197,11 +191,11 @@ def test_criterion_07_spectral_closure_suite():
     mu_path = eta_path = beta_path = 0
     specs = []
     for n in range(2, 13):
-        specs.append(FamilySpec(FAMILY_A, n, *_random_params(rng)))
+        specs.append(FamilySpec(FAMILY_A, n, *random_params(rng)))
     for n in range(1, 13):
-        specs.append(FamilySpec(FAMILY_ADAGGER, n, *_random_params(rng)))
+        specs.append(FamilySpec(FAMILY_ADAGGER, n, *random_params(rng)))
     for n in range(2, 13, 2):
-        specs.append(FamilySpec(FAMILY_ANTI, n, *_random_params(rng)))
+        specs.append(FamilySpec(FAMILY_ANTI, n, *random_params(rng)))
     for spec in specs:
         data = decompose(spec)
         closure = mat_norm_maxabs(data.vec_matrix @ data.inv_matrix - mat_identity(spec.n))
@@ -234,7 +228,7 @@ def test_criterion_08_anti_tridiagonal_parity_law():
     """Entrywise anti powers obey the exchange parity split; commutation exact."""
     rng = np.random.default_rng(108)
     for n in range(2, 13, 2):
-        a, b = _random_params(rng, scale=2.0)
+        a, b = random_params(rng, scale=2.0)
         anti = FamilySpec(FAMILY_ANTI, n, a, b)
         twin = FamilySpec(FAMILY_ADAGGER, n, a, b)
         twin_matrix = build_matrix(twin)

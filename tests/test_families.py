@@ -15,6 +15,8 @@ from tripow.families import (
 )
 from tripow.linalg import mat_det, mat_identity, mat_norm_maxabs
 
+from helpers import random_params
+
 
 def loop_build(family, n, a, b):
     """The per-index loops build_matrix replaced, kept as its reference."""
@@ -34,14 +36,6 @@ def same_bits(x, y):
     return x.shape == y.shape and np.array_equal(
         np.ascontiguousarray(x).view(np.uint64), np.ascontiguousarray(y).view(np.uint64)
     )
-
-
-def random_params(rng, min_b=0.25):
-    while True:
-        a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        b = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        if abs(b) >= min_b:
-            return a, b
 
 
 class TestFamilySpecValidation:

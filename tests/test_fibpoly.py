@@ -79,6 +79,11 @@ class TestFactorization:
         with pytest.raises(ValueError):
             fib_factor_eval(2, 1.0)
 
+    def test_vanishes_exactly_at_zero_for_odd_order(self):
+        # F_{n-1}(0) = 0 for even n - 1: the middle node is exactly 0.0.
+        for n in range(3, 100, 2):
+            assert fib_factor_eval(n, 0) == 0
+
     @pytest.mark.parametrize("n", range(3, 13))
     def test_matches_recurrence_over_complex_samples(self, n):
         rng = np.random.default_rng(80 + n)

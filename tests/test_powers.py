@@ -37,13 +37,7 @@ from tripow.powers import (
 )
 from tripow.spectral import decompose, eigenvalues, eigenvalues_a, eigenvalues_adagger, sign_r
 
-
-def random_params(rng, min_b=0.25, scale=3.0):
-    while True:
-        a = complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
-        b = complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
-        if abs(b) >= min_b:
-            return a, b
+from helpers import random_params
 
 
 def draw_invertible(rng, family, n, min_eig=0.35):

@@ -15,27 +15,27 @@ from tripow.families import (
 from tripow.linalg import mat_identity, mat_inverse, mat_norm_maxabs
 from tripow.spectral import (
     ClosureError,
+    _beta_weights,
+    _cosine_table,
     _dagger_row_weights,
+    _sines,
     decompose,
     eigenvalues_a,
     eigenvalues_adagger,
     inv_transform_k,
     inv_transform_t,
+    nodes_a,
+    nodes_adagger,
+    power_generator,
     sign_r,
     transform_k,
     transform_t,
 )
 
+from helpers import random_params
+
 SQRT2 = math.sqrt(2)
 SQRT5 = math.sqrt(5)
-
-
-def random_params(rng, min_b=0.25, scale=3.0):
-    while True:
-        a = complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
-        b = complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
-        if abs(b) >= min_b:
-            return a, b
 
 
 def all_specs(rng, max_n=12):
@@ -229,6 +229,93 @@ class TestAnalyticInverses:
         assert residual < 1e-12
 
 
+NODE_ORDERS = list(range(1, 65)) + [1023, 1024, 2048]
+
+
+def node_cases():
+    """(family, n, nodes, q, L) for both node families over NODE_ORDERS."""
+    for n in NODE_ORDERS:
+        if n >= 2:
+            yield FAMILY_A, n, nodes_a(n), np.arange(n), n - 1
+        yield FAMILY_ADAGGER, n, nodes_adagger(n), np.arange(n, 0, -1), n + 1
+
+
+def rounded_angle_nodes(family, n):
+    """The nodes as 2*cos of the rounded angle, the formula before the grid."""
+    if family == FAMILY_A:
+        return 2.0 * np.cos(np.arange(n) * np.pi / (n - 1))
+    return -2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+
+
+def weighted_generator(q, period, values):
+    """sum_k values_k * cos(m * pi * q_k / L), m = 0..2L, by FFT of the even extension.
+
+    values carry the inverse's weights; the end samples q = 0 and q = L are
+    doubled and the sum halved, the form of the generator before the uniform
+    weights 1/L.
+    """
+    grid = np.zeros(period + 1, dtype=np.complex128)
+    grid[q] = values
+    grid[0] *= 2.0
+    grid[period] *= 2.0
+    sums = np.fft.fft(np.concatenate((grid, grid[period - 1:0:-1]))) / 2.0
+    return np.concatenate((sums[:period + 1], sums[period - 1::-1]))
+
+
+class TestAngleGrid:
+    def test_nodes_are_exactly_antisymmetric_with_an_exact_middle_zero(self):
+        for family, n, nodes, _, _ in node_cases():
+            np.testing.assert_array_equal(nodes, -nodes[::-1], err_msg=f"{family} n={n}")
+            if n % 2 == 1:
+                assert nodes[n // 2] == 0.0
+
+    def test_nodes_are_twice_the_cosine_table_bit_for_bit(self):
+        for family, n, nodes, _, _ in node_cases():
+            if n >= 2:
+                table = _cosine_table(FamilySpec(family, n, 0.0, 1.0))
+                np.testing.assert_array_equal(nodes, 2.0 * table[1], err_msg=f"{family} n={n}")
+
+    def test_node_error_is_no_larger_than_the_rounded_angle_formula(self):
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("needs an extended-precision long double")
+        pi = np.arccos(np.longdouble(-1))
+        for family, n, nodes, q, period in node_cases():
+            # 2*cos(pi*q/L) = 2*sin(pi*(L - 2q)/(2L)), exact at the middle.
+            exact = 2 * np.sin((period - 2 * q).astype(np.longdouble) * pi / (2 * period))
+            error = np.abs(nodes - exact)
+            old_error = np.abs(rounded_angle_nodes(family, n) - exact)
+            assert error.max() <= old_error.max(), f"{family} n={n}"
+            # Full relative accuracy, also at the nodes nearest zero.
+            assert np.all(error <= 4 * np.finfo(float).epsneg * np.abs(exact)), f"{family} n={n}"
+
+    def test_inverse_weights_cancel_to_one_over_the_period(self):
+        for n in NODE_ORDERS:
+            if n >= 2:
+                beta = _beta_weights(n)
+                beta[[0, -1]] *= 2.0
+                np.testing.assert_array_equal(beta, 1.0 / (n - 1))
+            uniform = _dagger_row_weights(n) / (2.0 * _sines(n) ** 2)
+            ulp = np.spacing(1.0 / (n + 1))
+            assert np.abs(uniform - 1.0 / (n + 1)).max() <= ulp
+
+    def test_generator_is_the_weighted_one_with_the_weights_one_over_the_period(self):
+        # Family "a" keeps the beta-weighted generator bit for bit; the
+        # "adagger" and "anti" ones take the exact 1/L for the rounded
+        # 2 sin**2/(n+1) / (2 sin**2).
+        rng = np.random.default_rng(42)
+        for n in (2, 3, 4, 7, 32, 33, 256):
+            lam = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+            spec = FamilySpec(FAMILY_A, n, 0.0, 1.0)
+            expected = weighted_generator(np.arange(n), n - 1, lam * _beta_weights(n))
+            np.testing.assert_array_equal(power_generator(spec, lam), expected)
+            for family in (FAMILY_ADAGGER, FAMILY_ANTI):
+                if family == FAMILY_ANTI and n % 2 == 1:
+                    continue
+                spec = FamilySpec(family, n, 0.0, 1.0)
+                expected = weighted_generator(np.arange(n, 0, -1), n + 1, lam * (1.0 / (n + 1)))
+                np.testing.assert_array_equal(power_generator(spec, lam), expected)
+
+
 class TestDecompose:
     def test_family_a_instance(self):
         data = decompose(FamilySpec(FAMILY_A, 3, 0.0, 1.0))
@@ -246,6 +333,8 @@ class TestDecompose:
         twin = FamilySpec(FAMILY_ADAGGER, 6, 1.0 + 1j, 2.0)
         data = decompose(spec)
         assert data.spec == spec
+        np.testing.assert_array_equal(transform_t(spec), transform_t(twin))
+        np.testing.assert_array_equal(inv_transform_t(spec), inv_transform_t(twin))
         np.testing.assert_array_equal(data.vec_matrix, transform_t(twin))
         np.testing.assert_array_equal(data.eigenvalues, eigenvalues_adagger(twin))
 
@@ -324,8 +413,10 @@ class TestDecompose:
             assert abs(char_value_adagger(n, node)) < 1e-9
 
     def test_closure_error_is_raised_on_corruption(self, monkeypatch):
-        # Force a bad coefficient family through both validation paths: the
-        # dense one in decompose and the generator one in power_matrix.
+        # Force a bad coefficient family through the dense validation in
+        # decompose, and a grid on the wrong period through the generator's
+        # validation in power_matrix, which reads the angle grid and no
+        # coefficient family.
         import tripow.spectral as spectral_mod
         from tripow.powers import power_matrix
 
@@ -333,8 +424,6 @@ class TestDecompose:
         monkeypatch.setattr(spectral_mod, "_beta_weights", lambda n: beta(n) * 1.5)
         with pytest.raises(ClosureError):
             decompose(FamilySpec(FAMILY_A, 4, 1.0, 1.0))
-        with pytest.raises(ClosureError):
-            power_matrix(FamilySpec(FAMILY_A, 4, 1.0, 1.0), 2)
 
         weights = spectral_mod._dagger_row_weights
 
@@ -347,5 +436,18 @@ class TestDecompose:
         for spec in (FamilySpec(FAMILY_ADAGGER, 5, 1.0, 1.0), FamilySpec(FAMILY_ANTI, 4, 1.0, 1.0)):
             with pytest.raises(ClosureError):
                 decompose(spec)
+
+        grid = spectral_mod._angle_grid
+
+        def shifted(family, n):
+            q, period = grid(family, n)
+            return q, period + 1
+
+        monkeypatch.setattr(spectral_mod, "_angle_grid", shifted)
+        for spec in (
+            FamilySpec(FAMILY_A, 4, 1.0, 1.0),
+            FamilySpec(FAMILY_ADAGGER, 5, 1.0, 1.0),
+            FamilySpec(FAMILY_ANTI, 4, 1.0, 1.0),
+        ):
             with pytest.raises(ClosureError):
                 power_matrix(spec, 2)
