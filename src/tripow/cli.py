@@ -7,12 +7,14 @@ fib (Fibonacci polynomial identities), bench (timing table in CSV).
 Complex parameters use the literal grammar <re><sign><im>i with no
 whitespace, e.g. 1+0i, -2.5+0.5i, 0+1i.  All data goes to stdout and all
 diagnostics to stderr.  Exit codes: 0 success, 1 verification, singularity
-or overflow failure, 2 usage or parse error.
+or overflow failure, 2 usage or parse error, 141 (128 + SIGPIPE) when stdout
+is closed before the output is written, with no traceback.
 """
 
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 import time
@@ -468,7 +470,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (e.g. `| head -1`).  Point the real
+        # stdout at devnull so the interpreter's final flush stays quiet, and
+        # exit as a shell reports a writer killed by SIGPIPE (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (SingularMatrixError, VerificationError, ClosureError, PowerOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

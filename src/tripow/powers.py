@@ -27,6 +27,12 @@ window views.  The anti family splits on the parity of s: even powers
 coincide with the tridiagonal counterpart, odd powers are its exchange
 flip, written as the same rows in reverse order.
 
+For 0 <= s < n - 1 the s-th power of a tridiagonal matrix has bandwidth s,
+and so has an odd anti power once its rows are flipped back.  Only those
+2s + 1 diagonals are computed, with the same arithmetic and bits as the
+full assembly, and every entry outside them is an exact +0.0 rather than
+the FFT's rounding noise; the power_entry functions return 0j there too.
+
 h is exactly even: it equals h[::-1] bit for bit (see
 spectral.power_generator).  So the powers keep their symmetries exactly:
 every "adagger" power equals its transpose, every even-n "adagger" and
@@ -257,13 +263,16 @@ def power_entry_a(data: SpectralData, s: int, i: int, j: int) -> complex:
     """Entry (i, j) of the s-th power of a family-"a" matrix; i, j are 1-based.
 
     Reads h[|i-j|] + h[i+j-2] from the power's generator; the first column
-    and the last row (i = n) each carry a factor 1/2.
+    and the last row (i = n) each carry a factor 1/2.  For s >= 0 an entry
+    outside the band |i-j| <= s is exactly 0j.
     """
     if data.spec.family != FAMILY_A:
         raise ValueError(f"expected family 'a' data, got {data.spec.family!r}")
     n = data.spec.n
     _check_indices(n, i, j)
     h = _generator(data.spec, data.eigenvalues, s)
+    if 0 <= s < abs(i - j):
+        return 0j
     value = h[abs(i - j)] + h[i + j - 2]
     if j == 1:
         value *= 0.5
@@ -276,13 +285,16 @@ def power_entry_adagger(data: SpectralData, s: int, i: int, j: int) -> complex:
     """Entry (i, j) of the s-th power of an "adagger" matrix; i, j are 1-based.
 
     Reads sign_r(i-1) * sign_r(j-1) * (h[|i-j|] - h[i+j]) from the power's
-    generator.
+    generator.  For s >= 0 an entry outside the band |i-j| <= s is exactly
+    0j.
     """
     if data.spec.family == FAMILY_A:
         raise ValueError("expected family 'adagger' or 'anti' data, got 'a'")
     n = data.spec.n
     _check_indices(n, i, j)
     h = _generator(data.spec, data.eigenvalues, s)
+    if 0 <= s < abs(i - j):
+        return 0j
     return complex(sign_r(i - 1) * sign_r(j - 1) * (h[abs(i - j)] - h[i + j]))
 
 
@@ -290,7 +302,9 @@ def power_entry_anti(data: SpectralData, s: int, i: int, j: int) -> complex:
     """Entry (i, j) of the s-th power of an anti-tridiagonal matrix.
 
     Even s coincides with the tridiagonal counterpart; odd s flips the row
-    index through the exchange.  Only even n is supported.
+    index through the exchange, which moves the band |i-j| <= s to
+    |n+1-i-j| <= s.  For s >= 0 an entry outside the band is exactly 0j.
+    Only even n is supported.
     """
     n = data.spec.n
     if n % 2 != 0:
@@ -312,7 +326,39 @@ def _assemble(spec: FamilySpec, h: np.ndarray, s: int) -> np.ndarray:
     so the signs fold into four copies of h, one per shift of that period-4
     sign, and the rows of each residue r are one subtraction of two window
     views.  The anti family writes the same rows in reverse order for odd s.
+
+    For 0 <= s < n - 1 the power has bandwidth s (after the row flip for
+    odd anti powers): only the band |i - j| <= s is computed, by the same
+    arithmetic on the same signed copies, and every other entry is an exact
+    +0.0.
     """
+    n = spec.n
+    flip = spec.family == FAMILY_ANTI and s % 2 == 1
+    if not 0 <= s < n - 1:
+        return _assemble_full(spec, h, flip)
+    if 2 * s + 2 > n:
+        # The band rows would overlap in the flat output: assemble in full
+        # and clear the two triangles outside the band, a row slice each.
+        matrix = _assemble_full(spec, h, flip)
+        rows = matrix[::-1] if flip else matrix
+        for i in range(n - 1 - s):
+            rows[i, i + s + 1:] = 0
+            rows[n - 1 - i, :n - 1 - i - s] = 0
+        return matrix
+    return _assemble_band(spec, h, s, flip)
+
+
+def _signed_copies(extended: np.ndarray, first: int) -> np.ndarray:
+    """Four copies of extended, copy k times _SIGN4[(m + k) % 4] at index m.
+
+    extended[0] holds index m = first of the generator.
+    """
+    shifts = np.arange(4)[:, None] + np.arange(first, first + extended.size)
+    return extended * _SIGN4[shifts % 4]
+
+
+def _assemble_full(spec: FamilySpec, h: np.ndarray, flip: bool) -> np.ndarray:
+    """Every entry of the power, with the rows reversed when flip is set."""
     n = spec.n
     # h is even with period P = h.size - 1, so h[|i-j|] = h[P - i + j]: both
     # views are row ranges of one window view of h extended by n - 1 samples.
@@ -325,12 +371,11 @@ def _assemble(spec: FamilySpec, h: np.ndarray, s: int) -> np.ndarray:
         matrix[-1] *= 0.5
         return matrix
     matrix = np.empty((n, n), dtype=np.complex128)
-    rows = matrix[::-1] if spec.family == FAMILY_ANTI and s % 2 == 1 else matrix
+    rows = matrix[::-1] if flip else matrix
     # Copy k is extended[m] * _SIGN4[(m + k) % 4].  On row i = r (mod 4),
     # j = t - P + r (mod 4) at Toeplitz index t and j = u - 2 - r at Hankel
     # index u, which picks the copy for each view.
-    shifts = np.arange(4)[:, None] + np.arange(extended.size)
-    windows = sliding_window_view(extended * _SIGN4[shifts % 4], n, axis=1)
+    windows = sliding_window_view(_signed_copies(extended, 0), n, axis=1)
     for r in range(min(n, 4)):
         count = (n - r + 3) // 4
         toeplitz = windows[(r - period) % 4][period - r::-4][:count]
@@ -342,15 +387,59 @@ def _assemble(spec: FamilySpec, h: np.ndarray, s: int) -> np.ndarray:
     return matrix
 
 
+def _assemble_band(spec: FamilySpec, h: np.ndarray, s: int, flip: bool) -> np.ndarray:
+    """The band |i - j| <= s of the power, in an output of exact zeros.
+
+    Needs 2s + 2 <= n.  Entry (i, i - s + k) is band[i, k]: rows of width
+    2s + 1 at a flat stride of n + 1 entries, or -(n - 1) when the rows are
+    flipped, in an output padded by s entries at each end.  The rows do not
+    overlap, and the band positions whose column falls outside [0, n) land
+    on the padding or outside the band of a neighbouring row; they are
+    cleared after the band is written.
+    """
+    n, width = spec.n, 2 * s + 1
+    period = h.size - 1
+    flat = np.zeros(n * n + 2 * s, dtype=np.complex128)
+    starts = sliding_window_view(flat, width, writeable=True)
+    band = starts[(n - 1) * n::1 - n][:n] if flip else starts[::n + 1]
+    matrix = flat[s:s + n * n].reshape(n, n)
+    # extended[s + m] is h[m] for m from -s to P + n - 1 (h is even with
+    # period P).  On every row the Toeplitz index is P - s + k, and the
+    # Hankel index 2i - s + k (plus 2 for "adagger") moves by 2 a row.
+    extended = np.concatenate((h[s:0:-1], h, h[1:n]))
+    if spec.family == FAMILY_A:
+        windows = sliding_window_view(extended, width)
+        np.add(extended[period:period + width], windows[::2][:n], out=band)
+    else:
+        copies = _signed_copies(extended, -s)
+        windows = sliding_window_view(copies, width, axis=1)
+        for r in range(min(n, 4)):
+            count = (n - r + 3) // 4
+            toeplitz = copies[(r - period) % 4, period:period + width]
+            hankel = windows[(-2 - r) % 4][2 * r + 2::8][:count]
+            if _SIGN4[r] < 0:
+                toeplitz, hankel = hankel, toeplitz
+            np.subtract(toeplitz, hankel, out=band[r::4])
+    corner = np.tri(s, width, dtype=bool)[::-1]
+    band[:s][corner] = 0
+    band[n - s:][corner[::-1, ::-1]] = 0
+    if spec.family == FAMILY_A:
+        matrix[:s + 1, 0] *= 0.5
+        matrix[-1, n - 1 - s:] *= 0.5
+    return matrix
+
+
 def power_matrix(spec: FamilySpec, s: int) -> PowerResult:
     """Assemble the full s-th power of the matrix described by spec.
 
     s must be an integer (TypeError otherwise).  The power is built from
-    its generator in O(n**2) with no matrix product; the entries equal
-    those of the power_entry functions.  Raises ClosureError when the
-    generator weights fail their closure check, SingularMatrixError for a
-    negative power of a zero eigenvalue, and PowerOverflowError when the
-    result cannot be represented.
+    its generator in O(n**2) with no matrix product.  s = 0 gives the exact
+    identity; for 0 < s < n - 1 only the band |i-j| <= s (rows flipped for
+    odd anti powers) is computed and every other entry is +0.0.  For s != 0
+    the entries equal those of the power_entry functions.  Raises
+    ClosureError when the generator weights fail their closure check,
+    SingularMatrixError for a negative power of a zero eigenvalue, and
+    PowerOverflowError when the result cannot be represented.
     """
     s = operator.index(s)
     h = _generator(spec, eigenvalues(spec), s)

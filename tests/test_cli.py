@@ -190,6 +190,18 @@ class TestPowerCommand:
         direct = power_matrix(FamilySpec("a", 2, 1.0, 0.5), 2).matrix
         np.testing.assert_array_equal(np.array(values), direct)
 
+    def test_csv_prints_exact_zeros_outside_the_band(self, capsys):
+        # The first power of the matrix itself: row 1 is zero from column 3
+        # on, and row 2 from column 4, not rounding noise.
+        code, out, _ = run_cli(
+            capsys, "power", "--family", "adagger", "--n", "7", "--a", "1+0i",
+            "--b", "1+0i", "--s", "1", "--format", "csv",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1].split(",")[2:] == ["0.0+0.0i"] * 5
+        assert lines[2].split(",")[3:] == ["0.0+0.0i"] * 4
+
     def test_pretty_output(self, capsys):
         code, out, _ = run_cli(
             capsys, "power", "--family", "a", "--n", "3", "--a", "1+0i",
@@ -514,14 +526,38 @@ class TestBenchCommand:
         assert all(float(row[5]) < 1e-6 for row in rows)
 
 
-def test_module_entry_point_runs():
+def module_command(*argv):
+    """`python -m tripow argv...` and an environment that finds src/."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "tripow", "power", "--family", "a", "--n", "3",
-         "--a", "1+0i", "--b", "1+0i", "--s", "3", "--format", "json"],
-        capture_output=True, text=True, env=env,
+    return [sys.executable, "-m", "tripow", *argv], env
+
+
+def test_module_entry_point_runs():
+    command, env = module_command(
+        "power", "--family", "a", "--n", "3", "--a", "1+0i", "--b", "1+0i",
+        "--s", "3", "--format", "json",
     )
+    proc = subprocess.run(command, capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["path"] == "closed-form-A"
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # About 400 kB of CSV, far more than a pipe buffer holds, so the writer
+    # is still writing when the reader goes away after the header.
+    command, env = module_command(
+        "power", "--family", "a", "--n", "200", "--a", "1+0i", "--b", "1+0i",
+        "--s", "3", "--format", "csv",
+    )
+    proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline().startswith(b"c1,c2,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""

@@ -100,6 +100,38 @@ def three_pass_assemble(spec, h, s):
     return matrix
 
 
+def outside_band(family, n, s):
+    """Where the s-th power is zero by its bandwidth; nowhere for s < 0.
+
+    For s >= 0 that is |i - j| > s, with the rows flipped for odd anti
+    powers.
+    """
+    i, j = np.ogrid[:n, :n]
+    if family == FAMILY_ANTI and s % 2 == 1:
+        i = n - 1 - i
+    return np.broadcast_to((abs(i - j) > s) & (s >= 0), (n, n))
+
+
+def assert_positive_zeros_outside_band(matrix, family, s):
+    """Every entry outside the band is +0.0 in both parts, no signbit."""
+    outside = matrix[outside_band(family, matrix.shape[0], s)]
+    assert np.all(outside == 0), s
+    assert not np.signbit(outside.view(np.float64)).any(), s
+
+
+BAND_PARAMS = [
+    (family, n)
+    for family in (FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI)
+    for n in (*range(2, 18), 64, 65, 1024)
+    if not (family == FAMILY_ANTI and n % 2)
+]
+
+
+def band_exponents(n):
+    """Small exponents and the two largest below n - 1."""
+    return sorted({1, 2, 3, 8, n - 3, n - 2})
+
+
 REFERENCE_CASES = [
     (family, n)
     for family in (FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI)
@@ -145,6 +177,33 @@ class TestEntryFormulas:
                 assert abs(power_entry_a(data, 4, i, j) - full[i - 1, j - 1]) < 1e-9 * (
                     1 + abs(full[i - 1, j - 1])
                 )
+
+    @pytest.mark.parametrize(
+        "family,n",
+        [
+            (family, n)
+            for family in (FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI)
+            for n in (*range(2, 10), 16)
+            if not (family == FAMILY_ANTI and n % 2)
+        ],
+    )
+    def test_entries_equal_the_assembled_power(self, family, n):
+        # Every eigenvalue of this spec is nonzero, so s = -2 is defined.
+        spec = FamilySpec(family, n, 0.6j, 0.4)
+        data = decompose(spec)
+        entry = {
+            FAMILY_A: power_entry_a,
+            FAMILY_ADAGGER: power_entry_adagger,
+            FAMILY_ANTI: power_entry_anti,
+        }[family]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtendedDomainWarning)
+            for s in (*range(1, n + 2), -2):
+                got = np.array(
+                    [[entry(data, s, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+                )
+                assert np.array_equal(got, power_matrix(spec, s).matrix), s
+                assert np.all(got[outside_band(family, n, s)] == 0), s
 
     def test_adagger_known_corner_entry(self):
         # fourth power at a=2, b=1: a**4 + 6 a**2 b**2 + 2 b**4 = 42
@@ -376,27 +435,50 @@ class TestAssembly:
     )
     def test_single_pass_matches_three_pass_reference(self, family, n):
         # Any h of the generator's length 2n + 3 will do, and a random one
-        # has no symmetry to hide a misplaced index or sign.
+        # has no symmetry to hide a misplaced index or sign.  It is no
+        # power's generator, so where _assemble keeps only the band
+        # (0 <= s < n - 1) the reference is cut to the band too.
         rng = np.random.default_rng(n)
         h = rng.standard_normal(2 * n + 3) + 1j * rng.standard_normal(2 * n + 3)
         spec = FamilySpec(family, n, 1.0, 1.0)
-        for s in (1, 2, 3, 8, -3, 4096):
-            assert np.array_equal(_assemble(spec, h, s), three_pass_assemble(spec, h, s)), s
+        for s in (1, 2, 3, 8, -3, 4096, n - 3, n - 2):
+            reference = three_pass_assemble(spec, h, s)
+            reference[outside_band(family, n, s)] = 0.0
+            assert np.array_equal(_assemble(spec, h, s), reference), s
+
+    @pytest.mark.parametrize("family,n", BAND_PARAMS)
+    def test_band_is_the_full_assembly_bit_for_bit(self, family, n):
+        # The full assembly (s >= n - 1, of the same parity) cut to the
+        # band, compared by bits so that the signs of zeros count too.
+        rng = np.random.default_rng(n)
+        size = 2 * n - 1 if family == FAMILY_A else 2 * n + 3
+        h = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        spec = FamilySpec(family, n, 1.0, 1.0)
+        for s in (0, *band_exponents(n), n // 2 - 1, n // 2):
+            if not 0 <= s < n - 1:
+                continue
+            full = _assemble(spec, h, 2 * n + s % 2)
+            full[outside_band(family, n, s)] = 0.0
+            got = _assemble(spec, h, s)
+            assert np.array_equal(got.view(np.uint64), full.view(np.uint64)), s
+            assert_positive_zeros_outside_band(got, family, s)
 
 
 def assert_exact_structure(spec, s):
-    """The generator is even and the power keeps its symmetries bit for bit.
+    """The generator is even and the power keeps its structure bit for bit.
 
-    Every "adagger" power is symmetric; even-n "adagger" and "anti" powers
-    are centrosymmetric (P[n-1-i, n-1-j] == P[i, j]); an "a" power is
-    centrosymmetric once its halved first column and last row are doubled
-    back.  == compares exact values, with -0.0 equal to +0.0.
+    For s >= 0 the power is +0.0 outside its band.  Every "adagger" power
+    is symmetric; even-n "adagger" and "anti" powers are centrosymmetric
+    (P[n-1-i, n-1-j] == P[i, j]); an "a" power is centrosymmetric once its
+    halved first column and last row are doubled back.  == compares exact
+    values, with -0.0 equal to +0.0.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExtendedDomainWarning)
         h = _generator(spec, eigenvalues(spec), s)
         p = power_matrix(spec, s).matrix
     assert np.array_equal(h, h[::-1])
+    assert_positive_zeros_outside_band(p, spec.family, s)
     if spec.family == FAMILY_A:
         p = p.copy()
         p[:, 0] *= 2.0
@@ -410,24 +492,36 @@ def assert_exact_structure(spec, s):
 
 
 class TestExactStructure:
-    @pytest.mark.parametrize(
-        "family,n",
-        [
-            (family, n)
-            for family in (FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI)
-            for n in (*range(2, 10), 64, 1024)
-            if not (family == FAMILY_ANTI and n % 2)
-        ],
-    )
+    @pytest.mark.parametrize("family,n", BAND_PARAMS)
     def test_powers_keep_their_symmetries_exactly(self, family, n):
-        # Spectral radius at most 1, so s=4096 cannot overflow.
+        # Spectral radius at most 1, so s=4096 cannot overflow.  s = n//2 - 1
+        # and n//2 lie on both sides of the band path's switch to the full
+        # assembly at 2s + 2 > n.
         spec = FamilySpec(family, n, 0.6j, 0.4)
-        for s in (1, 2, 3, 8, 4096, -3):
+        for s in sorted({1, 2, 3, 8, 4096, -3, *band_exponents(n), n // 2 - 1, n // 2}):
             assert_exact_structure(spec, s)
 
     def test_scaled_power_keeps_its_symmetry(self):
         # The eigenvalue powers overflow, so h is scaled by 2**E after the FFT.
         assert_exact_structure(FamilySpec(FAMILY_A, 16, 3.0, 1.0), 442)
+
+
+class TestBand:
+    @pytest.mark.parametrize("family,n", BAND_PARAMS)
+    def test_entries_outside_the_band_are_positive_zero(self, family, n):
+        spec = FamilySpec(family, n, 0.6j, 0.4)
+        for s in band_exponents(n):
+            assert_positive_zeros_outside_band(power_matrix(spec, s).matrix, family, s)
+
+    @pytest.mark.parametrize("family,n", [(f, n) for f, n in BAND_PARAMS if n <= 64])
+    def test_oracle_has_its_zeros_at_the_same_positions(self, family, n):
+        spec = FamilySpec(family, n, 0.6j, 0.4)
+        for s in band_exponents(n):
+            if s < 0:
+                continue
+            oracle = oracle_power(build_matrix(spec), s)
+            assert np.all(oracle[outside_band(family, n, s)] == 0), s
+            assert np.array_equal(power_matrix(spec, s).matrix == 0, oracle == 0), s
 
 
 class TestScaledPowers:
