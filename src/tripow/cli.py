@@ -182,24 +182,27 @@ def cmd_eigen(args, out) -> int:
     return 0
 
 
-def _verify_case(spec, s, tol):
-    row = {
-        "check": "power",
+def _row(check, spec, s, tol, residual, passed):
+    """One verify row; the key order is that of the JSON cases."""
+    return {
+        "check": check,
         "family": spec.family,
         "n": spec.n,
         "a": spec.a,
         "b": spec.b,
         "s": s,
         "tol": tol,
+        "residual": residual,
+        "pass": passed,
     }
+
+
+def _verify_case(spec, s, tol):
     try:
-        result = power_verify(spec, s, tol)
-        row["residual"] = result.residual_vs_oracle
-        row["pass"] = True
+        residual, passed = power_verify(spec, s, tol).residual_vs_oracle, True
     except VerificationError as exc:
-        row["residual"] = exc.residual
-        row["pass"] = False
-    return row
+        residual, passed = exc.residual, False
+    return _row("power", spec, s, tol, residual, passed)
 
 
 def _draw_spec(rng, family, n=None):
@@ -232,19 +235,7 @@ def _suite_rows(seed, tol):
         twin = build_matrix(FamilySpec(FAMILY_ADAGGER, n, spec.a, spec.b))
         exchange = np.eye(n)[::-1]
         residual = mat_norm_maxabs(exchange @ twin - twin @ exchange)
-        rows.append(
-            {
-                "check": "commute",
-                "family": spec.family,
-                "n": n,
-                "a": spec.a,
-                "b": spec.b,
-                "s": 0,
-                "tol": 0.0,
-                "residual": residual,
-                "pass": residual == 0.0,
-            }
-        )
+        rows.append(_row("commute", spec, 0, 0.0, residual, residual == 0.0))
     for n in range(3, 9):
         x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         lhs, rhs = fib_det_check(n, x)
@@ -252,20 +243,9 @@ def _suite_rows(seed, tol):
         fac_res = abs(fib_factor_eval(n, x) - fib_poly_eval(n - 1, x)) / (
             1.0 + abs(fib_poly_eval(n - 1, x))
         )
+        spec = FamilySpec(FAMILY_A, n, x, 1j)
         for check, residual in (("fib-det", det_res), ("fib-factor", fac_res)):
-            rows.append(
-                {
-                    "check": check,
-                    "family": FAMILY_A,
-                    "n": n,
-                    "a": x,
-                    "b": 1j,
-                    "s": 0,
-                    "tol": tol,
-                    "residual": residual,
-                    "pass": residual <= tol,
-                }
-            )
+            rows.append(_row(check, spec, 0, tol, residual, residual <= tol))
     return rows
 
 

@@ -6,17 +6,12 @@ in the package can be checked against a route that shares none of its
 machinery.  Both kernels pay only for the band that they read from the
 entries.  Products in binary powering skip the exact zeros outside each
 row's first and last nonzero column, as banded products do (Golub and Van
-Loan, Matrix Computations, 1.2): powers of a tridiagonal or
-anti-tridiagonal matrix stay narrow for many squarings.  The input's row
-spans are scanned once; each product's spans follow from its operands'.
-The inverse orders the rows by their first nonzero column and runs a
-blocked banded LU with partial pivoting (ibid., 4.3), whose upper bandwidth
-grows to at most p + q, and then one block back-substitution; the pivots
-are still chosen one column at a time, and the O(n**3) work of a dense
-input runs as matrix products over blocks of columns.  The band is read
-from the entries alone, so it knows nothing of the families or their closed
-forms, and only terms with an exact zero factor are dropped.  Nothing here
-calls numpy.linalg.
+Loan, Matrix Computations, 1.2), and each product's row spans follow from
+its operands'.  One blocked banded LU with partial pivoting (ibid., 4.3)
+serves the inverse, by one block back-substitution, and the determinant,
+as the product of its pivots.  The band is read from the entries alone, so
+it knows nothing of the families or their closed forms, and only terms
+with an exact zero factor are dropped.  Nothing here calls numpy.linalg.
 """
 
 import operator
@@ -32,14 +27,14 @@ __all__ = [
     "mat_norm_maxabs",
 ]
 
-# A pivot whose modulus falls below this fraction of the largest initial
-# entry modulus is treated as zero.
+# mat_inverse treats a pivot whose modulus falls below this fraction of the
+# largest initial entry modulus as zero; mat_det uses every nonzero pivot.
 SINGULAR_RTOL = 1e-12
 
 # Rows per block of a product in mat_pow_binary.
 _BLOCK = 32
 
-# Columns eliminated per panel of mat_inverse.  On a narrow band each pivot
+# Columns eliminated per panel of the banded LU.  On a narrow band each pivot
 # step costs more in call overhead than in arithmetic, and a narrower panel
 # makes the step cheaper.
 _PANEL = 16
@@ -159,28 +154,28 @@ def mat_pow_binary(m, s: int) -> np.ndarray:
     return result[0]
 
 
-def _eliminate_panel(panel, scale: float, first: int) -> np.ndarray:
+def _eliminate_panel(panel, rtol: float, scale: float, first: int, pivots) -> np.ndarray:
     """Gauss-Jordan elimination of a tall panel, in place, keeping B^-1.
 
     Column c takes its pivot from rows c onwards (the largest modulus in
     the column), is scaled to 1 in the pivot row and cleared in every other
     row.  Each cleared column is overwritten with the multipliers of its
     step, so that afterwards the top square of the panel holds B^-1, where
-    B is the top square of the panel as permuted by the swaps.  Returns the
-    row order of the swaps.  Raises SingularMatrixError when a pivot has
-    modulus below SINGULAR_RTOL times scale, naming panel column c as
-    column first + c + 1 of the whole matrix.
+    B is the top square of the panel as permuted by the swaps.  Writes each
+    pivot to pivots and returns the row order of the swaps.  Raises
+    SingularMatrixError at a pivot that is zero or below rtol times scale,
+    naming panel column c as column first + c + 1 of the whole matrix.
     """
     order = np.arange(panel.shape[0])
     for c in range(panel.shape[1]):
         factors = panel[:, c].copy()
         pivot_row = c + int(np.abs(factors[c:]).argmax())
-        pivot_value = factors[pivot_row]
+        pivot_value = pivots[c] = factors[pivot_row]
         pivot = abs(pivot_value)
-        if pivot < SINGULAR_RTOL * scale:
+        if pivot < rtol * scale or pivot == 0.0:
             raise SingularMatrixError(
                 f"singular matrix: pivot modulus {pivot:.3e} at column {first + c + 1} "
-                f"is below {SINGULAR_RTOL:g} of the matrix scale {scale:.3e}"
+                f"is below {rtol:g} of the matrix scale {scale:.3e}"
             )
         if pivot_row != c:
             line = panel[c].copy()
@@ -198,34 +193,24 @@ def _eliminate_panel(panel, scale: float, first: int) -> np.ndarray:
     return order
 
 
-def mat_inverse(m) -> np.ndarray:
-    """Inverse by blocked banded LU with partial pivoting on modulus.
+def _banded_lu(m, rtol: float):
+    """Forward sweep of a blocked banded LU with partial pivoting on modulus.
 
     The rows are first ordered by their first nonzero column (a stable
     sort), which makes an anti-tridiagonal matrix, or any row permutation
-    of a banded one, banded again; a dense input is simply the full band.
-    Elimination runs _PANEL columns at a time, as the banded LU of Golub
-    and Van Loan (Matrix Computations, 4.3) in block form.  A block's panel
-    holds its columns on the rows that reach them, those whose first
-    nonzero column lies left of the block's end: every later row is still
-    exactly zero there.  _eliminate_panel fixes the row order and gives B^-1
-    for the pivot rows B and -R B^-1 for the other rows R.  These block
-    transforms clear only the rows below the block, and only over the
-    columns that the panel's rows span, which partial pivoting widens to at
-    most p + q past the block for lower and upper bandwidths p and q.
-
-    The transforms also take the identity to Y = L^-1, where L U is the
-    row-ordered input.  Y is kept in column-replacement form: the block's
-    own columns of Y are the panel itself, and only its columns left of the
-    block need products.  Y then sits below and U above the block diagonal
-    of one array.  Back-substitution, last block first, gives X = U^-1 Y,
-    each block from the at most p + q rows of X right of it.  X is the
-    inverse of the row-ordered input, so its columns are permuted back.
-
-    Raises SingularMatrixError when the best available pivot has modulus
-    below SINGULAR_RTOL times the largest entry modulus of the input.  A
-    row left out of a panel is zero in the panel's columns, so each pivot is
-    chosen from the same candidates as in a dense elimination.
+    of a banded one, banded again; a dense input is the full band.  Each
+    block of _PANEL columns is eliminated on the rows that reach it, those
+    whose first nonzero column lies left of the block's end: later rows are
+    still zero there, so each pivot has the candidates of a dense LU.
+    _eliminate_panel gives B^-1 for the pivot rows B and -R B^-1 for the
+    other rows R.  These transforms clear the rows below the block over the
+    columns that the panel's rows span, at most p + q past the block for
+    lower and upper bandwidths p and q, and take the identity to Y = L^-1,
+    where L U = m[rows].  Y sits below and U above the block diagonal of
+    work, the block's own columns of Y being the panel itself.  Returns
+    (work, rows, rights, pivots), rights[k] being one past the last column
+    that block k's rows span.  Raises SingularMatrixError for the zero
+    matrix and at a pivot that is zero or below rtol times max |m|.
     """
     m = _as_square(m)
     n = m.shape[0]
@@ -239,7 +224,7 @@ def mat_inverse(m) -> np.ndarray:
     first = first[rows]
     # Rows up to r span no column at or past reach[r], even after fill-in.
     reach = np.maximum.accumulate(stop[rows])
-    rights = []
+    rights, pivots = [], np.empty(n, dtype=np.complex128)
     for start in range(0, n, _PANEL):
         block_end = min(start + _PANEL, n)
         # Later rows start right of the block and are zero in its columns;
@@ -248,7 +233,7 @@ def mat_inverse(m) -> np.ndarray:
         right = max(int(reach[end - 1]), block_end)
         rights.append(right)
         panel = work[start:end, start:block_end].copy()
-        order = _eliminate_panel(panel, scale, start)
+        order = _eliminate_panel(panel, rtol, scale, start, pivots[start:block_end])
         work[start:end, :right] = work[start:end, :right][order]
         rows[start:end] = rows[start:end][order]
         inv_b, neg_r_inv_b = panel[:block_end - start], panel[block_end - start:]
@@ -257,6 +242,20 @@ def mat_inverse(m) -> np.ndarray:
             work[block_end:end, cols] += neg_r_inv_b @ pivot_rows
             work[start:block_end, cols] = inv_b @ pivot_rows
         work[start:end, start:block_end] = panel
+    return work, rows, rights, pivots
+
+
+def mat_inverse(m) -> np.ndarray:
+    """Inverse by blocked banded LU with partial pivoting on modulus.
+
+    After the forward sweep of _banded_lu, back-substitution, last block
+    first, gives X = U^-1 Y, each block from the at most p + q rows of X
+    right of it.  X inverts the row-ordered input, so its columns are
+    permuted back.  Raises SingularMatrixError when the best pivot has
+    modulus below SINGULAR_RTOL times the largest entry modulus.
+    """
+    work, rows, rights, _ = _banded_lu(m, SINGULAR_RTOL)
+    n = work.shape[0]
     for start in reversed(range(0, n, _PANEL)):
         block_end = min(start + _PANEL, n)
         right = rights[start // _PANEL]
@@ -270,21 +269,21 @@ def mat_inverse(m) -> np.ndarray:
 
 
 def mat_det(m) -> complex:
-    """Determinant by LU elimination with partial pivoting on modulus."""
-    a = _as_square(m).copy()
-    n = a.shape[0]
-    det = 1.0 + 0.0j
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[pivot_row, col] == 0.0:
-            return 0.0 + 0.0j
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            det = -det
-        det *= a[col, col]
-        factors = a[col + 1 :, col] / a[col, col]
-        a[col + 1 :] -= np.outer(factors, a[col])
-    return complex(det)
+    """Determinant by the banded LU of mat_inverse, with a pivot floor of zero.
+
+    The product of the pivots times the sign of the row order; a zero pivot
+    gives exactly 0j, and a tiny one never raises SingularMatrixError.
+    """
+    try:
+        _, rows, _, pivots = _banded_lu(m, 0.0)
+    except SingularMatrixError:
+        return 0j
+    # Each swap that puts a row in its place flips the sign; n swaps at most.
+    order, sign = rows.tolist(), 1
+    for i in range(len(order)):
+        while (j := order[i]) != i:
+            order[i], order[j], sign = order[j], j, -sign
+    return complex(sign * pivots.prod())
 
 
 def mat_norm_maxabs(m) -> float:

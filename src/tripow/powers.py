@@ -259,20 +259,25 @@ def _check_indices(n: int, i: int, j: int):
         raise ValueError(f"indices must satisfy 1 <= i, j <= {n}, got ({i}, {j})")
 
 
+def _fixed_by_band(s: int, i: int, j: int) -> bool:
+    """Whether entry (i, j) is complex(i == j): s = 0, or outside the band."""
+    return s == 0 or 0 < s < abs(i - j)
+
+
 def power_entry_a(data: SpectralData, s: int, i: int, j: int) -> complex:
     """Entry (i, j) of the s-th power of a family-"a" matrix; i, j are 1-based.
 
     Reads h[|i-j|] + h[i+j-2] from the power's generator; the first column
-    and the last row (i = n) each carry a factor 1/2.  For s >= 0 an entry
-    outside the band |i-j| <= s is exactly 0j.
+    and the last row (i = n) each carry a factor 1/2.  s = 0 gives the exact
+    identity, and for s > 0 an entry outside the band |i-j| <= s is 0j.
     """
     if data.spec.family != FAMILY_A:
         raise ValueError(f"expected family 'a' data, got {data.spec.family!r}")
     n = data.spec.n
     _check_indices(n, i, j)
     h = _generator(data.spec, data.eigenvalues, s)
-    if 0 <= s < abs(i - j):
-        return 0j
+    if _fixed_by_band(s, i, j):
+        return complex(i == j)
     value = h[abs(i - j)] + h[i + j - 2]
     if j == 1:
         value *= 0.5
@@ -285,16 +290,16 @@ def power_entry_adagger(data: SpectralData, s: int, i: int, j: int) -> complex:
     """Entry (i, j) of the s-th power of an "adagger" matrix; i, j are 1-based.
 
     Reads sign_r(i-1) * sign_r(j-1) * (h[|i-j|] - h[i+j]) from the power's
-    generator.  For s >= 0 an entry outside the band |i-j| <= s is exactly
-    0j.
+    generator.  s = 0 gives the exact identity, and for s > 0 an entry
+    outside the band |i-j| <= s is 0j.
     """
     if data.spec.family == FAMILY_A:
         raise ValueError("expected family 'adagger' or 'anti' data, got 'a'")
     n = data.spec.n
     _check_indices(n, i, j)
     h = _generator(data.spec, data.eigenvalues, s)
-    if 0 <= s < abs(i - j):
-        return 0j
+    if _fixed_by_band(s, i, j):
+        return complex(i == j)
     return complex(sign_r(i - 1) * sign_r(j - 1) * (h[abs(i - j)] - h[i + j]))
 
 
@@ -303,8 +308,8 @@ def power_entry_anti(data: SpectralData, s: int, i: int, j: int) -> complex:
 
     Even s coincides with the tridiagonal counterpart; odd s flips the row
     index through the exchange, which moves the band |i-j| <= s to
-    |n+1-i-j| <= s.  For s >= 0 an entry outside the band is exactly 0j.
-    Only even n is supported.
+    |n+1-i-j| <= s.  s = 0 gives the exact identity, and for s > 0 an entry
+    outside the band is 0j.  Only even n is supported.
     """
     n = data.spec.n
     if n % 2 != 0:
@@ -435,7 +440,7 @@ def power_matrix(spec: FamilySpec, s: int) -> PowerResult:
     s must be an integer (TypeError otherwise).  The power is built from
     its generator in O(n**2) with no matrix product.  s = 0 gives the exact
     identity; for 0 < s < n - 1 only the band |i-j| <= s (rows flipped for
-    odd anti powers) is computed and every other entry is +0.0.  For s != 0
+    odd anti powers) is computed and every other entry is +0.0.  For every s
     the entries equal those of the power_entry functions.  Raises
     ClosureError when the generator weights fail their closure check,
     SingularMatrixError for a negative power of a zero eigenvalue, and

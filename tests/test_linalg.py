@@ -18,6 +18,7 @@ from tripow.linalg import (
     mat_norm_maxabs,
     mat_pow_binary,
 )
+from tripow.spectral import eigenvalues
 
 
 def random_matrix(rng, n, scale=2.0):
@@ -334,6 +335,38 @@ class TestMatDet:
             m = random_matrix(rng, n)
             expected = np.linalg.det(m)
             assert abs(mat_det(m) - expected) <= 1e-9 * (1 + abs(expected))
+
+    @pytest.mark.parametrize("a, b", [(0.6j, 0.4), (0.3 + 0.1j, -0.5 + 0.7j)])
+    def test_anti_is_the_row_reversed_twin(self, a, b):
+        # The row sort undoes the reversal, whose sign is (-1)**(n(n-1)/2).
+        for n in range(2, 35, 2):
+            anti = mat_det(build_matrix(FamilySpec(FAMILY_ANTI, n, a, b)))
+            twin = mat_det(build_matrix(FamilySpec(FAMILY_ADAGGER, n, a, b)))
+            assert anti != 0 and anti == (-1) ** (n * (n - 1) // 2) * twin, n
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 33, 130])
+    @pytest.mark.parametrize("family", [FAMILY_A, FAMILY_ADAGGER])
+    def test_equals_the_product_of_the_closed_form_eigenvalues(self, family, n):
+        for a, b in ((0.6j, 0.4), (1.0 + 0.5j, 0.3 - 0.2j)):
+            # Unit spectral radius, and no eigenvalue below 0.3 of it.
+            radius = np.abs(eigenvalues(FamilySpec(family, n, a, b))).max()
+            spec = FamilySpec(family, n, a / radius, b / radius)
+            lam = eigenvalues(spec)
+            assert np.abs(lam).min() >= 0.3 * np.abs(lam).max()
+            expected = np.prod(lam)
+            assert abs(mat_det(build_matrix(spec)) - expected) <= 1e-12 * abs(expected)
+
+    def test_singular_column_past_the_first_panel(self):
+        n, bad = 2 * _BLOCK + 1, _BLOCK + 13
+        m = _band(np.random.default_rng(46), n, 1, 1)
+        m[:, bad] = 0.0
+        det = mat_det(m)
+        assert det == 0 and isinstance(det, complex)
+        # A pivot that mat_inverse refuses is still used.
+        rng = np.random.default_rng(46)
+        m = random_matrix(rng, n)
+        m[:, bad] = m[:, :bad] @ rng.uniform(-1, 1, bad)
+        assert np.isfinite(mat_det(m))
 
 
 class TestNormAndCompare:

@@ -198,7 +198,7 @@ class TestEntryFormulas:
         }[family]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ExtendedDomainWarning)
-            for s in (*range(1, n + 2), -2):
+            for s in (*range(0, n + 2), -2):
                 got = np.array(
                     [[entry(data, s, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
                 )
