@@ -6,9 +6,10 @@ fib (Fibonacci polynomial identities), bench (timing table in CSV).
 
 Complex parameters use the literal grammar <re><sign><im>i with no
 whitespace, e.g. 1+0i, -2.5+0.5i, 0+1i.  All data goes to stdout and all
-diagnostics to stderr.  Exit codes: 0 success, 1 verification, singularity
-or overflow failure, 2 usage or parse error, 141 (128 + SIGPIPE) when stdout
-is closed before the output is written, with no traceback.
+diagnostics to stderr, warnings as one "warning: <message>" line each.
+Exit codes: 0 success, 1 verification, singularity or overflow failure, 2
+usage or parse error, 141 (128 + SIGPIPE) when stdout is closed before the
+output is written, with no traceback.
 """
 
 import argparse
@@ -18,6 +19,7 @@ import os
 import re
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -63,8 +65,29 @@ def _parse_int_list(text: str) -> list[int]:
     return values
 
 
-def _complex_json(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
+def _json_value(value):
+    """A complex value as {"re", "im"}; any other value as it is."""
+    return {"re": value.real, "im": value.imag} if isinstance(value, complex) else value
+
+
+def _cell(value) -> str:
+    """One CSV cell: a bool in lower case, a complex value by format_complex,
+    a float by repr (numpy scalars as the Python values), anything else by str.
+    """
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, complex):
+        return format_complex(complex(value))
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def _write_csv(out, header, rows):
+    """The header row, then every row of rows as it comes, each value a _cell."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(value) for value in row] for row in rows)
 
 
 def _entry_texts(matrix, re_text, im_text) -> list[list[str]]:
@@ -121,9 +144,7 @@ def _emit_power(result, fmt, out):
         return
     cells = _complex_cells(result.matrix)
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([f"c{j + 1}" for j in range(result.spec.n)])
-        writer.writerows(cells)
+        _write_csv(out, [f"c{j + 1}" for j in range(result.spec.n)], cells)
     else:
         print(
             f"family={result.spec.family} n={result.spec.n} s={result.exponent} "
@@ -157,16 +178,13 @@ def cmd_eigen(args, out) -> int:
         payload = {
             "family": spec.family,
             "n": spec.n,
-            "eigenvalues": [_complex_json(complex(v)) for v in values],
+            "eigenvalues": [_json_value(complex(v)) for v in values],
             "nodes": [float(v) for v in nodes],
         }
         text = _json_with_matrix(payload, "vectors", vectors) if args.vectors else json.dumps(payload)
         print(text, file=out)
     elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["k", "eigenvalue", "node"])
-        for k in range(spec.n):
-            writer.writerow([k + 1, format_complex(complex(values[k])), repr(float(nodes[k]))])
+        _write_csv(out, ["k", "eigenvalue", "node"], zip(range(1, spec.n + 1), values, nodes))
     else:
         cells = _complex_cells(vectors) if args.vectors else None
         print(f"family={spec.family} n={spec.n} a={format_complex(spec.a)} b={format_complex(spec.b)}", file=out)
@@ -256,29 +274,12 @@ def _emit_verify(rows, fmt, out):
         payload = {
             "pass": ok,
             "max_residual": max_residual,
-            "cases": [
-                {**row, "a": _complex_json(row["a"]), "b": _complex_json(row["b"])}
-                for row in rows
-            ],
+            "cases": [{key: _json_value(value) for key, value in row.items()} for row in rows],
         }
         print(json.dumps(payload), file=out)
     elif fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["check", "family", "n", "a", "b", "s", "residual", "tol", "pass"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["check"],
-                    row["family"],
-                    row["n"],
-                    format_complex(row["a"]),
-                    format_complex(row["b"]),
-                    row["s"],
-                    repr(row["residual"]),
-                    repr(row["tol"]),
-                    str(row["pass"]).lower(),
-                ]
-            )
+        header = ["check", "family", "n", "a", "b", "s", "residual", "tol", "pass"]
+        _write_csv(out, header, ([row[key] for key in header] for row in rows))
     else:
         for row in rows:
             status = "ok" if row["pass"] else "FAIL"
@@ -322,39 +323,28 @@ def cmd_fib(args, out) -> int:
     by_recurrence = fib_poly_eval(args.n - 1, args.x)
     by_factorization = fib_factor_eval(args.n, args.x)
     det_lhs, det_rhs = fib_det_check(args.n, args.x)
-    factor_residual = abs(by_factorization - by_recurrence)
-    det_residual = abs(det_lhs - det_rhs)
+    fields = {
+        "n": args.n,
+        "x": args.x,
+        "recurrence": by_recurrence,
+        "factorization": by_factorization,
+        "det_lhs": det_lhs,
+        "det_rhs": det_rhs,
+        "factorization_residual": abs(by_factorization - by_recurrence),
+        "determinant_residual": abs(det_lhs - det_rhs),
+    }
     if args.format == "json":
-        payload = {
-            "n": args.n,
-            "x": _complex_json(args.x),
-            "recurrence": _complex_json(by_recurrence),
-            "factorization": _complex_json(by_factorization),
-            "det_lhs": _complex_json(det_lhs),
-            "det_rhs": _complex_json(det_rhs),
-            "factorization_residual": factor_residual,
-            "determinant_residual": det_residual,
-        }
-        print(json.dumps(payload), file=out)
+        print(json.dumps({key: _json_value(value) for key, value in fields.items()}), file=out)
     elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["n", "x", "recurrence", "factorization", "det_lhs", "det_rhs",
-             "factorization_residual", "determinant_residual"]
-        )
-        writer.writerow(
-            [args.n, format_complex(args.x), format_complex(by_recurrence),
-             format_complex(by_factorization), format_complex(det_lhs),
-             format_complex(det_rhs), repr(factor_residual), repr(det_residual)]
-        )
+        _write_csv(out, list(fields), [fields.values()])
     else:
         print(f"n={args.n} x={format_complex(args.x)}", file=out)
         print(f"  value by recurrence:    {format_complex(by_recurrence)}", file=out)
         print(f"  value by factorization: {format_complex(by_factorization)}  "
-              f"(residual {factor_residual:.3e})", file=out)
+              f"(residual {fields['factorization_residual']:.3e})", file=out)
         print(f"  determinant:            {format_complex(det_lhs)}", file=out)
         print(f"  identity right side:    {format_complex(det_rhs)}  "
-              f"(residual {det_residual:.3e})", file=out)
+              f"(residual {fields['determinant_residual']:.3e})", file=out)
     return 0
 
 
@@ -373,10 +363,9 @@ def _bench_spec(rng, family, n):
     return FamilySpec(family, n, a / radius, b / radius)
 
 
-def cmd_bench(args, out) -> int:
+def _bench_rows(args):
+    """The bench rows, each yielded as soon as it is timed."""
     rng = np.random.default_rng(args.seed)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(BENCH_HEADER)
     for n in args.n:
         spec = _bench_spec(rng, args.family, n)
         matrix = build_matrix(spec)
@@ -388,8 +377,12 @@ def cmd_bench(args, out) -> int:
             oracle = oracle_power(matrix, s)
             t_oracle = time.perf_counter_ns() - t0
             residual = mat_norm_maxabs(closed - oracle)
-            writer.writerow([spec.family, n, s, "closed_form", t_closed, repr(residual)])
-            writer.writerow([spec.family, n, s, "binary_pow", t_oracle, repr(0.0)])
+            yield [spec.family, n, s, "closed_form", t_closed, residual]
+            yield [spec.family, n, s, "binary_pow", t_oracle, 0.0]
+
+
+def cmd_bench(args, out) -> int:
+    _write_csv(out, BENCH_HEADER, _bench_rows(args))
     return 0
 
 
@@ -449,6 +442,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Warnings are shown as one "warning:" line, like errors: the first frame
+    # outside tripow, which a warning names, is runpy's under `python -m`.
+    # Callers that record warnings still get the location.
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         code = args.func(args, sys.stdout)
         sys.stdout.flush()
@@ -465,6 +463,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

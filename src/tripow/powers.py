@@ -18,12 +18,14 @@ second-kind product).  On the angle grid pi*q/L the weights are all 1/L
 (the end weights of "a" doubled), so h is half the DCT-I of lambda**s / L,
 one FFT (spectral.power_generator).  A full power is therefore a Toeplitz
 view plus or minus a Hankel view of h with fixed edge factors: O(n**2) with
-no matrix product, and every single entry is O(n log n).  Each entry is
-written once.
-sign_r has period 4, so on the rows i = r (mod 4) the factor
-sign_r(i) * sign_r(j) is a period-4 sign of the index into h; it folds
-into four signed copies of h, and those rows are one subtraction of two
-window views.  The anti family splits on the parity of s: even powers
+no matrix product, and every single entry is O(n log n).
+
+One row writer builds every power, full or band alone (below), and writes
+each entry once.  sign_r has period 4, so on the rows i = r (mod 4) the
+factor sign_r(i) * sign_r(j) is a period-4 sign of the index into h; it
+folds into four signed copies of h, and those rows are one subtraction of
+two window views.  Family "a" is the unsigned case: one copy, one
+addition.  The anti family splits on the parity of s: even powers
 coincide with the tridiagonal counterpart, odd powers are its exchange
 flip, written as the same rows in reverse order.
 
@@ -73,7 +75,7 @@ from .linalg import (
     mat_norm_maxabs,
     mat_pow_binary,
 )
-from .spectral import _SIGN4, SpectralData, eigenvalues, power_generator, sign_r
+from .spectral import _SIGN4, SpectralData, eigenvalues, power_generator
 
 __all__ = [
     "ExtendedDomainWarning",
@@ -290,8 +292,11 @@ def power_entry_adagger(data: SpectralData, s: int, i: int, j: int) -> complex:
     """Entry (i, j) of the s-th power of an "adagger" matrix; i, j are 1-based.
 
     Reads sign_r(i-1) * sign_r(j-1) * (h[|i-j|] - h[i+j]) from the power's
-    generator.  s = 0 gives the exact identity, and for s > 0 an entry
-    outside the band |i-j| <= s is 0j.
+    generator with the arithmetic of power_matrix: both samples times the
+    column sign, and the row sign as the order of the subtraction, so the
+    entry equals the matrix's bit for bit, zero signs included.  s = 0
+    gives the exact identity, and for s > 0 an entry outside the band
+    |i-j| <= s is 0j.
     """
     if data.spec.family == FAMILY_A:
         raise ValueError("expected family 'adagger' or 'anti' data, got 'a'")
@@ -300,7 +305,10 @@ def power_entry_adagger(data: SpectralData, s: int, i: int, j: int) -> complex:
     h = _generator(data.spec, data.eigenvalues, s)
     if _fixed_by_band(s, i, j):
         return complex(i == j)
-    return complex(sign_r(i - 1) * sign_r(j - 1) * (h[abs(i - j)] - h[i + j]))
+    toeplitz, hankel = h[[abs(i - j), i + j]] * _SIGN4[(j - 1) % 4]
+    if _SIGN4[(i - 1) % 4] < 0:
+        toeplitz, hankel = hankel, toeplitz
+    return complex(toeplitz - hankel)
 
 
 def power_entry_anti(data: SpectralData, s: int, i: int, j: int) -> complex:
@@ -324,114 +332,104 @@ def _assemble(spec: FamilySpec, h: np.ndarray, s: int) -> np.ndarray:
     """The s-th power from its generator h, as Toeplitz -+ Hankel views of h.
 
     Family "a" is Toeplitz h[|i-j|] plus Hankel h[i+j] with the first column
-    and the last row halved.  "adagger" is sign_r(i) * sign_r(j) * (Toeplitz
-    h[|i-j|] minus Hankel h[i+j+2]), and each entry is written once.  On the
-    rows with i = r (mod 4) sign_r(i) is fixed, and sign_r(j) is a period-4
-    sign of the Toeplitz index P - i + j and of the Hankel index i + j + 2;
-    so the signs fold into four copies of h, one per shift of that period-4
-    sign, and the rows of each residue r are one subtraction of two window
-    views.  The anti family writes the same rows in reverse order for odd s.
+    and the last row halved; "adagger" is sign_r(i) * sign_r(j) * (Toeplitz
+    h[|i-j|] minus Hankel h[i+j+2]).  _write_rows writes either into the
+    rows it is given: the matrix, its row-reversed view for odd anti
+    powers, or a band view.
 
     For 0 <= s < n - 1 the power has bandwidth s (after the row flip for
-    odd anti powers): only the band |i - j| <= s is computed, by the same
-    arithmetic on the same signed copies, and every other entry is an exact
-    +0.0.
+    odd anti powers) and every entry outside the band is an exact +0.0.
+    While 2s + 2 <= n only the band is written: entry (i, i - s + k) is
+    band[i, k], rows of width 2s + 1 at a flat stride of n + 1 entries, or
+    -(n - 1) when flipped, in an output padded by s entries at each end, so
+    the rows do not overlap.  The band positions whose column falls outside
+    [0, n) land on the padding or outside the band of a neighbouring row
+    and are cleared afterwards.  For larger bands the full power is written
+    and the two triangles outside the band are cleared, a row slice each.
     """
     n = spec.n
+    period = h.size - 1
     flip = spec.family == FAMILY_ANTI and s % 2 == 1
-    if not 0 <= s < n - 1:
-        return _assemble_full(spec, h, flip)
-    if 2 * s + 2 > n:
-        # The band rows would overlap in the flat output: assemble in full
-        # and clear the two triangles outside the band, a row slice each.
-        matrix = _assemble_full(spec, h, flip)
+    reach = s if 0 <= s < n - 1 else n - 1
+    if 0 <= s and 2 * s + 2 <= n:
+        width = 2 * s + 1
+        flat = np.zeros(n * n + 2 * s, dtype=np.complex128)
+        starts = sliding_window_view(flat, width, writeable=True)
+        band = starts[(n - 1) * n::1 - n][:n] if flip else starts[::n + 1]
+        matrix = flat[s:s + n * n].reshape(n, n)
+        # Row i reads the Toeplitz index P - s + k on every row, and the
+        # Hankel index 2i - s + k (plus the family's shift).
+        _write_rows(spec.family, h, band, (period - s, 0), (-s, 2))
+        corner = np.tri(s, width, dtype=bool)[::-1]
+        band[:s][corner] = 0
+        band[n - s:][corner[::-1, ::-1]] = 0
+    else:
+        matrix = np.empty((n, n), dtype=np.complex128)
         rows = matrix[::-1] if flip else matrix
-        for i in range(n - 1 - s):
+        # h is even with period P, so h[|i-j|] = h[P - i + j].
+        _write_rows(spec.family, h, rows, (period, -1), (0, 1))
+        # A band too wide to write alone (2s + 2 > n, s < n - 1): clear the
+        # two triangles outside it.  No rows for s < 0 or s >= n - 1.
+        for i in range(n - 1 - reach):
             rows[i, i + s + 1:] = 0
             rows[n - 1 - i, :n - 1 - i - s] = 0
-        return matrix
-    return _assemble_band(spec, h, s, flip)
-
-
-def _signed_copies(extended: np.ndarray, first: int) -> np.ndarray:
-    """Four copies of extended, copy k times _SIGN4[(m + k) % 4] at index m.
-
-    extended[0] holds index m = first of the generator.
-    """
-    shifts = np.arange(4)[:, None] + np.arange(first, first + extended.size)
-    return extended * _SIGN4[shifts % 4]
-
-
-def _assemble_full(spec: FamilySpec, h: np.ndarray, flip: bool) -> np.ndarray:
-    """Every entry of the power, with the rows reversed when flip is set."""
-    n = spec.n
-    # h is even with period P = h.size - 1, so h[|i-j|] = h[P - i + j]: both
-    # views are row ranges of one window view of h extended by n - 1 samples.
-    period = h.size - 1
-    extended = np.concatenate((h, h[1:n]))
     if spec.family == FAMILY_A:
-        window = sliding_window_view(extended, n)
-        matrix = window[period - n + 1:period + 1][::-1] + window[:n]
-        matrix[:, 0] *= 0.5
-        matrix[-1] *= 0.5
-        return matrix
-    matrix = np.empty((n, n), dtype=np.complex128)
-    rows = matrix[::-1] if flip else matrix
-    # Copy k is extended[m] * _SIGN4[(m + k) % 4].  On row i = r (mod 4),
-    # j = t - P + r (mod 4) at Toeplitz index t and j = u - 2 - r at Hankel
-    # index u, which picks the copy for each view.
-    windows = sliding_window_view(_signed_copies(extended, 0), n, axis=1)
-    for r in range(min(n, 4)):
-        count = (n - r + 3) // 4
-        toeplitz = windows[(r - period) % 4][period - r::-4][:count]
-        hankel = windows[(-2 - r) % 4][r + 2::4][:count]
+        matrix[:reach + 1, 0] *= 0.5
+        matrix[-1, n - 1 - reach:] *= 0.5
+    return matrix
+
+
+def _write_rows(family: str, h: np.ndarray, rows: np.ndarray, toeplitz, hankel):
+    """Write Toeplitz -+ Hankel windows of h into rows, with the family's signs.
+
+    toeplitz and hankel are (start, step) pairs: on row i the operand is the
+    window of rows.shape[1] samples of h from index start + step * i, plus
+    the family's Hankel shift for hankel.  A window index -m reads h[m], and
+    P + m reads h[m] (P = h.size - 1).
+
+    Family "a" adds the two windows unsigned, with Hankel shift 0.
+    "adagger" subtracts them with shift 2 and the period-4 signs: on the
+    rows with i = r (mod 4) sign_r(i) is fixed, and sign_r(j) is a period-4
+    sign of the Toeplitz index P - i + j and of the Hankel index i + j + 2,
+    so the rows of each residue r are one subtraction of two window views
+    of four signed copies of h.
+    """
+    n, width = rows.shape
+    period = h.size - 1
+    # extended[pad + m] is h[m] for m from -pad (no window starts lower) to P + n - 1.
+    pad = max(0, -hankel[0])
+    extended = np.concatenate((h[pad:0:-1], h, h[1:n]))
+    if family == FAMILY_A:
+        cycle, shift, combine, copies = 1, 0, np.add, extended[None]
+    else:
+        # Copy k is h[m] * _SIGN4[(m + k) % 4] at index m.
+        cycle, shift, combine = 4, 2, np.subtract
+        m = np.arange(-pad, extended.size - pad)
+        copies = extended * _SIGN4[(np.arange(4)[:, None] + m) % 4]
+    windows = sliding_window_view(copies, width, axis=1)
+    # Window positions count from extended[0], which holds index -pad.
+    toeplitz = (pad + toeplitz[0], toeplitz[1])
+    hankel = (pad + shift + hankel[0], hankel[1])
+    # On row i = r (mod cycle), j = t - P + r at Toeplitz index t and
+    # j = u - shift - r at Hankel index u, which picks the copy of each.
+    for r in range(min(n, cycle)):
+        count = (n - r + cycle - 1) // cycle
+        t = _window_rows(windows[(r - period) % cycle], *toeplitz, r, cycle, count)
+        u = _window_rows(windows[(-shift - r) % cycle], *hankel, r, cycle, count)
         if _SIGN4[r] < 0:
             # sign_r(i) = -1: subtract the other way round, which is exact.
-            toeplitz, hankel = hankel, toeplitz
-        np.subtract(toeplitz, hankel, out=rows[r::4])
-    return matrix
+            t, u = u, t
+        combine(t, u, out=rows[r::cycle])
 
 
-def _assemble_band(spec: FamilySpec, h: np.ndarray, s: int, flip: bool) -> np.ndarray:
-    """The band |i - j| <= s of the power, in an output of exact zeros.
+def _window_rows(windows: np.ndarray, start: int, step: int, r: int, cycle: int, count: int):
+    """The windows that rows r, r + cycle, ... of an operand read.
 
-    Needs 2s + 2 <= n.  Entry (i, i - s + k) is band[i, k]: rows of width
-    2s + 1 at a flat stride of n + 1 entries, or -(n - 1) when the rows are
-    flipped, in an output padded by s entries at each end.  The rows do not
-    overlap, and the band positions whose column falls outside [0, n) land
-    on the padding or outside the band of a neighbouring row; they are
-    cleared after the band is written.
+    count rows, cycle steps apart, or one row that broadcasts when the
+    operand does not move (step 0).
     """
-    n, width = spec.n, 2 * s + 1
-    period = h.size - 1
-    flat = np.zeros(n * n + 2 * s, dtype=np.complex128)
-    starts = sliding_window_view(flat, width, writeable=True)
-    band = starts[(n - 1) * n::1 - n][:n] if flip else starts[::n + 1]
-    matrix = flat[s:s + n * n].reshape(n, n)
-    # extended[s + m] is h[m] for m from -s to P + n - 1 (h is even with
-    # period P).  On every row the Toeplitz index is P - s + k, and the
-    # Hankel index 2i - s + k (plus 2 for "adagger") moves by 2 a row.
-    extended = np.concatenate((h[s:0:-1], h, h[1:n]))
-    if spec.family == FAMILY_A:
-        windows = sliding_window_view(extended, width)
-        np.add(extended[period:period + width], windows[::2][:n], out=band)
-    else:
-        copies = _signed_copies(extended, -s)
-        windows = sliding_window_view(copies, width, axis=1)
-        for r in range(min(n, 4)):
-            count = (n - r + 3) // 4
-            toeplitz = copies[(r - period) % 4, period:period + width]
-            hankel = windows[(-2 - r) % 4][2 * r + 2::8][:count]
-            if _SIGN4[r] < 0:
-                toeplitz, hankel = hankel, toeplitz
-            np.subtract(toeplitz, hankel, out=band[r::4])
-    corner = np.tri(s, width, dtype=bool)[::-1]
-    band[:s][corner] = 0
-    band[n - s:][corner[::-1, ::-1]] = 0
-    if spec.family == FAMILY_A:
-        matrix[:s + 1, 0] *= 0.5
-        matrix[-1, n - 1 - s:] *= 0.5
-    return matrix
+    first = start + step * r
+    return windows[first::step * cycle][:count] if step else windows[first:first + 1]
 
 
 def power_matrix(spec: FamilySpec, s: int) -> PowerResult:

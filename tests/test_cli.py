@@ -561,3 +561,15 @@ def test_closed_stdout_exits_141_without_traceback():
         proc.kill()
         proc.wait()
     assert err == b""
+
+
+def test_warnings_print_one_line_each_without_a_location():
+    # The suite draws negative powers at odd n, which warn.  Under -m the
+    # first frame outside tripow is runpy's, so no location is printed.
+    command, env = module_command("verify", "--suite", "--seed", "0")
+    proc = subprocess.run(command, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert lines
+    assert all(line.startswith("warning: negative exponent") for line in lines), lines
+    assert not any("runpy" in line for line in lines)

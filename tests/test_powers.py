@@ -80,16 +80,23 @@ def unit_radius_spec(rng, family, n, min_ratio=0.3):
 
 
 def three_pass_assemble(spec, h, s):
-    """The "adagger"/"anti" power from h in three passes: the reference.
+    """The power from h in three passes: the reference.
 
-    Subtracts the Hankel view from the Toeplitz view, then multiplies by
-    the row signs and by the column signs, flipping the rows for odd anti
-    powers; the library writes each entry once instead.
+    Family "a" adds the Hankel view h[i+j] to the Toeplitz view, then
+    halves the first column and then the last row.  "adagger"/"anti"
+    subtract the Hankel view h[i+j+2] from the Toeplitz view, then multiply
+    by the row signs and by the column signs, flipping the rows for odd
+    anti powers; the library writes each entry once instead.
     """
     n = spec.n
     period = h.size - 1
     window = sliding_window_view(np.concatenate((h, h[1:n])), n)
     toeplitz = window[period - n + 1:period + 1][::-1]
+    if spec.family == FAMILY_A:
+        matrix = toeplitz + window[:n]
+        matrix[:, 0] *= 0.5
+        matrix[-1] *= 0.5
+        return matrix
     hankel = window[2:n + 2]
     signs = row_signs = np.array([sign_r(i) for i in range(n)], dtype=float)
     if spec.family == FAMILY_ANTI and s % 2 == 1:
@@ -202,7 +209,9 @@ class TestEntryFormulas:
                 got = np.array(
                     [[entry(data, s, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
                 )
-                assert np.array_equal(got, power_matrix(spec, s).matrix), s
+                # Bit for bit, so the signs of zeros count too.
+                want = power_matrix(spec, s).matrix
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), s
                 assert np.all(got[outside_band(family, n, s)] == 0), s
 
     def test_adagger_known_corner_entry(self):
@@ -428,18 +437,19 @@ class TestAssembly:
         "family,n",
         [
             (family, n)
-            for family in (FAMILY_ADAGGER, FAMILY_ANTI)
+            for family in (FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI)
             for n in (*range(1, 18), 64, 1024)
-            if not (family == FAMILY_ANTI and n % 2)
+            if not (family == FAMILY_ANTI and n % 2) and not (family == FAMILY_A and n < 2)
         ],
     )
     def test_single_pass_matches_three_pass_reference(self, family, n):
-        # Any h of the generator's length 2n + 3 will do, and a random one
-        # has no symmetry to hide a misplaced index or sign.  It is no
-        # power's generator, so where _assemble keeps only the band
-        # (0 <= s < n - 1) the reference is cut to the band too.
+        # Any h of the generator's length (2n - 1 for "a", 2n + 3 otherwise)
+        # will do, and a random one has no symmetry to hide a misplaced index
+        # or sign.  It is no power's generator, so where _assemble keeps only
+        # the band (0 <= s < n - 1) the reference is cut to the band too.
         rng = np.random.default_rng(n)
-        h = rng.standard_normal(2 * n + 3) + 1j * rng.standard_normal(2 * n + 3)
+        size = 2 * n - 1 if family == FAMILY_A else 2 * n + 3
+        h = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         spec = FamilySpec(family, n, 1.0, 1.0)
         for s in (1, 2, 3, 8, -3, 4096, n - 3, n - 2):
             reference = three_pass_assemble(spec, h, s)
