@@ -23,7 +23,15 @@ import warnings
 
 import numpy as np
 
-from .families import FAMILIES, FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI, FamilySpec, build_matrix
+from .families import (
+    FAMILIES,
+    FAMILY_A,
+    FAMILY_ADAGGER,
+    FAMILY_ANTI,
+    FamilySpec,
+    build_exchange,
+    build_matrix,
+)
 from .fibpoly import fib_det_check, fib_factor_eval, fib_poly_eval
 from .linalg import SingularMatrixError, mat_norm_maxabs
 from .powers import PowerOverflowError, VerificationError, oracle_power, power_matrix, power_verify
@@ -251,7 +259,7 @@ def _suite_rows(seed, tol):
     for n in range(2, 13, 2):
         spec = _draw_spec(rng, FAMILY_ANTI, n)
         twin = build_matrix(FamilySpec(FAMILY_ADAGGER, n, spec.a, spec.b))
-        exchange = np.eye(n)[::-1]
+        exchange = build_exchange(n)
         residual = mat_norm_maxabs(exchange @ twin - twin @ exchange)
         rows.append(_row("commute", spec, 0, 0.0, residual, residual == 0.0))
     for n in range(3, 9):

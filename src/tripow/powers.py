@@ -31,9 +31,11 @@ flip, written as the same rows in reverse order.
 
 For 0 <= s < n - 1 the s-th power of a tridiagonal matrix has bandwidth s,
 and so has an odd anti power once its rows are flipped back.  Only those
-2s + 1 diagonals are computed, with the same arithmetic and bits as the
-full assembly, and every entry outside them is an exact +0.0 rather than
-the FFT's rounding noise; the power_entry functions return 0j there too.
+2s + 1 diagonals are computed while 2s + 2 <= n, with the same arithmetic
+and bits as the full assembly.  Either way, one clearing step zeros two
+k x k corner triangles, so every entry outside the band is an exact +0.0
+rather than the FFT's rounding noise; the power_entry functions return 0j
+there too.
 
 h is exactly even: it equals h[::-1] bit for bit (see
 spectral.power_generator).  So the powers keep their symmetries exactly:
@@ -48,7 +50,9 @@ complex logarithm, so no branch-cut choices are involved.  When the plain
 eigenvalue powers overflow although the power itself fits, they are
 carried as mantissas times 2**E and h is scaled by 2**E after the FFT.  A
 power whose entries cannot be represented raises PowerOverflowError
-instead of returning inf or NaN.
+instead of returning inf or NaN, and so does one that underflows (its
+largest generator entry below the smallest normal float) instead of
+returning an all-zero matrix.
 """
 
 import math
@@ -114,7 +118,12 @@ class ExtendedDomainWarning(UserWarning):
 
 
 class PowerOverflowError(OverflowError):
-    """The requested power has entries too large for complex128."""
+    """The requested power has entries too large for complex128, or too small.
+
+    Too small means that the largest entry of its generator is below the
+    smallest normal float, so the power would come back as subnormals or
+    an all-zero matrix; the message says which bound was crossed.
+    """
 
 
 class VerificationError(ArithmeticError):
@@ -231,8 +240,11 @@ def _generator(spec: FamilySpec, lam: np.ndarray, s: int) -> np.ndarray:
     overflow are the powers recomputed as mantissas times 2**E, the FFT
     run on the mantissas, and h scaled by 2**E at the end; so every power
     that fits without scaling keeps its plain rounding bit for bit.  Raises
-    PowerOverflowError when h is not finite or so large that the sum of
-    two of its entries could overflow.
+    PowerOverflowError when h is not finite, so large that the sum of two
+    of its entries could overflow, or so small that its largest entry times
+    2**E is below the smallest normal float (sys.float_info.min): such a
+    power has lost its digits to subnormals or flushed to an all-zero
+    matrix.  The power of a zero spectrum is exactly zero and is served.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         base = _power_base(spec, lam, s)
@@ -243,12 +255,16 @@ def _generator(spec: FamilySpec, lam: np.ndarray, s: int) -> np.ndarray:
             h = power_generator(spec, mantissas)
         peak = float(np.abs(h).max())
         scaled_peak = float(np.ldexp(peak, exponent))
-    if not scaled_peak <= OVERFLOW_LIMIT:
+    # A zero power (every eigenvalue 0) is exact; any other below the
+    # normal range has flushed, in whole or in part, to zero.
+    underflow = scaled_peak < sys.float_info.min and lam.any()
+    if underflow or not scaled_peak <= OVERFLOW_LIMIT:
+        fault = "underflows below" if underflow else "is not finite or exceeds"
+        limit = sys.float_info.min if underflow else OVERFLOW_LIMIT
         raise PowerOverflowError(
             f"power s={s} is not representable for family={spec.family} "
             f"n={spec.n} a={spec.a} b={spec.b}: generator modulus "
-            f"{peak:.3e} * 2**{exponent} is not finite or exceeds "
-            f"{OVERFLOW_LIMIT:.3e}"
+            f"{peak:.3e} * 2**{exponent} {fault} {limit:.3e}"
         )
     if exponent:
         parts = h.view(np.float64)
@@ -339,40 +355,43 @@ def _assemble(spec: FamilySpec, h: np.ndarray, s: int) -> np.ndarray:
 
     For 0 <= s < n - 1 the power has bandwidth s (after the row flip for
     odd anti powers) and every entry outside the band is an exact +0.0.
-    While 2s + 2 <= n only the band is written: entry (i, i - s + k) is
-    band[i, k], rows of width 2s + 1 at a flat stride of n + 1 entries, or
+    While 2s + 2 <= n only the band is written: entry (i, i - s + c) is
+    band[i, c], rows of width 2s + 1 at a flat stride of n + 1 entries, or
     -(n - 1) when flipped, in an output padded by s entries at each end, so
-    the rows do not overlap.  The band positions whose column falls outside
-    [0, n) land on the padding or outside the band of a neighbouring row
-    and are cleared afterwards.  For larger bands the full power is written
-    and the two triangles outside the band are cleared, a row slice each.
+    the rows do not overlap.  For larger bands the full power is written.
+
+    Either way one step then clears what lies outside the band.  With
+    k = min(s + 1, n - 1 - s) (0 when there is no band), the rows i < k
+    are zeroed from column n - k + i on, and the last k rows mirror them:
+    two k x k corner triangles.  For the full power these are exactly the
+    entries outside the band.  For the band alone they hold every band
+    position whose column fell outside [0, n), which lands on the padding
+    or outside the band of a neighbouring row, and the rest of them is
+    already +0.0.
     """
     n = spec.n
     period = h.size - 1
     flip = spec.family == FAMILY_ANTI and s % 2 == 1
     reach = s if 0 <= s < n - 1 else n - 1
     if 0 <= s and 2 * s + 2 <= n:
-        width = 2 * s + 1
         flat = np.zeros(n * n + 2 * s, dtype=np.complex128)
-        starts = sliding_window_view(flat, width, writeable=True)
+        starts = sliding_window_view(flat, 2 * s + 1, writeable=True)
         band = starts[(n - 1) * n::1 - n][:n] if flip else starts[::n + 1]
         matrix = flat[s:s + n * n].reshape(n, n)
-        # Row i reads the Toeplitz index P - s + k on every row, and the
-        # Hankel index 2i - s + k (plus the family's shift).
+        # Row i reads the Toeplitz index P - s + c on every row, and the
+        # Hankel index 2i - s + c (plus the family's shift).
         _write_rows(spec.family, h, band, (period - s, 0), (-s, 2))
-        corner = np.tri(s, width, dtype=bool)[::-1]
-        band[:s][corner] = 0
-        band[n - s:][corner[::-1, ::-1]] = 0
     else:
         matrix = np.empty((n, n), dtype=np.complex128)
-        rows = matrix[::-1] if flip else matrix
         # h is even with period P, so h[|i-j|] = h[P - i + j].
-        _write_rows(spec.family, h, rows, (period, -1), (0, 1))
-        # A band too wide to write alone (2s + 2 > n, s < n - 1): clear the
-        # two triangles outside it.  No rows for s < 0 or s >= n - 1.
-        for i in range(n - 1 - reach):
-            rows[i, i + s + 1:] = 0
-            rows[n - 1 - i, :n - 1 - i - s] = 0
+        _write_rows(spec.family, h, matrix[::-1] if flip else matrix, (period, -1), (0, 1))
+    k = min(reach + 1, n - 1 - reach)
+    # With no band (k = 0) the step would cost only its calls' overhead.
+    if k:
+        rows = matrix[::-1] if flip else matrix
+        corner = np.tri(k, dtype=bool)
+        rows[:k, n - k:][corner.T] = 0
+        rows[n - k:, :k][corner] = 0
     if spec.family == FAMILY_A:
         matrix[:reach + 1, 0] *= 0.5
         matrix[-1, n - 1 - reach:] *= 0.5

@@ -28,9 +28,10 @@ from tripow.families import (
     build_matrix,
 )
 from tripow.fibpoly import fib_det_check, fib_factor_eval, fib_poly_eval
-from tripow.linalg import mat_identity, mat_inverse, mat_norm_maxabs, mat_pow_binary
+from tripow.linalg import mat_identity, mat_norm_maxabs
 from tripow.powers import (
     ExtendedDomainWarning,
+    oracle_power,
     power_entry_anti,
     power_matrix,
     power_verify,
@@ -42,8 +43,7 @@ from helpers import random_params
 
 def _oracle_scale(m, s):
     """max(1, max|O|) for the brute-force oracle O = m**s of power_verify."""
-    oracle = mat_pow_binary(m, s) if s >= 0 else mat_pow_binary(mat_inverse(m), -s)
-    return max(1.0, mat_norm_maxabs(oracle))
+    return max(1.0, mat_norm_maxabs(oracle_power(m, s)))
 
 
 def _report(number, label):

@@ -228,6 +228,29 @@ class TestPowerCommand:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ("--family", "a", "--n", "4", "--a", "0.01+0i", "--b", "0.001+0i", "--s", "400"),
+            ("--family", "adagger", "--n", "4", "--a", "1000+0i", "--b", "100+0i", "--s=-120"),
+        ],
+    )
+    def test_underflow_exits_one_with_empty_stdout(self, capsys, params):
+        code, out, err = run_cli(capsys, "power", *params)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "underflows below" in err
+        assert len(err.splitlines()) == 1
+
+    def test_smallest_power_above_the_underflow_is_printed(self, capsys):
+        code, out, err = run_cli(
+            capsys, "power", "--family", "a", "--n", "4", "--a", "0.01+0i",
+            "--b", "0.001+0i", "--s", "150", "--format", "csv",
+        )
+        assert code == 0
+        assert err == ""
+        assert "e-289" in out
+
     def test_bad_literal_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["power", "--family", "a", "--n", "3", "--a", "1+i", "--b", "1+0i", "--s", "2"])

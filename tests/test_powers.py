@@ -17,7 +17,6 @@ from tripow.families import (
 from tripow.linalg import (
     SingularMatrixError,
     mat_identity,
-    mat_inverse,
     mat_norm_maxabs,
     mat_pow_binary,
 )
@@ -37,7 +36,7 @@ from tripow.powers import (
 )
 from tripow.spectral import decompose, eigenvalues, eigenvalues_a, eigenvalues_adagger, sign_r
 
-from helpers import random_params
+from helpers import assert_positive_zeros_outside_band, outside_band, random_params
 
 
 def draw_invertible(rng, family, n, min_eig=0.35):
@@ -64,8 +63,7 @@ def int_pow(z: complex, s: int) -> complex:
 
 def dense_oracle(spec, s):
     """The brute-force power that power_verify compares with."""
-    m = build_matrix(spec)
-    return mat_pow_binary(m, s) if s >= 0 else mat_pow_binary(mat_inverse(m), -s)
+    return oracle_power(build_matrix(spec), s)
 
 
 def unit_radius_spec(rng, family, n, min_ratio=0.3):
@@ -105,25 +103,6 @@ def three_pass_assemble(spec, h, s):
     matrix *= row_signs[:, None]
     matrix *= signs
     return matrix
-
-
-def outside_band(family, n, s):
-    """Where the s-th power is zero by its bandwidth; nowhere for s < 0.
-
-    For s >= 0 that is |i - j| > s, with the rows flipped for odd anti
-    powers.
-    """
-    i, j = np.ogrid[:n, :n]
-    if family == FAMILY_ANTI and s % 2 == 1:
-        i = n - 1 - i
-    return np.broadcast_to((abs(i - j) > s) & (s >= 0), (n, n))
-
-
-def assert_positive_zeros_outside_band(matrix, family, s):
-    """Every entry outside the band is +0.0 in both parts, no signbit."""
-    outside = matrix[outside_band(family, matrix.shape[0], s)]
-    assert np.all(outside == 0), s
-    assert not np.signbit(outside.view(np.float64)).any(), s
 
 
 BAND_PARAMS = [
@@ -405,6 +384,36 @@ class TestPowerMatrix:
         with pytest.raises(PowerOverflowError):
             power_matrix(spec, s)
 
+    @pytest.mark.parametrize(
+        "spec,s",
+        [
+            # The eigenvalue powers flush to zero: an all-zero matrix.
+            (FamilySpec(FAMILY_A, 4, 0.01, 0.001), 400),
+            (FamilySpec(FAMILY_ADAGGER, 4, 1000.0, 100.0), -120),
+            # The largest entry, 1.56e-308, is subnormal.
+            (FamilySpec(FAMILY_A, 4, 0.01, 0.001), 160),
+        ],
+    )
+    def test_underflow_raises(self, spec, s):
+        with pytest.raises(PowerOverflowError, match="underflows below"):
+            power_matrix(spec, s)
+        entry = power_entry_a if spec.family == FAMILY_A else power_entry_adagger
+        with pytest.raises(PowerOverflowError, match="underflows below"):
+            entry(decompose(spec), s, 1, 1)
+
+    def test_smallest_powers_above_the_underflow_are_served(self):
+        spec = FamilySpec(FAMILY_A, 4, 0.01, 0.001)
+        got = power_matrix(spec, 150).matrix
+        oracle = oracle_power(build_matrix(spec), 150)
+        scale = mat_norm_maxabs(oracle)
+        assert 2.5e-289 < scale < 2.6e-289
+        assert mat_norm_maxabs(got - oracle) / scale <= 1e-12
+
+    def test_power_of_a_zero_spectrum_is_served(self):
+        # The 1x1 "adagger" matrix is [a]: 0**3 is an exact zero, not an
+        # underflow.
+        assert power_matrix(FamilySpec(FAMILY_ADAGGER, 1, 0.0, 1.0), 3).matrix[0, 0] == 0
+
     def test_domain_warning_for_odd_n_negative_s(self):
         with pytest.warns(ExtendedDomainWarning):
             power_matrix(FamilySpec(FAMILY_ADAGGER, 3, 3.0, 1.0), -1)
@@ -451,7 +460,7 @@ class TestAssembly:
         size = 2 * n - 1 if family == FAMILY_A else 2 * n + 3
         h = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         spec = FamilySpec(family, n, 1.0, 1.0)
-        for s in (1, 2, 3, 8, -3, 4096, n - 3, n - 2):
+        for s in (1, 2, 3, 8, -3, 4096, n - 3, n - 2, n // 2 - 1, n // 2, n // 2 + 1):
             reference = three_pass_assemble(spec, h, s)
             reference[outside_band(family, n, s)] = 0.0
             assert np.array_equal(_assemble(spec, h, s), reference), s
@@ -460,13 +469,16 @@ class TestAssembly:
     def test_band_is_the_full_assembly_bit_for_bit(self, family, n):
         # The full assembly (s >= n - 1, of the same parity) cut to the
         # band, compared by bits so that the signs of zeros count too.
+        # Every band exponent for small n, and for large n those around the
+        # switch 2s + 2 = n between the band and the full layout, so the
+        # clearing step's corner size k = min(s + 1, n - 1 - s) is tested
+        # on both sides of it.
         rng = np.random.default_rng(n)
         size = 2 * n - 1 if family == FAMILY_A else 2 * n + 3
         h = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         spec = FamilySpec(family, n, 1.0, 1.0)
-        for s in (0, *band_exponents(n), n // 2 - 1, n // 2):
-            if not 0 <= s < n - 1:
-                continue
+        middle = (n // 4, *range(n // 2 - 2, n // 2 + 2), n - 3)
+        for s in range(n - 1) if n <= 17 else sorted({0, *band_exponents(n), *middle}):
             full = _assemble(spec, h, 2 * n + s % 2)
             full[outside_band(family, n, s)] = 0.0
             got = _assemble(spec, h, s)
@@ -501,15 +513,23 @@ def assert_exact_structure(spec, s):
         assert np.array_equal(p, p[::-1, ::-1])
 
 
+UNDERFLOW_AT_4096 = {(FAMILY_ADAGGER, 2), (FAMILY_ADAGGER, 3), (FAMILY_ANTI, 2)}
+
+
 class TestExactStructure:
     @pytest.mark.parametrize("family,n", BAND_PARAMS)
     def test_powers_keep_their_symmetries_exactly(self, family, n):
         # Spectral radius at most 1, so s=4096 cannot overflow.  s = n//2 - 1
         # and n//2 lie on both sides of the band path's switch to the full
-        # assembly at 2s + 2 > n.
+        # assembly at 2s + 2 > n.  At the smallest n the radius is 0.72 to
+        # 0.82, so the 4096th power underflows and is refused.
         spec = FamilySpec(family, n, 0.6j, 0.4)
         for s in sorted({1, 2, 3, 8, 4096, -3, *band_exponents(n), n // 2 - 1, n // 2}):
-            assert_exact_structure(spec, s)
+            if s == 4096 and (family, n) in UNDERFLOW_AT_4096:
+                with pytest.raises(PowerOverflowError, match="underflows"):
+                    assert_exact_structure(spec, s)
+            else:
+                assert_exact_structure(spec, s)
 
     def test_scaled_power_keeps_its_symmetry(self):
         # The eigenvalue powers overflow, so h is scaled by 2**E after the FFT.
