@@ -2,7 +2,14 @@
 
 Subcommands: power (full matrix power), eigen (eigenvalues and nodes),
 verify (closed form against brute force, single case or randomized suite),
-fib (Fibonacci polynomial identities), bench (timing table in CSV).
+fib (Fibonacci polynomial identities), bench (timing table in CSV).  They
+form one table, _COMMANDS, and each call builds the parser of the named
+subcommand only; a command line that names none gets all of them.
+
+Matrices are written from the repr of each distinct float, computed once.
+CSV and pretty output join those texts per cell; JSON output gathers them,
+each with the separator that follows it, and writes the document in one
+join.
 
 Complex parameters use the literal grammar <re><sign><im>i with no
 whitespace, e.g. 1+0i, -2.5+0.5i, 0+1i.  All data goes to stdout and all
@@ -98,40 +105,47 @@ def _write_csv(out, header, rows):
     writer.writerows([_cell(value) for value in row] for row in rows)
 
 
-def _entry_texts(matrix, re_text, im_text) -> list[list[str]]:
-    """re_text(repr(re)) + im_text(repr(im)) for each entry of a matrix, row by row.
+def _distinct_texts(matrix):
+    """(values, texts, index): the distinct floats of a matrix and their reprs.
 
-    float.__repr__ runs once per distinct float bit pattern of the matrix, so
-    +0.0 and -0.0 keep their own text, and re_text and im_text run once per
-    distinct float.  Raises ValueError, before anything is printed, when an
-    entry is not finite.
+    values and texts are parallel arrays, texts of dtype object; index has
+    shape (n, 2n), the real part of entry (i, j) reading texts[index[i, 2j]]
+    and the imaginary part texts[index[i, 2j + 1]].  float.__repr__ runs once
+    per distinct float bit pattern, so +0.0 and -0.0 keep their own text.
+    Raises ValueError, before anything is printed, when an entry is not
+    finite.
     """
     parts = np.ascontiguousarray(matrix, dtype=np.complex128).view(np.float64)
     if not np.isfinite(parts).all():
         raise ValueError("matrix has a non-finite entry; refusing to print it")
     unique, index = np.unique(parts.view(np.uint64).ravel(), return_inverse=True)
-    reprs = list(map(float.__repr__, unique.view(np.float64).tolist()))
-    index = index.reshape(parts.shape)
-    re_texts = np.array([re_text(r) for r in reprs], dtype=object)
-    im_texts = np.array([im_text(r) for r in reprs], dtype=object)
-    return (re_texts[index[:, 0::2]] + im_texts[index[:, 1::2]]).tolist()
-
-
-def _signed_imaginary(text: str) -> str:
-    """f"{im:+}i" from repr(im), the imaginary half of format_complex."""
-    return (text if text.startswith("-") else "+" + text) + "i"
+    values = unique.view(np.float64)
+    texts = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
+    return values, texts, index.reshape(parts.shape)
 
 
 def _complex_cells(matrix) -> list[list[str]]:
     """format_complex of every entry of a matrix, row by row."""
-    return _entry_texts(matrix, str, _signed_imaginary)
+    values, texts, index = _distinct_texts(matrix)
+    # f"{im:+}i": a repr without a minus sign takes a plus sign.
+    signed = np.where(np.signbit(values), texts, "+" + texts) + "i"
+    return (texts[index[:, 0::2]] + signed[index[:, 1::2]]).tolist()
 
 
 def _json_with_matrix(payload: dict, key: str, matrix) -> str:
-    """json.dumps of payload with one more key, last: matrix as rows of {"re", "im"}."""
-    rows = _entry_texts(matrix, lambda re: '{"re": ' + re + ', "im": ', lambda im: im + "}")
-    entries = "[[" + "], [".join(", ".join(row) for row in rows) + "]]"
-    return f'{json.dumps(payload)[:-1]}, "{key}": {entries}}}'
+    """json.dumps of payload with one more key, last: matrix as rows of {"re", "im"}.
+
+    Each part's text carries the separator that follows it, so the whole
+    document is one join of an (n, 2n) gather and no text is built per entry.
+    """
+    _, texts, index = _distinct_texts(matrix)
+    parts = np.empty(index.shape, dtype=object)
+    parts[:, 0::2] = ('{"re": ' + texts + ', "im": ')[index[:, 0::2]]
+    parts[:, 1::2] = (texts + "}, ")[index[:, 1::2]]
+    parts[:, -1] = texts[index[:, -1]] + "}], ["
+    parts[0, 0] = f'{json.dumps(payload)[:-1]}, "{key}": [[' + parts[0, 0]
+    parts[-1, -1] = parts[-1, -1][:-3] + "]}"
+    return "".join(parts.ravel().tolist())
 
 
 def _print_matrix_pretty(cells, out):
@@ -394,62 +408,89 @@ def cmd_bench(args, out) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_common(p, with_s, required=True):
+    p.add_argument("--family", choices=FAMILIES, required=required)
+    p.add_argument("--n", type=int, required=required)
+    p.add_argument("--a", type=parse_complex, required=required, metavar="RE+IMi")
+    p.add_argument("--b", type=parse_complex, required=required, metavar="RE+IMi")
+    if with_s:
+        p.add_argument("--s", type=int, required=required)
+
+
+def _add_format(p):
+    p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+
+
+def _power_arguments(p):
+    _add_common(p, with_s=True)
+    _add_format(p)
+
+
+def _eigen_arguments(p):
+    _add_common(p, with_s=False)
+    _add_format(p)
+    p.add_argument("--vectors", action="store_true", help="include the eigenvector matrix")
+
+
+def _verify_arguments(p):
+    _add_common(p, with_s=True, required=False)
+    p.add_argument("--suite", action="store_true", help="run the randomized suite")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, default=1e-8)
+    _add_format(p)
+
+
+def _fib_arguments(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--x", type=parse_complex, required=True, metavar="RE+IMi")
+    _add_format(p)
+
+
+def _bench_arguments(p):
+    p.add_argument("--family", choices=FAMILIES, required=True)
+    p.add_argument("--n", type=_parse_int_list, required=True, metavar="N1,N2,...")
+    p.add_argument("--s", type=_parse_int_list, required=True, metavar="S1,S2,...")
+    p.add_argument("--seed", type=int, default=0)
+
+
+# The subcommands in help order: (name, help, add-arguments, handler).
+_COMMANDS = (
+    ("power", "compute a matrix power", _power_arguments, cmd_power),
+    ("eigen", "eigenvalues, nodes, eigenvectors", _eigen_arguments, cmd_eigen),
+    ("verify", "closed form vs brute force", _verify_arguments, cmd_verify),
+    ("fib", "Fibonacci polynomial identities", _fib_arguments, cmd_fib),
+    ("bench", "timing table (always CSV)", _bench_arguments, cmd_bench),
+)
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv, with only the subcommand that argv[0] names.
+
+    When argv[0] names no subcommand (no arguments, -h or a misspelt name)
+    every subcommand is added, so the top-level help and the invalid-choice
+    error list them all.  A subcommand's own help, errors and result do not
+    depend on its siblings, and adding one costs about twice as much as
+    parsing a whole command line.
+    """
     parser = argparse.ArgumentParser(
         prog="tripow",
         description="Closed-form integer powers of structured complex matrices.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_s, required=True):
-        p.add_argument("--family", choices=FAMILIES, required=required)
-        p.add_argument("--n", type=int, required=required)
-        p.add_argument("--a", type=parse_complex, required=required, metavar="RE+IMi")
-        p.add_argument("--b", type=parse_complex, required=required, metavar="RE+IMi")
-        if with_s:
-            p.add_argument("--s", type=int, required=required)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-
-    p_power = sub.add_parser("power", help="compute a matrix power")
-    add_common(p_power, with_s=True)
-    add_format(p_power)
-    p_power.set_defaults(func=cmd_power)
-
-    p_eigen = sub.add_parser("eigen", help="eigenvalues, nodes, eigenvectors")
-    add_common(p_eigen, with_s=False)
-    add_format(p_eigen)
-    p_eigen.add_argument("--vectors", action="store_true", help="include the eigenvector matrix")
-    p_eigen.set_defaults(func=cmd_eigen)
-
-    p_verify = sub.add_parser("verify", help="closed form vs brute force")
-    add_common(p_verify, with_s=True, required=False)
-    p_verify.add_argument("--suite", action="store_true", help="run the randomized suite")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tol", type=float, default=1e-8)
-    add_format(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_fib = sub.add_parser("fib", help="Fibonacci polynomial identities")
-    p_fib.add_argument("--n", type=int, required=True)
-    p_fib.add_argument("--x", type=parse_complex, required=True, metavar="RE+IMi")
-    add_format(p_fib)
-    p_fib.set_defaults(func=cmd_fib)
-
-    p_bench = sub.add_parser("bench", help="timing table (always CSV)")
-    p_bench.add_argument("--family", choices=FAMILIES, required=True)
-    p_bench.add_argument("--n", type=_parse_int_list, required=True, metavar="N1,N2,...")
-    p_bench.add_argument("--s", type=_parse_int_list, required=True, metavar="S1,S2,...")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.set_defaults(func=cmd_bench)
-
+    named = [command for command in _COMMANDS if argv and command[0] == argv[0]]
+    # The usage line of an "unrecognized arguments" error lists every
+    # subcommand, as argparse's default metavar does when all are added.
+    metavar = "{" + ",".join(command[0] for command in _COMMANDS) + "}" if named else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, add_arguments, handler in named or _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     # Warnings are shown as one "warning:" line, like errors: the first frame
     # outside tripow, which a warning names, is runpy's under `python -m`.
     # Callers that record warnings still get the location.

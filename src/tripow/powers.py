@@ -237,27 +237,29 @@ def _generator(spec: FamilySpec, lam: np.ndarray, s: int) -> np.ndarray:
     """The generator h of the s-th power (see spectral.power_generator).
 
     The plain eigenvalue powers are tried first.  Only when they or the FFT
-    overflow are the powers recomputed as mantissas times 2**E, the FFT
-    run on the mantissas, and h scaled by 2**E at the end; so every power
-    that fits without scaling keeps its plain rounding bit for bit.  Raises
-    PowerOverflowError when h is not finite, so large that the sum of two
-    of its entries could overflow, or so small that its largest entry times
-    2**E is below the smallest normal float (sys.float_info.min): such a
-    power has lost its digits to subnormals or flushed to an all-zero
-    matrix.  The power of a zero spectrum is exactly zero and is served.
+    overflow, or h falls below the normal range, are the powers recomputed
+    as mantissas times 2**E, the FFT run on the mantissas, and h scaled by
+    2**E at the end; so every power that fits without scaling keeps its
+    plain rounding bit for bit, and a refusal gives the true magnitude.
+    Raises PowerOverflowError when h is not finite, so large that the sum
+    of two of its entries could overflow, or so small that its largest
+    entry times 2**E is below the smallest normal float
+    (sys.float_info.min): such a power has lost its digits to subnormals
+    or flushed to an all-zero matrix.  The power of a zero spectrum is
+    exactly zero and is served.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         base = _power_base(spec, lam, s)
-        mantissas, exponent = _binary_powers(base, abs(s), renormalize=False)
-        h = power_generator(spec, mantissas)
-        if not np.isfinite(h).all():
-            mantissas, exponent = _binary_powers(base, abs(s), renormalize=True)
+        for renormalize in (False, True):
+            mantissas, exponent = _binary_powers(base, abs(s), renormalize)
             h = power_generator(spec, mantissas)
-        peak = float(np.abs(h).max())
-        scaled_peak = float(np.ldexp(peak, exponent))
-    # A zero power (every eigenvalue 0) is exact; any other below the
-    # normal range has flushed, in whole or in part, to zero.
-    underflow = scaled_peak < sys.float_info.min and lam.any()
+            peak = float(np.abs(h).max())
+            scaled_peak = float(np.ldexp(peak, exponent))
+            # A zero power (every eigenvalue 0) is exact; any other below the
+            # normal range has flushed, in whole or in part, to zero.
+            underflow = scaled_peak < sys.float_info.min and lam.any()
+            if np.isfinite(h).all() and not underflow:
+                break
     if underflow or not scaled_peak <= OVERFLOW_LIMIT:
         fault = "underflows below" if underflow else "is not finite or exceeds"
         limit = sys.float_info.min if underflow else OVERFLOW_LIMIT

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ import pytest
 import tripow.cli
 import tripow.spectral
 from tripow.cli import BENCH_HEADER, format_complex, main, parse_complex
-from tripow.families import FAMILIES, FAMILY_A, FAMILY_ANTI, FamilySpec, build_matrix
+from tripow.families import FAMILIES, FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI, FamilySpec, build_matrix
 from tripow.linalg import mat_norm_maxabs
 from tripow.powers import (
     ExtendedDomainWarning,
@@ -87,6 +88,13 @@ def reference_power_text(result, fmt):
     return head + reference_pretty(result.matrix)
 
 
+def assert_loads_bit_identical(rows, matrix):
+    """rows, json.loads of a matrix's text, hold the matrix's float bits."""
+    got = np.array([[complex(c["re"], c["im"]) for c in row] for row in rows])
+    expected = np.asarray(matrix, dtype=np.complex128)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def emitted_power_text(result, fmt):
     out = io.StringIO()
     tripow.cli._emit_power(result, fmt, out)
@@ -121,6 +129,70 @@ class TestComplexLiterals:
     def test_round_trip(self):
         for z in (1 + 0j, -2.5 + 0.5j, 3e-7 - 1.25j):
             assert parse_complex(format_complex(z)) == z
+
+
+# A complete command line of each subcommand, and its complex-literal option.
+VALID_ARGV = {
+    "power": ["--family", "a", "--n", "3", "--a", "1+0i", "--b", "1+0i", "--s", "2"],
+    "eigen": ["--family", "a", "--n", "3", "--a", "1+0i", "--b", "1+0i", "--vectors"],
+    "verify": ["--family", "a", "--n", "3", "--a", "1+0i", "--b", "1+0i", "--s", "2"],
+    "fib": ["--n", "3", "--x", "1+0i"],
+    "bench": ["--family", "a", "--n", "3,4", "--s", "2"],
+}
+LITERAL_OPTION = {"fib": "--x"}
+
+
+def parse_outcome(parser, argv, capsys):
+    """vars of the parsed namespace, or the exit code, stdout and stderr."""
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+class TestParsers:
+    """The parser of one named subcommand acts as the one with all five."""
+
+    @pytest.mark.parametrize("command", list(VALID_ARGV))
+    def test_narrow_parser_matches_the_full_one(self, capsys, command):
+        valid = VALID_ARGV[command]
+        # (argv, exit code); None where the command line parses.
+        cases = [
+            ([command, *valid], None),
+            ([command, "-h"], 0),
+            # Drops the first required option.  verify requires none, and
+            # cmd_verify refuses the namespace that both parsers return.
+            ([command, *valid[2:]], None if command == "verify" else 2),
+            ([command, *valid, "--family", "b"], 2),
+            ([command, *valid, LITERAL_OPTION.get(command, "--a"), "1+i"], 2),
+            ([command, *valid, "--bogus"], 2),
+        ]
+        for argv, code in cases:
+            narrow = parse_outcome(tripow.cli._build_parser(argv), argv, capsys)
+            full = parse_outcome(tripow.cli._build_parser([]), argv, capsys)
+            assert narrow == full, argv
+            if code is not None:
+                assert narrow[0] == code, argv
+
+    def test_narrow_parser_knows_only_its_subcommand(self, capsys):
+        code, _, err = parse_outcome(tripow.cli._build_parser(["power"]), ["eigen"], capsys)
+        assert code == 2 and "invalid choice" in err
+
+    @pytest.mark.parametrize(
+        "argv,code,stream",
+        [([], 2, "err"), (["-h"], 0, "out"), (["powr"], 2, "err")],
+    )
+    def test_top_level_lists_every_subcommand(self, capsys, argv, code, stream):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        captured = capsys.readouterr()
+        text = captured.out if stream == "out" else captured.err
+        assert exit_info.value.code == code
+        assert text.splitlines()[0] == "usage: tripow [-h] {power,eigen,verify,fib,bench} ..."
+        if argv == ["powr"]:
+            assert "invalid choice" in captured.err and "powr" in captured.err
 
 
 class TestPowerCommand:
@@ -241,6 +313,9 @@ class TestPowerCommand:
         assert out == ""
         assert err.startswith("error:") and "underflows below" in err
         assert len(err.splitlines()) == 1
+        # The refusal gives the true magnitude, a nonzero mantissa times 2**E.
+        mantissa, exponent = re.search(r"modulus (\S+) \* 2\*\*(-?\d+) underflows", err).groups()
+        assert float(mantissa) > 0 and int(exponent) < -1000
 
     def test_smallest_power_above_the_underflow_is_printed(self, capsys):
         code, out, err = run_cli(
@@ -351,6 +426,29 @@ class TestMatrixText:
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
     @pytest.mark.parametrize(
+        "rows",
+        [
+            # n = 1: the only entry is in the last column.
+            [[complex(0.1, -2.0)]],
+            # n = 2: one entry per column kind.
+            [[complex(1.0, 0.5), complex(-0.0, 1e16)], [complex(0.0, 5e-324), complex(2.0, 0.0)]],
+            # One distinct float in both parts.
+            [[complex(0.5, 0.5)] * 3] * 3,
+            # Both zeros in both parts.
+            [[complex(0.0, -0.0), complex(-0.0, 0.0)], [complex(-0.0, -0.0), complex(0.0, 0.0)]],
+        ],
+    )
+    def test_small_matrices_match_the_reference_writers(self, fmt, rows):
+        matrix = np.array(rows, dtype=np.complex128)
+        spec = FamilySpec(FAMILY_ADAGGER, len(rows), 1.0, 1.0)
+        result = PowerResult(spec, 1, matrix, "closed-form-ADagger-odd")
+        text = emitted_power_text(result, fmt)
+        assert text == reference_power_text(result, fmt)
+        if fmt == "json":
+            assert_loads_bit_identical(json.loads(text)["entries"], matrix)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    @pytest.mark.parametrize(
         "family,n",
         [(f, n) for f in FAMILIES for n in (2, 3, 16, 64) if not (f == FAMILY_ANTI and n % 2)],
     )
@@ -365,14 +463,23 @@ class TestMatrixText:
             result = power_matrix(FamilySpec(family, n, a, b), s)
             assert out == reference_power_text(result, fmt)
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_eigen_vectors_match_the_reference_writers(self, capsys, family):
-        argv = ("eigen", "--family", family, "--n", "6", "--a", "0.3+0.7i", "--b", "1-0.5i")
-        vectors = tripow.spectral.decompose(FamilySpec(family, 6, 0.3 + 0.7j, 1 - 0.5j)).vec_matrix
+    @pytest.mark.parametrize(
+        "family,n",
+        [
+            pytest.param(f, n, id=f if n == 6 else f"{f}-{n}")
+            for f in FAMILIES
+            for n in (6, 2, 1)
+            if n % 2 == 0 or f == FAMILY_ADAGGER
+        ],
+    )
+    def test_eigen_vectors_match_the_reference_writers(self, capsys, family, n):
+        argv = ("eigen", "--family", family, "--n", str(n), "--a", "0.3+0.7i", "--b", "1-0.5i")
+        vectors = tripow.spectral.decompose(FamilySpec(family, n, 0.3 + 0.7j, 1 - 0.5j)).vec_matrix
         _, values_json, _ = run_cli(capsys, *argv, "--format", "json")
         _, vectors_json, _ = run_cli(capsys, *argv, "--format", "json", "--vectors")
         expected = {**json.loads(values_json), "vectors": reference_entries(vectors)}
         assert vectors_json == json.dumps(expected) + "\n"
+        assert_loads_bit_identical(json.loads(vectors_json)["vectors"], vectors)
         _, values_pretty, _ = run_cli(capsys, *argv)
         _, vectors_pretty, _ = run_cli(capsys, *argv, "--vectors")
         expected = "eigenvector matrix (columns are eigenvectors):\n" + reference_pretty(vectors)
