@@ -41,7 +41,14 @@ from .families import (
 )
 from .fibpoly import fib_det_check, fib_factor_eval, fib_poly_eval
 from .linalg import SingularMatrixError, mat_norm_maxabs
-from .powers import PowerOverflowError, VerificationError, oracle_power, power_matrix, power_verify
+from .powers import (
+    PowerOverflowError,
+    VerificationError,
+    _check_finite,
+    oracle_power,
+    power_matrix,
+    power_verify,
+)
 from .spectral import ClosureError, _nodes, decompose, eigenvalues
 
 __all__ = ["main", "parse_complex", "format_complex"]
@@ -188,6 +195,7 @@ def cmd_eigen(args, out) -> int:
     # Eigenvalues and nodes are O(n); only the vectors need decompose, with
     # its transforms and O(n**3) closure check.
     values = eigenvalues(spec)
+    _check_finite(spec, values)
     nodes = _nodes(spec.family, spec.n)
     vectors = decompose(spec).vec_matrix if args.vectors else None
     if spec.family == FAMILY_ANTI:
@@ -385,13 +393,11 @@ def _bench_spec(rng, family, n):
     return FamilySpec(family, n, a / radius, b / radius)
 
 
-def _bench_rows(args):
+def _bench_rows(specs, exponents):
     """The bench rows, each yielded as soon as it is timed."""
-    rng = np.random.default_rng(args.seed)
-    for n in args.n:
-        spec = _bench_spec(rng, args.family, n)
+    for spec in specs:
         matrix = build_matrix(spec)
-        for s in args.s:
+        for s in exponents:
             t0 = time.perf_counter_ns()
             closed = power_matrix(spec, s).matrix
             t_closed = time.perf_counter_ns() - t0
@@ -399,12 +405,15 @@ def _bench_rows(args):
             oracle = oracle_power(matrix, s)
             t_oracle = time.perf_counter_ns() - t0
             residual = mat_norm_maxabs(closed - oracle)
-            yield [spec.family, n, s, "closed_form", t_closed, residual]
-            yield [spec.family, n, s, "binary_pow", t_oracle, 0.0]
+            yield [spec.family, spec.n, s, "closed_form", t_closed, residual]
+            yield [spec.family, spec.n, s, "binary_pow", t_oracle, 0.0]
 
 
 def cmd_bench(args, out) -> int:
-    _write_csv(out, BENCH_HEADER, _bench_rows(args))
+    # Every spec is built, and a bad n refused, before the header is written.
+    rng = np.random.default_rng(args.seed)
+    specs = [_bench_spec(rng, args.family, n) for n in args.n]
+    _write_csv(out, BENCH_HEADER, _bench_rows(specs, args.s))
     return 0
 
 

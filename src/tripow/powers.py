@@ -46,13 +46,13 @@ and last row are doubled back.
 
 Negative exponents are accepted whenever every eigenvalue is nonzero.
 Eigenvalue powers use square-and-multiply on the reciprocal, never a
-complex logarithm, so no branch-cut choices are involved.  When the plain
-eigenvalue powers overflow although the power itself fits, they are
-carried as mantissas times 2**E and h is scaled by 2**E after the FFT.  A
-power whose entries cannot be represented raises PowerOverflowError
-instead of returning inf or NaN, and so does one that underflows (its
-largest generator entry below the smallest normal float) instead of
-returning an all-zero matrix.
+complex logarithm, so no branch-cut choices are involved.  They are
+carried as mantissas times 2**E, rescaled exactly after every product, and
+h is scaled by 2**E after the FFT, so only the power's own entries decide
+whether it fits.  A power whose entries cannot be represented raises
+PowerOverflowError instead of returning inf or NaN, and so do one that
+underflows (its largest generator entry below the smallest normal float)
+and one with an eigenvalue that is not finite.
 """
 
 import math
@@ -122,7 +122,8 @@ class PowerOverflowError(OverflowError):
 
     Too small means that the largest entry of its generator is below the
     smallest normal float, so the power would come back as subnormals or
-    an all-zero matrix; the message says which bound was crossed.
+    an all-zero matrix; the message says which bound was crossed, or
+    names an eigenvalue that is not finite.
     """
 
 
@@ -168,12 +169,24 @@ def _outside_stacklevel() -> int:
     return level
 
 
+def _check_finite(spec: FamilySpec, lam: np.ndarray):
+    """Raise PowerOverflowError naming the first eigenvalue that is not finite."""
+    bad = np.flatnonzero(~np.isfinite(lam))
+    if bad.size:
+        raise PowerOverflowError(
+            f"eigenvalue {lam[bad[0]]:.6g} at k={bad[0] + 1} is not finite for "
+            f"family={spec.family} n={spec.n} a={spec.a} b={spec.b}"
+        )
+
+
 def _power_base(spec: FamilySpec, lam: np.ndarray, s: int) -> np.ndarray:
     """The eigenvalues for s >= 0, their reciprocals for s < 0.
 
-    A negative s is refused for a zero eigenvalue, and warned about for
-    odd n.
+    For s != 0 an eigenvalue that is not finite is refused.  A negative s
+    is refused for a zero eigenvalue, and warned about for odd n.
     """
+    if s:
+        _check_finite(spec, lam)
     if s >= 0:
         return lam
     moduli = np.abs(lam)
@@ -197,7 +210,7 @@ def _power_base(spec: FamilySpec, lam: np.ndarray, s: int) -> np.ndarray:
 
 
 def _unit_scaled(values: np.ndarray, exponent: int) -> tuple[np.ndarray, int]:
-    """values * 2**exponent rewritten with the largest modulus in [1/2, 1).
+    """values * 2**exponent rewritten in place with the largest modulus in [1/2, 1).
 
     The rescaling is by an exact power of two; values that are all zero or
     not finite come back as they are.
@@ -206,60 +219,47 @@ def _unit_scaled(values: np.ndarray, exponent: int) -> tuple[np.ndarray, int]:
     if not 0.0 < peak < np.inf:
         return values, exponent
     shift = math.frexp(peak)[1]
-    scaled = values.copy()
-    parts = scaled.view(np.float64)
-    np.ldexp(parts, -shift, out=parts)
-    return scaled, exponent + shift
+    if shift:
+        parts = values.view(np.float64)
+        np.ldexp(parts, -shift, out=parts)
+    return values, exponent + shift
 
 
-def _binary_powers(base: np.ndarray, e: int, renormalize: bool) -> tuple[np.ndarray, int]:
+def _binary_powers(base: np.ndarray, e: int) -> tuple[np.ndarray, int]:
     """base**e for e >= 0 by vectorized square-and-multiply, as (mantissas, E).
 
-    base**e = mantissas * 2**E.  Without renormalize, E is 0 and the plain
-    products may overflow; with it, every product is brought back to unit
-    scale by _unit_scaled, so no product can overflow.
+    base**e = mantissas * 2**E.  A copy of the base, and every product, is
+    brought to unit scale by _unit_scaled, so no product can overflow, and
+    each keeps the plain product's bits while that stays a normal float.
     """
-    result, exponent, base_exp = np.ones_like(base), 0, 0
+    base, base_exp = _unit_scaled(np.array(base, dtype=np.complex128), 0)
+    result, exponent = np.ones_like(base), 0
     while e:
         if e & 1:
-            result, exponent = result * base, exponent + base_exp
-            if renormalize:
-                result, exponent = _unit_scaled(result, exponent)
+            result, exponent = _unit_scaled(result * base, exponent + base_exp)
         e >>= 1
         if e:
-            base, base_exp = base * base, 2 * base_exp
-            if renormalize:
-                base, base_exp = _unit_scaled(base, base_exp)
+            base, base_exp = _unit_scaled(base * base, 2 * base_exp)
     return result, exponent
 
 
 def _generator(spec: FamilySpec, lam: np.ndarray, s: int) -> np.ndarray:
     """The generator h of the s-th power (see spectral.power_generator).
 
-    The plain eigenvalue powers are tried first.  Only when they or the FFT
-    overflow, or h falls below the normal range, are the powers recomputed
-    as mantissas times 2**E, the FFT run on the mantissas, and h scaled by
-    2**E at the end; so every power that fits without scaling keeps its
-    plain rounding bit for bit, and a refusal gives the true magnitude.
-    Raises PowerOverflowError when h is not finite, so large that the sum
-    of two of its entries could overflow, or so small that its largest
-    entry times 2**E is below the smallest normal float
-    (sys.float_info.min): such a power has lost its digits to subnormals
-    or flushed to an all-zero matrix.  The power of a zero spectrum is
-    exactly zero and is served.
+    The FFT runs on the mantissas of the eigenvalue powers and h is scaled
+    by their 2**E at the end, so a refusal gives the true magnitude.  Raises
+    PowerOverflowError for an eigenvalue that is not finite (s != 0), and
+    when h is so large that the sum of two of its entries could overflow or
+    its largest entry is below the smallest normal float
+    (sys.float_info.min), where the power has lost its digits to subnormals
+    or flushed to zero.  A zero spectrum's power is exact and is served.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        base = _power_base(spec, lam, s)
-        for renormalize in (False, True):
-            mantissas, exponent = _binary_powers(base, abs(s), renormalize)
-            h = power_generator(spec, mantissas)
-            peak = float(np.abs(h).max())
-            scaled_peak = float(np.ldexp(peak, exponent))
-            # A zero power (every eigenvalue 0) is exact; any other below the
-            # normal range has flushed, in whole or in part, to zero.
-            underflow = scaled_peak < sys.float_info.min and lam.any()
-            if np.isfinite(h).all() and not underflow:
-                break
+        mantissas, exponent = _binary_powers(_power_base(spec, lam, s), abs(s))
+        h = power_generator(spec, mantissas)
+        peak = float(np.abs(h).max())
+        scaled_peak = float(np.ldexp(peak, exponent))
+    underflow = scaled_peak < sys.float_info.min and lam.any()
     if underflow or not scaled_peak <= OVERFLOW_LIMIT:
         fault = "underflows below" if underflow else "is not finite or exceeds"
         limit = sys.float_info.min if underflow else OVERFLOW_LIMIT
@@ -268,10 +268,7 @@ def _generator(spec: FamilySpec, lam: np.ndarray, s: int) -> np.ndarray:
             f"n={spec.n} a={spec.a} b={spec.b}: generator modulus "
             f"{peak:.3e} * 2**{exponent} {fault} {limit:.3e}"
         )
-    if exponent:
-        parts = h.view(np.float64)
-        np.ldexp(parts, exponent, out=parts)
-    return h
+    return np.ldexp(h.view(np.float64), exponent).view(np.complex128) if exponent else h
 
 
 def _check_indices(n: int, i: int, j: int):
@@ -496,9 +493,11 @@ def power_verify(spec: FamilySpec, s: int, tol: float = 1e-8) -> PowerResult:
     max|C - O| / max(1, max|O|) for closed form C and oracle O, which is the
     absolute residual whenever no oracle entry exceeds 1 in modulus.
     Raises VerificationError (carrying both matrices and the residual) when
-    it exceeds tol.
+    it exceeds tol, and ValueError for a NaN or negative tol.
     """
     s = operator.index(s)
+    if not tol >= 0:
+        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
     result = power_matrix(spec, s)
     oracle = oracle_power(build_matrix(spec), s)
     residual = mat_norm_maxabs(result.matrix - oracle) / max(1.0, mat_norm_maxabs(oracle))

@@ -101,7 +101,7 @@ def eigenvalues_a(spec: FamilySpec) -> np.ndarray:
     """Eigenvalues a + b*node of family "a", ordered k=1..n."""
     if spec.family != FAMILY_A:
         raise ValueError(f"expected family 'a', got {spec.family!r}")
-    return spec.a + spec.b * nodes_a(spec.n)
+    return eigenvalues(spec)
 
 
 def eigenvalues_adagger(spec: FamilySpec) -> np.ndarray:
@@ -113,12 +113,17 @@ def eigenvalues_adagger(spec: FamilySpec) -> np.ndarray:
     """
     if spec.family == FAMILY_A:
         raise ValueError("expected family 'adagger' or 'anti', got 'a'")
-    return spec.a + spec.b * nodes_adagger(spec.n)
+    return eigenvalues(spec)
 
 
 def eigenvalues(spec: FamilySpec) -> np.ndarray:
-    """eigenvalues_a or eigenvalues_adagger, whichever fits spec's family."""
-    return spec.a + spec.b * _nodes(spec.family, spec.n)
+    """Eigenvalues a + b*node of spec's family (as eigenvalues_a or _adagger).
+
+    An eigenvalue beyond the float range comes back as inf or NaN without a
+    numpy warning; the power functions and the eigen command refuse it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return spec.a + spec.b * _nodes(spec.family, spec.n)
 
 
 def _angle_grid(family: str, n: int) -> tuple[np.ndarray, int]:

@@ -557,6 +557,18 @@ class TestVerifyCommand:
         assert [w.category for w in caught] == [ExtendedDomainWarning]
         assert caught[0].filename == __file__
 
+    @pytest.mark.parametrize("tol", ["nan", "-1e-8"])
+    @pytest.mark.parametrize("case", [
+        ("--family", "a", "--n", "4", "--a", "1+0i", "--b", "1+0i", "--s", "3"),
+        ("--suite",),
+    ])
+    def test_tolerance_no_residual_can_fail_exits_two(self, capsys, case, tol):
+        code, out, err = run_cli(capsys, "verify", *case, f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tol must be a non-negative number")
+        assert len(err.splitlines()) == 1
+
     def test_missing_arguments_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--family", "a", "--n", "3")
         assert code == 2
@@ -646,6 +658,12 @@ class TestBenchCommand:
 
         assert strip_timing(out1) == strip_timing(out2)
 
+    def test_bad_size_exits_two_before_any_output(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--family", "a", "--n", "4,1", "--s", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: family 'a' requires n >= 2\n"
+
     def test_negative_exponent_uses_the_inverse_oracle(self, capsys):
         code, out, err = run_cli(capsys, "bench", "--family", "a", "--n", "8", "--s", "3,-2")
         assert code == 0, err
@@ -691,6 +709,17 @@ def test_closed_stdout_exits_141_without_traceback():
         proc.kill()
         proc.wait()
     assert err == b""
+
+
+@pytest.mark.parametrize("command", ["eigen", "power", "verify"])
+def test_eigenvalue_beyond_float_prints_no_numpy_warning(command):
+    args = ["--family", "anti", "--n", "4", "--a", "1e308+0i", "--b", "1e308+0i", "--format", "json"]
+    command, env = module_command(command, *args, *([] if command == "eigen" else ["--s", "3"]))
+    proc = subprocess.run(command, capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: eigenvalue inf+0j at k=")
 
 
 def test_warnings_print_one_line_each_without_a_location():

@@ -1,5 +1,7 @@
 """Closed-form powers against hand values and the brute-force oracle."""
 
+import math
+import re
 import warnings
 
 import numpy as np
@@ -34,8 +36,16 @@ from tripow.powers import (
     power_matrix,
     power_verify,
 )
-from tripow.spectral import decompose, eigenvalues, eigenvalues_a, eigenvalues_adagger, sign_r
+from tripow.spectral import (
+    decompose,
+    eigenvalues,
+    eigenvalues_a,
+    eigenvalues_adagger,
+    power_generator,
+    sign_r,
+)
 
+import tripow.powers
 from helpers import assert_positive_zeros_outside_band, outside_band, random_params
 
 
@@ -409,6 +419,20 @@ class TestPowerMatrix:
         assert 2.5e-289 < scale < 2.6e-289
         assert mat_norm_maxabs(got - oracle) / scale <= 1e-12
 
+    @pytest.mark.parametrize("s", [1, 2, 5, -1, -3])
+    def test_eigenvalue_beyond_float_is_named_in_the_refusal(self, s):
+        # a + b*node overflows for the nodes above 0.8: inf, not a NaN
+        # generator, and numpy warns about none of it.
+        spec = FamilySpec(FAMILY_ANTI, 4, 1e308, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PowerOverflowError, match=r"eigenvalue inf\+0j at k=\d is not finite"):
+                power_matrix(spec, s)
+            with pytest.raises(PowerOverflowError, match="eigenvalue inf"):
+                power_entry_anti(decompose(spec), s, 1, 1)
+            # The zeroth power is still the exact identity.
+            assert np.array_equal(power_matrix(spec, 0).matrix, mat_identity(4))
+
     def test_power_of_a_zero_spectrum_is_served(self):
         # The 1x1 "adagger" matrix is [a]: 0**3 is an exact zero, not an
         # underflow.
@@ -554,19 +578,91 @@ class TestBand:
             assert np.array_equal(power_matrix(spec, s).matrix == 0, oracle == 0), s
 
 
+def plain_powers(base, e):
+    """base**e by vectorized square-and-multiply with no rescaling."""
+    result = np.ones_like(base)
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
+UNIT_RADIUS_PARAMS = [
+    (family, n)
+    for family in (FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI)
+    for n in (1, 2, 3, 8, 16, 17, 64, 65)
+    if n >= (2 if family == FAMILY_A else 1) and (family != FAMILY_ANTI or n % 2 == 0)
+]
+
+
 class TestScaledPowers:
     def test_renormalized_powers_are_the_plain_ones_scaled(self):
         # Rescaling by powers of two is exact while nothing overflows or
-        # goes subnormal, so both runs agree bit for bit after ldexp.
+        # goes subnormal, so the mantissas times 2**E are the plain powers
+        # bit for bit; the base itself is left as it was.
         rng = np.random.default_rng(55)
         base = rng.uniform(0.5, 3.0, 16) * np.exp(1j * rng.uniform(0, 2 * np.pi, 16))
+        before = base.copy()
         for e in (1, 2, 7, 64, 300):
-            plain, plain_exp = _binary_powers(base, e, renormalize=False)
-            mantissas, exponent = _binary_powers(base, e, renormalize=True)
-            assert plain_exp == 0
+            mantissas, exponent = _binary_powers(base, e)
             assert float(np.abs(mantissas).max()) < 1.0
             parts = np.ldexp(mantissas.view(np.float64), exponent)
-            np.testing.assert_array_equal(parts, plain.view(np.float64))
+            assert np.array_equal(parts.view(np.uint64), plain_powers(base, e).view(np.uint64)), e
+        assert np.array_equal(base.view(np.uint64), before.view(np.uint64))
+
+    @pytest.mark.parametrize("family,n", UNIT_RADIUS_PARAMS)
+    def test_generator_is_the_plain_one_at_unit_radius(self, family, n):
+        # With the spectral radius 1 no plain power overflows, so the one
+        # scaled path gives the generator of the plain powers byte for byte.
+        spec = unit_radius_spec(np.random.default_rng(n), family, n)
+        lam = eigenvalues(spec)
+        for s in (-3, 8, 64, 4096):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ExtendedDomainWarning)
+                h = _generator(spec, lam, s)
+            plain = plain_powers(1.0 / lam if s < 0 else lam, abs(s))
+            assert np.array_equal(h.view(np.uint64), power_generator(spec, plain).view(np.uint64)), s
+
+    @pytest.mark.parametrize(
+        "spec,s",
+        [
+            (FamilySpec(FAMILY_ADAGGER, 8, 0.6j, 0.4), 64),
+            # The eigenvalue powers overflow float64, and the power fits.
+            (FamilySpec(FAMILY_A, 16, 3.0, 1.0), 442),
+            # Refused: the power underflows, and the power overflows.
+            (FamilySpec(FAMILY_A, 4, 0.01, 0.001), 400),
+            (FamilySpec(FAMILY_A, 3, 2.0, 1.0), 2000),
+        ],
+    )
+    def test_generator_runs_one_fft(self, monkeypatch, spec, s):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return power_generator(*args)
+
+        monkeypatch.setattr(tripow.powers, "power_generator", counted)
+        try:
+            _generator(spec, eigenvalues(spec), s)
+        except PowerOverflowError:
+            pass
+        assert len(calls) == 1
+
+    def test_refusal_gives_a_finite_magnitude(self):
+        # The eigenvalues are 3e200, 2e200, 0 and -1e200, whose squares
+        # overflow float64, so the base is scaled before it is squared.  The
+        # largest generator entry is h_0 = (9/2 + 4 + 1/2) * 1e400 / 3 = 3e400.
+        with pytest.raises(PowerOverflowError) as err:
+            power_matrix(FamilySpec(FAMILY_A, 4, 1e200, 1e200), 2)
+        mantissa, exponent = re.search(
+            r"modulus (\S+) \* 2\*\*(-?\d+) is not finite or exceeds", str(err.value)
+        ).groups()
+        assert 0.0 < float(mantissa) < np.inf
+        log2_modulus = math.log2(float(mantissa)) + int(exponent)
+        assert abs(log2_modulus - math.log2(3) - 400 * math.log2(10)) < 0.01
 
     def test_power_beyond_float_eigenvalue_powers(self):
         # 5**442 overflows float64, but the weights bring the entries back
@@ -612,6 +708,12 @@ class TestPowerVerify:
         result = power_verify(FamilySpec(FAMILY_A, 16, 3.0, 1.0), 40, tol=1e-8)
         assert mat_norm_maxabs(result.matrix) > 1e26
         assert result.residual_vs_oracle < 1e-8
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-8, -np.inf])
+    def test_tolerance_that_no_residual_can_fail_is_refused(self, tol):
+        # residual > nan is False, so a NaN tol would pass every power.
+        with pytest.raises(ValueError, match="tol must be a non-negative number"):
+            power_verify(FamilySpec(FAMILY_A, 4, 1.0, 1.0), 3, tol=tol)
 
     def test_small_results_report_the_absolute_residual(self):
         spec = FamilySpec(FAMILY_ADAGGER, 9, 0.1 + 0.2j, 0.15 - 0.1j)

@@ -1,6 +1,7 @@
 """Closed-form decompositions: known instances, closure, and eigen-residuals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from tripow.spectral import (
     _dagger_row_weights,
     _sines,
     decompose,
+    eigenvalues,
     eigenvalues_a,
     eigenvalues_adagger,
     inv_transform_k,
@@ -102,6 +104,19 @@ class TestEigenvalues:
     def test_adagger_rejects_family_a(self):
         with pytest.raises(ValueError):
             eigenvalues_adagger(FamilySpec(FAMILY_A, 3, 1.0, 1.0))
+
+    @pytest.mark.parametrize("family", [FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI])
+    def test_one_formula_for_every_family(self, family):
+        spec = FamilySpec(family, 6, 0.3 + 1j, -1.5 + 0.25j)
+        by_family = eigenvalues_a(spec) if family == FAMILY_A else eigenvalues_adagger(spec)
+        assert np.array_equal(by_family.view(np.uint64), eigenvalues(spec).view(np.uint64))
+
+    def test_eigenvalues_beyond_float_come_back_without_a_warning(self):
+        # a + b*node overflows where node > 0.8; the callers refuse it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = eigenvalues(FamilySpec(FAMILY_ANTI, 4, 1e308, 1e308))
+        assert not np.isfinite(lam).all()
 
 
 class TestTransforms:
