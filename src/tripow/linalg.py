@@ -60,20 +60,20 @@ def mat_identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)
 
 
-def _spans(rows, offset: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's first nonzero column and one past its last, plus offset.
+def _spans(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first nonzero column and one past its last.
 
-    rows is a block of an n-column matrix starting at column offset.  NaN
-    and inf count as nonzero; an all-zero row gets the empty span (n, 0).
-    Rows that are nonzero at both ends of the block need no scan.
+    NaN and inf count as nonzero; an all-zero row of an n-column matrix
+    gets the empty span (n, 0).  Rows that are nonzero at both ends need no
+    scan.
     """
-    width = rows.shape[1]
+    count, n = rows.shape
     if rows[:, 0].all() and rows[:, -1].all():
-        return np.full(rows.shape[0], offset), np.full(rows.shape[0], offset + width)
+        return np.full(count, 0), np.full(count, n)
     nonzero = rows != 0
     found = nonzero.any(axis=1)
-    first = np.where(found, offset + nonzero.argmax(axis=1), n)
-    stop = np.where(found, offset + width - nonzero[:, ::-1].argmax(axis=1), 0)
+    first = np.where(found, nonzero.argmax(axis=1), n)
+    stop = np.where(found, n - nonzero[:, ::-1].argmax(axis=1), 0)
     return first, stop
 
 
@@ -140,7 +140,7 @@ def mat_pow_binary(m, s: int) -> np.ndarray:
     n = m.shape[0]
     if s == 0:
         return mat_identity(n)
-    base = m, _spans(m, 0, n)
+    base = m, _spans(m)
     while not s & 1:
         base = _product(*base, *base)
         s >>= 1
@@ -218,7 +218,7 @@ def _banded_lu(m, rtol: float):
     scale = float(moduli.max())
     if scale == 0.0:
         raise SingularMatrixError("cannot invert the zero matrix")
-    first, stop = _spans(moduli, 0, n)
+    first, stop = _spans(moduli)
     rows = np.argsort(first, kind="stable")
     work = m[rows]
     first = first[rows]

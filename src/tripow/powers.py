@@ -25,17 +25,18 @@ each entry once.  sign_r has period 4, so on the rows i = r (mod 4) the
 factor sign_r(i) * sign_r(j) is a period-4 sign of the index into h; it
 folds into four signed copies of h, and those rows are one subtraction of
 two window views.  Family "a" is the unsigned case: one copy, one
-addition.  The anti family splits on the parity of s: even powers
-coincide with the tridiagonal counterpart, odd powers are its exchange
-flip, written as the same rows in reverse order.
+addition.  The anti matrix is the exchange flip J A of its "adagger" twin
+A, and J commutes with A, so even powers coincide with the twin's and an
+odd power is J A**s: the twin's power read with its rows reversed, a view
+with a negative row stride and the same values and bits.
 
 For 0 <= s < n - 1 the s-th power of a tridiagonal matrix has bandwidth s,
 and so has an odd anti power once its rows are flipped back.  Only those
-2s + 1 diagonals are computed while 2s + 2 <= n, with the same arithmetic
-and bits as the full assembly.  Either way, one clearing step zeros two
-k x k corner triangles, so every entry outside the band is an exact +0.0
-rather than the FFT's rounding noise; the power_entry functions return 0j
-there too.
+2s + 1 diagonals of the twin's power are computed while 2s + 2 <= n,
+with the same arithmetic and bits as the full assembly.  Either way, one
+clearing step zeros two k x k corner triangles, so every entry outside
+the band is an exact +0.0 rather than the FFT's rounding noise; the
+power_entry functions return 0j there too.
 
 h is exactly even: it equals h[::-1] bit for bit (see
 spectral.power_generator).  So the powers keep their symmetries exactly:
@@ -47,7 +48,8 @@ and last row are doubled back.
 Negative exponents are accepted whenever every eigenvalue is nonzero.
 Eigenvalue powers use square-and-multiply on the reciprocal, never a
 complex logarithm, so no branch-cut choices are involved.  They are
-carried as mantissas times 2**E, rescaled exactly after every product, and
+carried as mantissas times 2**E, the reciprocal taken of the unit-scaled
+eigenvalues and rescaled exactly after it and after every product, and
 h is scaled by 2**E after the FFT, so only the power's own entries decide
 whether it fits.  A power whose entries cannot be represented raises
 PowerOverflowError instead of returning inf or NaN, and so do one that
@@ -91,7 +93,6 @@ __all__ = [
     "power_entry_anti",
     "power_matrix",
     "power_verify",
-    "oracle_power",
 ]
 
 # PowerResult.path by family, indexed by the parity of n for "adagger" and
@@ -179,8 +180,8 @@ def _check_finite(spec: FamilySpec, lam: np.ndarray):
         )
 
 
-def _power_base(spec: FamilySpec, lam: np.ndarray, s: int) -> np.ndarray:
-    """The eigenvalues for s >= 0, their reciprocals for s < 0.
+def _check_base(spec: FamilySpec, lam: np.ndarray, s: int):
+    """Refuse eigenvalues that the power s cannot be taken of.
 
     For s != 0 an eigenvalue that is not finite is refused.  A negative s
     is refused for a zero eigenvalue, and warned about for odd n.
@@ -188,7 +189,7 @@ def _power_base(spec: FamilySpec, lam: np.ndarray, s: int) -> np.ndarray:
     if s:
         _check_finite(spec, lam)
     if s >= 0:
-        return lam
+        return
     moduli = np.abs(lam)
     threshold = EIGENVALUE_RTOL * float(moduli.max())
     small = int(np.argmin(moduli))
@@ -206,7 +207,6 @@ def _power_base(spec: FamilySpec, lam: np.ndarray, s: int) -> np.ndarray:
             ExtendedDomainWarning,
             stacklevel=_outside_stacklevel(),
         )
-    return 1.0 / lam
 
 
 def _unit_scaled(values: np.ndarray, exponent: int) -> tuple[np.ndarray, int]:
@@ -226,13 +226,18 @@ def _unit_scaled(values: np.ndarray, exponent: int) -> tuple[np.ndarray, int]:
 
 
 def _binary_powers(base: np.ndarray, e: int) -> tuple[np.ndarray, int]:
-    """base**e for e >= 0 by vectorized square-and-multiply, as (mantissas, E).
+    """base**e by vectorized square-and-multiply, as (mantissas, E).
 
     base**e = mantissas * 2**E.  A copy of the base, and every product, is
     brought to unit scale by _unit_scaled, so no product can overflow, and
     each keeps the plain product's bits while that stays a normal float.
+    For e < 0 the unit-scaled base is inverted and its E negated, so the
+    reciprocal of a base near the ends of the float range stays finite.
     """
     base, base_exp = _unit_scaled(np.array(base, dtype=np.complex128), 0)
+    if e < 0:
+        base, base_exp = _unit_scaled(1.0 / base, -base_exp)
+        e = -e
     result, exponent = np.ones_like(base), 0
     while e:
         if e & 1:
@@ -254,8 +259,9 @@ def _generator(spec: FamilySpec, lam: np.ndarray, s: int) -> np.ndarray:
     (sys.float_info.min), where the power has lost its digits to subnormals
     or flushed to zero.  A zero spectrum's power is exact and is served.
     """
+    _check_base(spec, lam, s)
     with np.errstate(over="ignore", invalid="ignore"):
-        mantissas, exponent = _binary_powers(_power_base(spec, lam, s), abs(s))
+        mantissas, exponent = _binary_powers(lam, s)
         h = power_generator(spec, mantissas)
         peak = float(np.abs(h).max())
         scaled_peak = float(np.ldexp(peak, exponent))
@@ -271,14 +277,36 @@ def _generator(spec: FamilySpec, lam: np.ndarray, s: int) -> np.ndarray:
     return np.ldexp(h.view(np.float64), exponent).view(np.complex128) if exponent else h
 
 
-def _check_indices(n: int, i: int, j: int):
+def _entry(data: SpectralData, s: int, i: int, j: int, flip: bool = False) -> complex:
+    """Entry (i, j) of the s-th power, 1-based, by the rule of the data's family.
+
+    Family "a" reads h[|i-j|] + h[i+j-2], halved in the first column and
+    the last row.  "adagger" reads sign_r(i-1) * sign_r(j-1) * (h[|i-j|] -
+    h[i+j]) with the arithmetic of power_matrix: both samples times the
+    column sign, and the row sign as the order of the subtraction, so the
+    entry equals the matrix's bit for bit, zero signs included.  flip reads
+    row n + 1 - i instead, after the index check.  s = 0 gives the exact
+    identity, and for s > 0 an entry outside the band |i-j| <= s is 0j.
+    """
+    n = data.spec.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"indices must satisfy 1 <= i, j <= {n}, got ({i}, {j})")
-
-
-def _fixed_by_band(s: int, i: int, j: int) -> bool:
-    """Whether entry (i, j) is complex(i == j): s = 0, or outside the band."""
-    return s == 0 or 0 < s < abs(i - j)
+    h = _generator(data.spec, data.eigenvalues, s)
+    if flip:
+        i = n + 1 - i
+    if s == 0 or 0 < s < abs(i - j):
+        return complex(i == j)
+    if data.spec.family == FAMILY_A:
+        value = h[abs(i - j)] + h[i + j - 2]
+        if j == 1:
+            value *= 0.5
+        if i == n:
+            value *= 0.5
+        return complex(value)
+    toeplitz, hankel = h[[abs(i - j), i + j]] * _SIGN4[(j - 1) % 4]
+    if _SIGN4[(i - 1) % 4] < 0:
+        toeplitz, hankel = hankel, toeplitz
+    return complex(toeplitz - hankel)
 
 
 def power_entry_a(data: SpectralData, s: int, i: int, j: int) -> complex:
@@ -290,40 +318,20 @@ def power_entry_a(data: SpectralData, s: int, i: int, j: int) -> complex:
     """
     if data.spec.family != FAMILY_A:
         raise ValueError(f"expected family 'a' data, got {data.spec.family!r}")
-    n = data.spec.n
-    _check_indices(n, i, j)
-    h = _generator(data.spec, data.eigenvalues, s)
-    if _fixed_by_band(s, i, j):
-        return complex(i == j)
-    value = h[abs(i - j)] + h[i + j - 2]
-    if j == 1:
-        value *= 0.5
-    if i == n:
-        value *= 0.5
-    return complex(value)
+    return _entry(data, s, i, j)
 
 
 def power_entry_adagger(data: SpectralData, s: int, i: int, j: int) -> complex:
     """Entry (i, j) of the s-th power of an "adagger" matrix; i, j are 1-based.
 
     Reads sign_r(i-1) * sign_r(j-1) * (h[|i-j|] - h[i+j]) from the power's
-    generator with the arithmetic of power_matrix: both samples times the
-    column sign, and the row sign as the order of the subtraction, so the
-    entry equals the matrix's bit for bit, zero signs included.  s = 0
-    gives the exact identity, and for s > 0 an entry outside the band
-    |i-j| <= s is 0j.
+    generator, bit for bit the entry of power_matrix.  s = 0 gives the
+    exact identity, and for s > 0 an entry outside the band |i-j| <= s is
+    0j.  Given "anti" data it returns the entry of the "adagger" twin.
     """
     if data.spec.family == FAMILY_A:
         raise ValueError("expected family 'adagger' or 'anti' data, got 'a'")
-    n = data.spec.n
-    _check_indices(n, i, j)
-    h = _generator(data.spec, data.eigenvalues, s)
-    if _fixed_by_band(s, i, j):
-        return complex(i == j)
-    toeplitz, hankel = h[[abs(i - j), i + j]] * _SIGN4[(j - 1) % 4]
-    if _SIGN4[(i - 1) % 4] < 0:
-        toeplitz, hankel = hankel, toeplitz
-    return complex(toeplitz - hankel)
+    return _entry(data, s, i, j)
 
 
 def power_entry_anti(data: SpectralData, s: int, i: int, j: int) -> complex:
@@ -334,13 +342,11 @@ def power_entry_anti(data: SpectralData, s: int, i: int, j: int) -> complex:
     |n+1-i-j| <= s.  s = 0 gives the exact identity, and for s > 0 an entry
     outside the band is 0j.  Only even n is supported.
     """
-    n = data.spec.n
-    if n % 2 != 0:
+    if data.spec.n % 2 != 0:
         raise ValueError("anti-tridiagonal powers require even n")
-    _check_indices(n, i, j)
-    if s % 2 == 0:
-        return power_entry_adagger(data, s, i, j)
-    return power_entry_adagger(data, s, n - i + 1, j)
+    if data.spec.family == FAMILY_A:
+        raise ValueError("expected family 'adagger' or 'anti' data, got 'a'")
+    return _entry(data, s, i, j, flip=s % 2 == 1)
 
 
 def _assemble(spec: FamilySpec, h: np.ndarray, s: int) -> np.ndarray:
@@ -349,15 +355,17 @@ def _assemble(spec: FamilySpec, h: np.ndarray, s: int) -> np.ndarray:
     Family "a" is Toeplitz h[|i-j|] plus Hankel h[i+j] with the first column
     and the last row halved; "adagger" is sign_r(i) * sign_r(j) * (Toeplitz
     h[|i-j|] minus Hankel h[i+j+2]).  _write_rows writes either into the
-    rows it is given: the matrix, its row-reversed view for odd anti
-    powers, or a band view.
+    rows it is given: the matrix, or a band view of it.  "anti" data writes
+    the "adagger" twin's power, and an odd anti power is that power read
+    with its rows reversed: the view matrix[::-1], which has the same
+    values and bits as a reversed write, a negative row stride, and costs
+    no pass.
 
-    For 0 <= s < n - 1 the power has bandwidth s (after the row flip for
-    odd anti powers) and every entry outside the band is an exact +0.0.
-    While 2s + 2 <= n only the band is written: entry (i, i - s + c) is
-    band[i, c], rows of width 2s + 1 at a flat stride of n + 1 entries, or
-    -(n - 1) when flipped, in an output padded by s entries at each end, so
-    the rows do not overlap.  For larger bands the full power is written.
+    For 0 <= s < n - 1 the power has bandwidth s and every entry outside the
+    band is an exact +0.0.  While 2s + 2 <= n only the band is written:
+    entry (i, i - s + c) is band[i, c], rows of width 2s + 1 at a flat
+    stride of n + 1 entries, in an output padded by s entries at each end,
+    so the rows do not overlap.  For larger bands the full power is written.
 
     Either way one step then clears what lies outside the band.  With
     k = min(s + 1, n - 1 - s) (0 when there is no band), the rows i < k
@@ -370,12 +378,10 @@ def _assemble(spec: FamilySpec, h: np.ndarray, s: int) -> np.ndarray:
     """
     n = spec.n
     period = h.size - 1
-    flip = spec.family == FAMILY_ANTI and s % 2 == 1
     reach = s if 0 <= s < n - 1 else n - 1
     if 0 <= s and 2 * s + 2 <= n:
         flat = np.zeros(n * n + 2 * s, dtype=np.complex128)
-        starts = sliding_window_view(flat, 2 * s + 1, writeable=True)
-        band = starts[(n - 1) * n::1 - n][:n] if flip else starts[::n + 1]
+        band = sliding_window_view(flat, 2 * s + 1, writeable=True)[::n + 1]
         matrix = flat[s:s + n * n].reshape(n, n)
         # Row i reads the Toeplitz index P - s + c on every row, and the
         # Hankel index 2i - s + c (plus the family's shift).
@@ -383,18 +389,17 @@ def _assemble(spec: FamilySpec, h: np.ndarray, s: int) -> np.ndarray:
     else:
         matrix = np.empty((n, n), dtype=np.complex128)
         # h is even with period P, so h[|i-j|] = h[P - i + j].
-        _write_rows(spec.family, h, matrix[::-1] if flip else matrix, (period, -1), (0, 1))
+        _write_rows(spec.family, h, matrix, (period, -1), (0, 1))
     k = min(reach + 1, n - 1 - reach)
     # With no band (k = 0) the step would cost only its calls' overhead.
     if k:
-        rows = matrix[::-1] if flip else matrix
         corner = np.tri(k, dtype=bool)
-        rows[:k, n - k:][corner.T] = 0
-        rows[n - k:, :k][corner] = 0
+        matrix[:k, n - k:][corner.T] = 0
+        matrix[n - k:, :k][corner] = 0
     if spec.family == FAMILY_A:
         matrix[:reach + 1, 0] *= 0.5
         matrix[-1, n - 1 - reach:] *= 0.5
-    return matrix
+    return matrix[::-1] if spec.family == FAMILY_ANTI and s % 2 else matrix
 
 
 def _write_rows(family: str, h: np.ndarray, rows: np.ndarray, toeplitz, hankel):
@@ -456,8 +461,10 @@ def power_matrix(spec: FamilySpec, s: int) -> PowerResult:
     s must be an integer (TypeError otherwise).  The power is built from
     its generator in O(n**2) with no matrix product.  s = 0 gives the exact
     identity; for 0 < s < n - 1 only the band |i-j| <= s (rows flipped for
-    odd anti powers) is computed and every other entry is +0.0.  For every s
-    the entries equal those of the power_entry functions.  Raises
+    odd anti powers) is computed and every other entry is +0.0.  An odd
+    anti power is the "adagger" twin's power as a row-reversed view: the
+    same values and bits as a reversed copy, with a negative row stride.
+    For every s the entries equal those of the power_entry functions.  Raises
     ClosureError when the generator weights fail their closure check,
     SingularMatrixError for a negative power of a zero eigenvalue, and
     PowerOverflowError when the result cannot be represented.

@@ -53,19 +53,16 @@ from .linalg import mat_identity, mat_norm_maxabs
 __all__ = [
     "ClosureError",
     "SpectralData",
-    "CLOSURE_TOL",
     "sign_r",
     "nodes_a",
     "nodes_adagger",
     "eigenvalues_a",
     "eigenvalues_adagger",
-    "eigenvalues",
     "transform_k",
     "transform_t",
     "inv_transform_k",
     "inv_transform_t",
     "decompose",
-    "power_generator",
 ]
 
 CLOSURE_TOL = 1e-9

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -316,6 +317,27 @@ class TestPowerCommand:
         # The refusal gives the true magnitude, a nonzero mantissa times 2**E.
         mantissa, exponent = re.search(r"modulus (\S+) \* 2\*\*(-?\d+) underflows", err).groups()
         assert float(mantissa) > 0 and int(exponent) < -1000
+
+    def test_reciprocal_beyond_float_is_refused_with_its_magnitude(self, capsys):
+        # 1/a = 1e309 does not fit a float, so the reciprocal is taken of
+        # the unit-scaled eigenvalue; the largest generator entry is
+        # 1e309 / 2, whose log2 is 309 log2(10) - 1.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtendedDomainWarning)
+            code, out, err = run_cli(
+                capsys, "power", "--family", "adagger", "--n", "1", "--a", "1e-309+0i",
+                "--b", "1+0i", "--s=-1",
+            )
+        assert code == 1
+        assert out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        mantissa, exponent = re.search(
+            r"modulus (\S+) \* 2\*\*(-?\d+) is not finite", errors[0]
+        ).groups()
+        assert 0.0 < float(mantissa) < np.inf
+        log2_modulus = math.log2(float(mantissa)) + int(exponent)
+        assert abs(log2_modulus - (309 * math.log2(10) - 1)) < 0.01
 
     def test_smallest_power_above_the_underflow_is_printed(self, capsys):
         code, out, err = run_cli(

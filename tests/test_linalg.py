@@ -187,10 +187,10 @@ class TestEnvelopePowers:
         rows[0, [0, 2]] = 1.0
         rows[1] = 1.0
         rows[3, 2], rows[3, 4] = np.nan, np.inf
-        first, stop = _spans(rows, 10, 16)
-        np.testing.assert_array_equal(first, [10, 10, 16, 12])
-        np.testing.assert_array_equal(stop, [13, 16, 0, 15])
-        first, stop = _spans(np.array([[1, 0], [1, 1]], dtype=complex), 0, 2)
+        first, stop = _spans(rows)
+        np.testing.assert_array_equal(first, [0, 0, 6, 2])
+        np.testing.assert_array_equal(stop, [3, 6, 0, 5])
+        first, stop = _spans(np.array([[1, 0], [1, 1]], dtype=complex))
         np.testing.assert_array_equal(first, [0, 0])
         np.testing.assert_array_equal(stop, [1, 2])
 

@@ -281,6 +281,29 @@ class TestAntiParity:
                 )
                 assert mat_norm_maxabs(got - expected) < 1e-9
 
+    @pytest.mark.parametrize("n", [8, 66, 130, 1024])
+    def test_odd_power_is_the_twin_power_with_rows_reversed(self, n):
+        # J A**s, bit for bit, in the band (2s + 2 <= n), overlap and full
+        # layouts and for s < 0.
+        anti = FamilySpec(FAMILY_ANTI, n, 0.6j, 0.4)
+        twin = FamilySpec(FAMILY_ADAGGER, n, 0.6j, 0.4)
+        band = n // 2 - 1 - (n // 2) % 2
+        for s in (1, 3, band, band + 2, n - 3, n - 1, n + 1, -1, -3):
+            got = power_matrix(anti, s).matrix
+            want = power_matrix(twin, s).matrix[::-1]
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), s
+
+    def test_adagger_entries_of_anti_data_are_the_twin_entries(self):
+        # power_entry_adagger reads "anti" data as its "adagger" twin, also
+        # for odd s, where the anti power itself has its rows reversed.
+        data = decompose(FamilySpec(FAMILY_ANTI, 6, 0.6j, 0.4))
+        for s in (1, 3, 5, 7, -1, -3):
+            twin = power_matrix(FamilySpec(FAMILY_ADAGGER, 6, 0.6j, 0.4), s).matrix
+            got = np.array(
+                [[power_entry_adagger(data, s, i, j) for j in range(1, 7)] for i in range(1, 7)]
+            )
+            assert np.array_equal(got.view(np.uint64), twin.view(np.uint64)), s
+
 
 class TestPowerMatrix:
     def test_zero_exponent_identity(self):
