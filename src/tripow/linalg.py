@@ -1,17 +1,23 @@
 """Dense complex matrix kernels forming the brute-force reference path.
 
 Everything here is deliberately plain (exponentiation by squaring, LU
-elimination with partial pivoting) so that the closed-form code elsewhere
-in the package can be checked against a route that shares none of its
-machinery.  Both kernels pay only for the band that they read from the
-entries.  Products in binary powering skip the exact zeros outside each
-row's first and last nonzero column, as banded products do (Golub and Van
-Loan, Matrix Computations, 1.2), and each product's row spans follow from
-its operands'.  One blocked banded LU with partial pivoting (ibid., 4.3)
-serves the inverse, by one block back-substitution, and the determinant,
-as the product of its pivots.  The band is read from the entries alone, so
-it knows nothing of the families or their closed forms, and only terms
-with an exact zero factor are dropped.  Nothing here calls numpy.linalg.
+elimination with partial pivoting, triangular solves) so that the
+closed-form code elsewhere in the package can be checked against a route
+that shares none of its machinery.  Every kernel pays only for the band
+that it reads from the entries.  Products in binary powering skip the exact
+zeros outside each row's first and last nonzero column, as banded products
+do (Golub and Van Loan, Matrix Computations, 1.2), and each product's row
+spans, and every block's windows, follow from its operands' spans.  Once a
+square's rows span every column, an exactly symmetric input squares by
+a @ a.T, which BLAS runs as syrk at about half the work.  One blocked
+banded LU with partial pivoting (ibid., 4.3) records each panel's row
+order and transforms, so one factorization solves m X = B for any B: the
+inverse is the solve against I, a negative power takes the cheaper of |s|
+solves and binary powering of the inverse by operation count, and the
+determinant is the product of the pivots.  The band is read from the
+entries alone, so it knows nothing of the families or their closed forms,
+and only terms with an exact zero factor are dropped.  Nothing here calls
+numpy.linalg.
 """
 
 import operator
@@ -27,8 +33,9 @@ __all__ = [
     "mat_norm_maxabs",
 ]
 
-# mat_inverse treats a pivot whose modulus falls below this fraction of the
-# largest initial entry modulus as zero; mat_det uses every nonzero pivot.
+# mat_inverse and negative powers treat a pivot whose modulus falls below
+# this fraction of the largest initial entry modulus as zero; mat_det uses
+# every nonzero pivot.
 SINGULAR_RTOL = 1e-12
 
 # Rows per block of a product in mat_pow_binary.
@@ -77,48 +84,52 @@ def _spans(rows) -> tuple[np.ndarray, np.ndarray]:
     return first, stop
 
 
-def _product_spans(a_spans, b_spans, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The row spans of a @ b, read from the spans of a and b.
+def _full(spans, n: int) -> bool:
+    """Whether every row spans all n columns."""
+    return spans[0].max() == 0 and spans[1].min() == n
 
-    Row i of the product can be nonzero only in the columns that b's rows
-    a_first[i]:a_stop[i] span, so its span runs from the least first to the
-    greatest stop of those rows.  One reduceat over the interleaved (first,
-    stop) indices takes both; a sentinel row at index n, reached by the
-    empty span (n, 0), keeps empty rows empty.
+
+def _windows(spans, first, stop, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each i, the least first and greatest stop of rows first[i]:stop[i].
+
+    spans are the (first, stop) row spans of one matrix.  One reduceat over
+    the interleaved (first, stop) indices takes both; a sentinel row at
+    index n, reached by the empty span (n, 0), gives (n, 0) again.
     """
-    (a_first, a_stop), (b_first, b_stop) = a_spans, b_spans
-    bounds = np.column_stack((a_first, a_stop)).ravel()
-    first = np.minimum.reduceat(np.append(b_first, n), bounds)[::2]
-    stop = np.maximum.reduceat(np.append(b_stop, 0), bounds)[::2]
-    return first, stop
+    bounds = np.column_stack((first, stop)).ravel()
+    least = np.minimum.reduceat(np.append(spans[0], n), bounds)[::2]
+    greatest = np.maximum.reduceat(np.append(spans[1], 0), bounds)[::2]
+    return least, greatest
 
 
 def _product(a, a_spans, b, b_spans):
     """a @ b and its row spans, skipping the exact zeros outside the spans.
 
-    Each block of _BLOCK rows of a multiplies only the columns its rows
-    span by the rows of b in that range, and fills only the columns those
-    rows of b span; every other entry of the product is exactly zero.  The
-    terms skipped all have an exact zero factor, so the product equals a @ b
-    whenever both are finite.  The product's spans come from the operands'
-    (_product_spans): they may be wider than its nonzeros when terms cancel,
-    never narrower.  Two operands with full spans take one plain product.
+    Row i of the product can be nonzero only in the columns that b's rows
+    a_first[i]:a_stop[i] span, which gives its span (_windows).  Likewise
+    each block of _BLOCK rows of a multiplies only the columns k0:k1 that
+    its rows span by the rows of b in that range, and fills only the
+    columns j0:j1 that those rows of b span; one reduceat gives every
+    block's k-window and one _windows call every j-window.  Every other
+    entry of the product is exactly zero.  The terms skipped all have an
+    exact zero factor, so the product equals a @ b whenever both are
+    finite.  The spans may be wider than the product's nonzeros when terms
+    cancel, never narrower.  Two operands with full spans take one plain
+    product.
     """
     n = a.shape[0]
-    (a_first, a_stop), (b_first, b_stop) = a_spans, b_spans
-    spans = _product_spans(a_spans, b_spans, n)
-    if max(a_first.max(), b_first.max()) == 0 and min(a_stop.min(), b_stop.min()) == n:
+    spans = _windows(b_spans, *a_spans, n)
+    if _full(a_spans, n) and _full(b_spans, n):
         return a @ b, spans
+    starts = np.arange(0, n, _BLOCK)
+    k_first = np.minimum.reduceat(a_spans[0], starts)
+    k_stop = np.maximum.reduceat(a_spans[1], starts)
+    windows = (k_first, k_stop, *_windows(b_spans, k_first, k_stop, n))
     c = np.zeros((n, n), dtype=np.complex128)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        k0, k1 = a_first[start:stop].min(), a_stop[start:stop].max()
-        if k0 >= k1:
-            continue
-        j0, j1 = b_first[k0:k1].min(), b_stop[k0:k1].max()
-        if j0 >= j1:
-            continue
-        c[start:stop, j0:j1] = a[start:stop, k0:k1] @ b[k0:k1, j0:j1]
+    for start, k0, k1, j0, j1 in zip(starts.tolist(), *(w.tolist() for w in windows)):
+        if k0 < k1 and j0 < j1:
+            rows = slice(start, start + _BLOCK)
+            np.matmul(a[rows, k0:k1], b[k0:k1, j0:j1], out=c[rows, j0:j1])
     return c, spans
 
 
@@ -132,6 +143,12 @@ def mat_pow_binary(m, s: int) -> np.ndarray:
     the square of a tridiagonal or anti-tridiagonal matrix stays narrow for
     many squarings, and two dense operands cost one plain product.  The input
     is scanned once; each product's spans follow from its operands' spans.
+    At the first square whose rows all span every column, the input's
+    entries are compared with its transpose once.  If m is exactly symmetric
+    every power is symmetric, and each such square a is taken as a @ a.T,
+    which numpy hands to BLAS syrk: it computes one triangle, about half the
+    work, and its result is exactly symmetric.  Any other input keeps the
+    plain products.
     """
     m = _as_square(m)
     s = operator.index(s)
@@ -140,18 +157,17 @@ def mat_pow_binary(m, s: int) -> np.ndarray:
     n = m.shape[0]
     if s == 0:
         return mat_identity(n)
-    base = m, _spans(m)
-    while not s & 1:
-        base = _product(*base, *base)
-        s >>= 1
-    result = base[0].copy(), base[1]
-    s >>= 1
-    while s:
-        base = _product(*base, *base)
+    base, result, symmetric = (m, _spans(m)), None, None
+    while True:
         if s & 1:
-            result = _product(*result, *base)
+            result = base if result is None else _product(*result, *base)
         s >>= 1
-    return result[0]
+        if not s:
+            return result[0].copy() if result[0] is m else result[0]
+        a, spans = base
+        if symmetric is None and _full(spans, n):
+            symmetric = np.array_equal(m, m.T)
+        base = (a @ a.T, spans) if symmetric else _product(a, spans, a, spans)
 
 
 def _eliminate_panel(panel, rtol: float, scale: float, first: int, pivots) -> np.ndarray:
@@ -194,7 +210,7 @@ def _eliminate_panel(panel, rtol: float, scale: float, first: int, pivots) -> np
 
 
 def _banded_lu(m, rtol: float):
-    """Forward sweep of a blocked banded LU with partial pivoting on modulus.
+    """Blocked banded LU with partial pivoting on modulus, as panel transforms.
 
     The rows are first ordered by their first nonzero column (a stable
     sort), which makes an anti-tridiagonal matrix, or any row permutation
@@ -202,15 +218,18 @@ def _banded_lu(m, rtol: float):
     block of _PANEL columns is eliminated on the rows that reach it, those
     whose first nonzero column lies left of the block's end: later rows are
     still zero there, so each pivot has the candidates of a dense LU.
-    _eliminate_panel gives B^-1 for the pivot rows B and -R B^-1 for the
-    other rows R.  These transforms clear the rows below the block over the
-    columns that the panel's rows span, at most p + q past the block for
-    lower and upper bandwidths p and q, and take the identity to Y = L^-1,
-    where L U = m[rows].  Y sits below and U above the block diagonal of
-    work, the block's own columns of Y being the panel itself.  Returns
-    (work, rows, rights, pivots), rights[k] being one past the last column
-    that block k's rows span.  Raises SingularMatrixError for the zero
-    matrix and at a pivot that is zero or below rtol times max |m|.
+    _eliminate_panel gives the row order of its swaps, B^-1 for the pivot
+    rows B and -R B^-1 for the other rows R.  These transforms clear the
+    rows below the block over the columns that the panel's rows span, at
+    most p + q past the block for lower and upper bandwidths p and q, and
+    leave U, block upper triangular with identity diagonal blocks.
+    Returns (sort, panels, rows, pivots): the initial row order, one
+    (start, block_end, end, right, order, inv_b, neg_r_inv_b, upper) per
+    block, upper being U's rows start:block_end over the columns
+    block_end:right and right one past the last column the block's rows
+    span, the final row order and the pivots.  Raises SingularMatrixError
+    for the zero matrix and at a pivot that is zero or below rtol times
+    max |m|.
     """
     m = _as_square(m)
     n = m.shape[0]
@@ -219,53 +238,84 @@ def _banded_lu(m, rtol: float):
     if scale == 0.0:
         raise SingularMatrixError("cannot invert the zero matrix")
     first, stop = _spans(moduli)
-    rows = np.argsort(first, kind="stable")
-    work = m[rows]
-    first = first[rows]
+    sort = np.argsort(first, kind="stable")
+    rows, work = sort.copy(), m[sort]
+    first = first[sort]
     # Rows up to r span no column at or past reach[r], even after fill-in.
-    reach = np.maximum.accumulate(stop[rows])
-    rights, pivots = [], np.empty(n, dtype=np.complex128)
+    reach = np.maximum.accumulate(stop[sort])
+    panels, pivots = [], np.empty(n, dtype=np.complex128)
     for start in range(0, n, _PANEL):
         block_end = min(start + _PANEL, n)
         # Later rows start right of the block and are zero in its columns;
         # a panel shorter than the block would leave a column without pivot.
         end = max(int(np.searchsorted(first, block_end)), block_end)
         right = max(int(reach[end - 1]), block_end)
-        rights.append(right)
         panel = work[start:end, start:block_end].copy()
         order = _eliminate_panel(panel, rtol, scale, start, pivots[start:block_end])
-        work[start:end, :right] = work[start:end, :right][order]
         rows[start:end] = rows[start:end][order]
-        inv_b, neg_r_inv_b = panel[:block_end - start], panel[block_end - start:]
-        for cols in (slice(0, start), slice(block_end, right)):
-            pivot_rows = work[start:block_end, cols]
-            work[block_end:end, cols] += neg_r_inv_b @ pivot_rows
-            work[start:block_end, cols] = inv_b @ pivot_rows
-        work[start:end, start:block_end] = panel
-    return work, rows, rights, pivots
+        inv_b, neg_r_inv_b = np.split(panel, [block_end - start])
+        top, below = np.split(work[start:end, block_end:right][order], [block_end - start])
+        work[block_end:end, block_end:right] = below + neg_r_inv_b @ top
+        upper = inv_b @ top
+        panels.append((start, block_end, end, right, order, inv_b, neg_r_inv_b, upper))
+    return sort, panels, rows, pivots
+
+
+def _solve(lu, b) -> np.ndarray:
+    """X with m X = b, for the factors lu = _banded_lu(m, ...) and any n-row b.
+
+    Replays the forward sweep on the rows of b (initial order, then each
+    block's swaps, B^-1 and -R B^-1), then back-substitutes with U, last
+    block first, each block from the at most p + q rows right of it.
+    """
+    sort, panels, _, _ = lu
+    x = b[sort]
+    for start, block_end, end, _, order, inv_b, neg_r_inv_b, _ in panels:
+        x[start:end] = x[start:end][order]
+        top = x[start:block_end]
+        x[block_end:end] += neg_r_inv_b @ top
+        x[start:block_end] = inv_b @ top
+    for start, block_end, _, right, _, _, _, upper in reversed(panels):
+        x[start:block_end] -= upper @ x[block_end:right]
+    return x
 
 
 def mat_inverse(m) -> np.ndarray:
     """Inverse by blocked banded LU with partial pivoting on modulus.
 
-    After the forward sweep of _banded_lu, back-substitution, last block
-    first, gives X = U^-1 Y, each block from the at most p + q rows of X
-    right of it.  X inverts the row-ordered input, so its columns are
-    permuted back.  Raises SingularMatrixError when the best pivot has
-    modulus below SINGULAR_RTOL times the largest entry modulus.
+    The identity solved against the factors of _banded_lu: the forward
+    sweep replayed on its rows, then back-substitution with U.  Raises
+    SingularMatrixError when the best pivot has modulus below SINGULAR_RTOL
+    times the largest entry modulus.
     """
-    work, rows, rights, _ = _banded_lu(m, SINGULAR_RTOL)
-    n = work.shape[0]
-    for start in reversed(range(0, n, _PANEL)):
-        block_end = min(start + _PANEL, n)
-        right = rights[start // _PANEL]
-        upper = work[start:block_end, block_end:right].copy()
-        work[start:block_end, block_end:right] = 0.0
-        work[start:block_end] -= upper @ work[block_end:right]
-    # Column rows[k] of the inverse is column k of X.
-    if (rows == np.arange(n)).all():
-        return work
-    return work.take(np.argsort(rows), axis=1)
+    lu = _banded_lu(m, SINGULAR_RTOL)
+    return _solve(lu, mat_identity(len(lu[0])))
+
+
+def _inverse_power(m, k: int) -> np.ndarray:
+    """m**-k for k >= 1 from one banded LU, by the route with fewer operations.
+
+    A solve costs n * c complex multiplications, c per column of b: each
+    block's width times the rows its forward step touches plus the columns
+    its back-substitution reads, about n times the band.  k solves,
+    X <- m^-1 X from X = I, cost k n c.  One solve for the inverse and
+    binary powering of it cost n c plus (k.bit_length() + k.bit_count() - 2)
+    dense products of n**3 each.  The solves are taken unless they cost
+    more, so every k <= 3 takes them.  Raises SingularMatrixError as
+    mat_inverse does.
+    """
+    lu = _banded_lu(m, SINGULAR_RTOL)
+    n = len(lu[0])
+    c = sum(
+        (block_end - start) * (end - start + right - block_end)
+        for start, block_end, end, right, *_ in lu[1]
+    )
+    x = _solve(lu, mat_identity(n))
+    if (k - 1) * c > (k.bit_length() + k.bit_count() - 2) * n * n:
+        return mat_pow_binary(x, k)
+    for _ in range(k - 1):
+        x = _solve(lu, x)
+    return x
 
 
 def mat_det(m) -> complex:
@@ -275,7 +325,7 @@ def mat_det(m) -> complex:
     gives exactly 0j, and a tiny one never raises SingularMatrixError.
     """
     try:
-        _, rows, _, pivots = _banded_lu(m, 0.0)
+        _, _, rows, pivots = _banded_lu(m, 0.0)
     except SingularMatrixError:
         return 0j
     # Each swap that puts a row in its place flips the sign; n swaps at most.

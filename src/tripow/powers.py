@@ -76,8 +76,8 @@ from .families import (
 )
 from .linalg import (
     SingularMatrixError,
+    _inverse_power,
     mat_identity,
-    mat_inverse,
     mat_norm_maxabs,
     mat_pow_binary,
 )
@@ -480,17 +480,22 @@ def power_matrix(spec: FamilySpec, s: int) -> PowerResult:
 def oracle_power(matrix: np.ndarray, s: int) -> np.ndarray:
     """The brute-force s-th power of a dense matrix.
 
-    Binary exponentiation for s >= 0, and binary exponentiation of the
-    inverse for s < 0 (SingularMatrixError when it has none), so a large |s|
-    costs O(log |s|) products.  The inverse is a banded LU over the band
-    and row order read from the entries, and each product skips only the
-    exact zeros outside its operands' row spans: a tridiagonal or
-    anti-tridiagonal input costs far less than n**3 per early squaring, and
-    nothing of the closed form (eigenvalues, nodes, families) enters.
+    Binary exponentiation for s >= 0, so a large s costs O(log s) products,
+    each skipping only the exact zeros outside its operands' row spans: a
+    tridiagonal or anti-tridiagonal input costs far less than n**3 per early
+    squaring, and the full squares of an exactly symmetric input go to BLAS
+    syrk.  For s < 0 one banded LU, over the band and row order read from
+    the entries, serves the cheaper of two routes by operation count: |s|
+    banded solves m X = B from B = I, or one solve for the inverse and
+    binary powering of it (SingularMatrixError when m has no inverse).  With
+    w the band of the factors, the solves cost |s| n**2 w multiplications
+    and the powering n**2 w plus (bit_length + popcount - 2) products of
+    n**3, so small |s| and narrow bands take the solves.  Nothing of the
+    closed form (eigenvalues, nodes, families) enters.
     """
     if s >= 0:
         return mat_pow_binary(matrix, s)
-    return mat_pow_binary(mat_inverse(matrix), -s)
+    return _inverse_power(matrix, -s)
 
 
 def power_verify(spec: FamilySpec, s: int, tol: float = 1e-8) -> PowerResult:

@@ -1,6 +1,8 @@
 """Dense kernel tests: these are the oracles, so they get hand-checked values."""
 
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ from tripow.linalg import (
     _PANEL,
     SINGULAR_RTOL,
     SingularMatrixError,
+    _banded_lu,
+    _inverse_power,
+    _solve,
     _spans,
     mat_det,
     mat_identity,
@@ -18,7 +23,10 @@ from tripow.linalg import (
     mat_norm_maxabs,
     mat_pow_binary,
 )
+from tripow.powers import ExtendedDomainWarning, oracle_power, power_matrix
 from tripow.spectral import eigenvalues
+
+EPS = sys.float_info.epsilon
 
 
 def random_matrix(rng, n, scale=2.0):
@@ -214,6 +222,121 @@ class TestEnvelopePowers:
             assert mat_norm_maxabs(power - chained[s]) <= 1e-12 * scale, (kind, n, s)
 
 
+def reference_pow_binary(m, s, syrk=False):
+    """Binary powering with banded products, written out block by block.
+
+    The reference for mat_pow_binary's bits.  Each product's row spans come
+    from its operands' (row i reaches the rows a_first[i]:a_stop[i] of b),
+    and each block of _BLOCK rows writes a[rows, k0:k1] @ b[k0:k1, j0:j1]
+    into a zero matrix, k0:k1 being the columns its rows span and j0:j1
+    those that b's rows k0:k1 span.  Two operands with full spans take a
+    plain product, or a @ a.T for a square when syrk is set.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    n = m.shape[0]
+
+    def product(a, a_spans, b, b_spans):
+        (a_first, a_stop), (b_first, b_stop) = a_spans, b_spans
+        first, stop = np.full(n, n), np.zeros(n, dtype=int)
+        for i in range(n):
+            if a_first[i] < a_stop[i]:
+                first[i] = b_first[a_first[i]:a_stop[i]].min()
+                stop[i] = b_stop[a_first[i]:a_stop[i]].max()
+        if max(a_first.max(), b_first.max()) == 0 and min(a_stop.min(), b_stop.min()) == n:
+            return (a @ a.T if syrk and a is b else a @ b), (first, stop)
+        c = np.zeros((n, n), dtype=np.complex128)
+        for start in range(0, n, _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            k0, k1 = a_first[rows].min(), a_stop[rows].max()
+            if k0 < k1:
+                j0, j1 = b_first[k0:k1].min(), b_stop[k0:k1].max()
+                if j0 < j1:
+                    c[rows, j0:j1] = a[rows, k0:k1] @ b[k0:k1, j0:j1]
+        return c, (first, stop)
+
+    base = m, _spans(m)
+    while not s & 1:
+        base = product(*base, *base)
+        s >>= 1
+    result = base
+    s >>= 1
+    while s:
+        base = product(*base, *base)
+        if s & 1:
+            result = product(*result, *base)
+        s >>= 1
+    return result[0]
+
+
+def _symmetric(rng, n):
+    m = random_matrix(rng, n)
+    m = m + m.T
+    return m / np.abs(np.linalg.eigvals(m)).max()
+
+
+def _same_bits(x, y):
+    return np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+# (family, n, s) with 2**k = s and 2**(k-1) >= n - 1, so the last product
+# is the square of a power whose rows span every column.
+FULL_SQUARES = [
+    (family, n, s)
+    for family in (FAMILY_ADAGGER, FAMILY_ANTI)
+    for n, s in ((2, 4), (8, 16), (8, 4096), (18, 64), (64, 4096), (130, 4096))
+] + [(FAMILY_ADAGGER, n, s) for n, s in ((3, 8), (17, 64), (129, 4096))]
+
+
+class TestSymmetricSquares:
+    """Full squares of an exactly symmetric input are a @ a.T (BLAS syrk)."""
+
+    @pytest.mark.parametrize("family, n, s", FULL_SQUARES)
+    def test_symmetric_family_power_is_exactly_symmetric(self, family, n, s):
+        m = build_matrix(FamilySpec(family, n, 0.6j, 0.4))
+        power = mat_pow_binary(m, s)
+        assert np.array_equal(power, power.T)
+        assert _same_bits(power, reference_pow_binary(m, s, syrk=True))
+
+    @pytest.mark.parametrize("n", [3, 33, 70])
+    def test_symmetric_dense_power_is_exactly_symmetric(self, n):
+        m = _symmetric(np.random.default_rng(n), n)
+        for s in (2, 4, 64):
+            power = mat_pow_binary(m, s)
+            assert np.array_equal(power, power.T), s
+            assert _same_bits(power, reference_pow_binary(m, s, syrk=True)), s
+
+    @pytest.mark.parametrize("n", [2, 17, 32, 33, 130])
+    def test_family_a_keeps_the_plain_products(self, n):
+        m = build_matrix(FamilySpec(FAMILY_A, n, 0.6j, 0.4))
+        assert not np.array_equal(m, m.T)
+        for s in (1, 2, 3, 64, 4096, 4097):
+            assert _same_bits(mat_pow_binary(m, s), reference_pow_binary(m, s)), s
+
+    @pytest.mark.parametrize("n", [1, 3, 33, 70])
+    @pytest.mark.parametrize("kind", ["dense", "permuted-tridiagonal", "lower-bidiagonal"])
+    def test_unsymmetric_inputs_keep_the_plain_products(self, kind, n):
+        m = np.ascontiguousarray(ENVELOPE_MATRICES[kind](np.random.default_rng(n), n))
+        m /= max(1.0, np.abs(np.linalg.eigvals(m)).max())
+        for s in (1, 2, 3, 7, 64, 65):
+            assert _same_bits(mat_pow_binary(m, s), reference_pow_binary(m, s)), s
+
+    @pytest.mark.parametrize("n", [3, 33, 70])
+    def test_one_ulp_from_symmetric_keeps_the_plain_products(self, n):
+        m = _symmetric(np.random.default_rng(n), n)
+        m[0, -1] = complex(np.nextafter(m[0, -1].real, np.inf), m[0, -1].imag)
+        for s in (2, 64):
+            power = mat_pow_binary(m, s)
+            assert _same_bits(power, reference_pow_binary(m, s)), s
+            assert not _same_bits(power, reference_pow_binary(m, s, syrk=True)), s
+
+    def test_one_ulp_from_symmetric_family_keeps_the_plain_products(self):
+        m = build_matrix(FamilySpec(FAMILY_ADAGGER, 17, 0.6j, 0.4))
+        m[3, 4] = complex(m[3, 4].real, np.nextafter(m[3, 4].imag, np.inf))
+        power = mat_pow_binary(m, 64)
+        assert _same_bits(power, reference_pow_binary(m, 64))
+        assert not _same_bits(power, reference_pow_binary(m, 64, syrk=True))
+
+
 def _band(rng, n, lower, upper):
     """Random entries on the band, with a shifted diagonal; pivots still swap."""
     m = np.triu(np.tril(random_matrix(rng, n, 1.0), upper), -lower)
@@ -269,6 +392,25 @@ class TestMatInverse:
             assert residual <= 1e-9
 
 
+# Every route to an inverse: both routes of a negative power factor first.
+INVERTERS = (
+    unblocked_inverse,
+    mat_inverse,
+    lambda m: oracle_power(m, -3),
+    lambda m: oracle_power(m, -1024),
+)
+
+
+def _singular_columns(m):
+    """The column that each of INVERTERS names when it refuses m."""
+    columns = []
+    for invert in INVERTERS:
+        with pytest.raises(SingularMatrixError) as err:
+            invert(m)
+        columns.append(re.search(r"at column (\d+) ", str(err.value)).group(1))
+    return columns
+
+
 class TestBlockedInverse:
     @pytest.mark.parametrize("n", INVERSE_SIZES)
     def test_matches_unblocked_reference_on_dense(self, n):
@@ -299,24 +441,88 @@ class TestBlockedInverse:
         # Columns bad - 1 and bad become parallel and stay tridiagonal.
         m[bad - 2, bad - 1] = m[bad + 1, bad] = 0.0
         m[bad - 1:bad + 1, bad] = 2.0 * m[bad - 1:bad + 1, bad - 1]
-        columns = []
-        for invert in (unblocked_inverse, mat_inverse):
-            with pytest.raises(SingularMatrixError) as err:
-                invert(m)
-            columns.append(re.search(r"at column (\d+) ", str(err.value)).group(1))
-        assert columns == [str(bad + 1)] * 2
+        assert _singular_columns(m) == [str(bad + 1)] * len(INVERTERS)
 
     def test_singular_column_past_the_first_block(self):
         rng = np.random.default_rng(46)
         n, bad = 2 * _BLOCK + 1, _BLOCK + 13
         m = random_matrix(rng, n)
         m[:, bad] = m[:, :bad] @ rng.uniform(-1, 1, bad)
-        columns = []
-        for invert in (unblocked_inverse, mat_inverse):
-            with pytest.raises(SingularMatrixError) as err:
-                invert(m)
-            columns.append(re.search(r"at column (\d+) ", str(err.value)).group(1))
-        assert columns == [str(bad + 1)] * 2
+        assert _singular_columns(m) == [str(bad + 1)] * len(INVERTERS)
+
+
+def _routes(m, k):
+    """m**-k by k solves on one LU, and by binary powering of the inverse."""
+    lu = _banded_lu(m, SINGULAR_RTOL)
+    inverse = solves = _solve(lu, mat_identity(m.shape[0]))
+    for _ in range(k - 1):
+        solves = _solve(lu, solves)
+    return solves, mat_pow_binary(inverse, k)
+
+
+# n on both sides of the first and the sixteenth panel edge.
+ROUTE_CASES = [
+    (family, n)
+    for family in (FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI)
+    for n in (16, 17, 18, 257, 258)
+    if family != FAMILY_ANTI or n % 2 == 0
+]
+
+
+class TestNegativePowers:
+    """oracle_power(m, s < 0): |s| banded solves or the powered inverse."""
+
+    @pytest.mark.parametrize("family, n", ROUTE_CASES)
+    def test_routes_agree_with_each_other_and_the_closed_form(self, family, n):
+        # |a| > 2|b| keeps every eigenvalue a + b*node away from zero.
+        for a, b in ((0.6j, 0.4), (3.0 + 1.0j, 0.8 - 0.9j)):
+            spec = FamilySpec(family, n, a, b)
+            m = build_matrix(spec)
+            for k in (1, 2, 3, 5, 64):
+                solves, powering = _routes(m, k)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ExtendedDomainWarning)
+                    closed = power_matrix(spec, -k).matrix
+                bound = 1e-13 + 8 * k * EPS
+                assert relative_error(solves, powering) <= bound, (a, k)
+                assert relative_error(solves, closed) <= bound, (a, k)
+                assert relative_error(powering, closed) <= bound, (a, k)
+                oracle = oracle_power(m, -k)
+                assert _same_bits(oracle, solves) or _same_bits(oracle, powering), (a, k)
+
+    @pytest.mark.parametrize("family, n", ROUTE_CASES)
+    def test_route_follows_the_operation_count(self, family, n):
+        m = build_matrix(FamilySpec(family, n, 3.0 + 1.0j, 0.8 - 0.9j))
+        for k in (1, 2, 3, 4, 5, 64):
+            solves, powering = _routes(m, k)
+            # n <= 18 spans one or two panels, so a solve costs about n**2
+            # per column, as a dense one does, and the solves win only while
+            # k - 1 <= bit_length + popcount - 2, that is k <= 3.  At
+            # n >= 257 a tridiagonal solve costs under 20 n per column, and
+            # 63 of them cost less than 6 products of n**3.
+            by_solves = k <= 3 or n > 2 * _PANEL
+            assert _same_bits(oracle_power(m, -k), solves if by_solves else powering), k
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [(FAMILY_A, n) for n in range(2, 9)]
+        + [(FAMILY_ADAGGER, n) for n in range(1, 9)]
+        + [(FAMILY_ANTI, n) for n in range(2, 9, 2)],
+    )
+    def test_small_n_large_exponents_power_the_inverse(self, family, n):
+        # The route of the n <= 8, |s| >= 2**10 property tests.
+        m = build_matrix(FamilySpec(family, n, 3.0 + 1.0j, 0.8 - 0.9j))
+        m /= np.abs(np.linalg.eigvals(m)).min()
+        for k in (2**10, 2**20 - 1, 2**20):
+            assert _same_bits(_inverse_power(m, k), mat_pow_binary(mat_inverse(m), k)), k
+
+    def test_dense_input_powers_the_inverse(self):
+        m = random_matrix(np.random.default_rng(7), 40)
+        solves, powering = _routes(m, 64)
+        assert relative_error(solves, powering) <= 1e-10
+        assert _same_bits(oracle_power(m, -64), powering)
+        solves, powering = _routes(m, 3)
+        assert _same_bits(oracle_power(m, -3), solves)
 
 
 class TestMatDet:
