@@ -10,11 +10,13 @@ do (Golub and Van Loan, Matrix Computations, 1.2), and each product's row
 spans, and every block's windows, follow from its operands' spans.  Once a
 square's rows span every column, an exactly symmetric input squares by
 a @ a.T, which BLAS runs as syrk at about half the work.  One blocked
-banded LU with partial pivoting (ibid., 4.3) records each panel's row
-order and transforms, so one factorization solves m X = B for any B: the
-inverse is the solve against I, a negative power takes the cheaper of |s|
-solves and binary powering of the inverse by operation count, and the
-determinant is the product of the pivots.  The band is read from the
+banded LU with partial pivoting (ibid., 4.3) takes I to L^-1 as it
+factors, over the columns left of each block only, and records each
+panel's row order and transforms: back-substitution gives the inverse, and
+the same factors solve m X = B for any B.  A negative power is the chain
+of solves and squares with the fewest multiplications, counted from the
+factors' band, and the determinant is the product of the pivots.  The
+band is read from the
 entries alone, so it knows nothing of the families or their closed forms,
 and only terms with an exact zero factor are dropped.  Nothing here calls
 numpy.linalg.
@@ -166,7 +168,8 @@ def mat_pow_binary(m, s: int) -> np.ndarray:
             return result[0].copy() if result[0] is m else result[0]
         a, spans = base
         if symmetric is None and _full(spans, n):
-            symmetric = np.array_equal(m, m.T)
+            # The first row settles most unsymmetric inputs in O(n).
+            symmetric = np.array_equal(m[0], m[:, 0]) and np.array_equal(m, m.T)
         base = (a @ a.T, spans) if symmetric else _product(a, spans, a, spans)
 
 
@@ -178,11 +181,12 @@ def _eliminate_panel(panel, rtol: float, scale: float, first: int, pivots) -> np
     row.  Each cleared column is overwritten with the multipliers of its
     step, so that afterwards the top square of the panel holds B^-1, where
     B is the top square of the panel as permuted by the swaps.  Writes each
-    pivot to pivots and returns the row order of the swaps.  Raises
+    pivot to pivots and returns the row order of the swaps, None if there
+    were none.  Raises
     SingularMatrixError at a pivot that is zero or below rtol times scale,
     naming panel column c as column first + c + 1 of the whole matrix.
     """
-    order = np.arange(panel.shape[0])
+    order, swapped = np.arange(panel.shape[0]), False
     for c in range(panel.shape[1]):
         factors = panel[:, c].copy()
         pivot_row = c + int(np.abs(factors[c:]).argmax())
@@ -197,6 +201,7 @@ def _eliminate_panel(panel, rtol: float, scale: float, first: int, pivots) -> np
             line = panel[c].copy()
             panel[c], panel[pivot_row] = panel[pivot_row], line
             order[c], order[pivot_row] = order[pivot_row], order[c]
+            swapped = True
             factors[pivot_row] = factors[c]
         factors[c] = 0.0
         # The column becomes that of the identity before the step, so the
@@ -206,11 +211,11 @@ def _eliminate_panel(panel, rtol: float, scale: float, first: int, pivots) -> np
         pivot_line = panel[c]
         pivot_line /= pivot_value
         panel -= np.multiply.outer(factors, pivot_line)
-    return order
+    return order if swapped else None
 
 
 def _banded_lu(m, rtol: float):
-    """Blocked banded LU with partial pivoting on modulus, as panel transforms.
+    """Blocked banded LU with partial pivoting on modulus, and its sweep of I.
 
     The rows are first ordered by their first nonzero column (a stable
     sort), which makes an anti-tridiagonal matrix, or any row permutation
@@ -218,18 +223,22 @@ def _banded_lu(m, rtol: float):
     block of _PANEL columns is eliminated on the rows that reach it, those
     whose first nonzero column lies left of the block's end: later rows are
     still zero there, so each pivot has the candidates of a dense LU.
-    _eliminate_panel gives the row order of its swaps, B^-1 for the pivot
-    rows B and -R B^-1 for the other rows R.  These transforms clear the
-    rows below the block over the columns that the panel's rows span, at
-    most p + q past the block for lower and upper bandwidths p and q, and
-    leave U, block upper triangular with identity diagonal blocks.
-    Returns (sort, panels, rows, pivots): the initial row order, one
-    (start, block_end, end, right, order, inv_b, neg_r_inv_b, upper) per
-    block, upper being U's rows start:block_end over the columns
-    block_end:right and right one past the last column the block's rows
-    span, the final row order and the pivots.  Raises SingularMatrixError
-    for the zero matrix and at a pivot that is zero or below rtol times
-    max |m|.
+    _eliminate_panel gives the row order of its swaps and the transforms,
+    B^-1 for the pivot rows B over -R B^-1 for the other rows R.  These
+    clear the rows below the block over the columns that the panel's rows
+    span, at most p + q past the block for lower and upper bandwidths p and
+    q, which leaves U block upper triangular with identity diagonal blocks,
+    and take the identity to Y = L^-1, where L U = m[rows].  Y sits in work
+    below the block diagonal and in the block's own columns, which are the
+    transforms; its rows are zero right of their block, so the sweep
+    carries Y only over the columns left of each block.  Returns (work,
+    rows, pivots, sort, panels): sort is the initial row order, rows the
+    final one, and each block gives (start, block_end, end, right, order,
+    transforms, neg_upper), order None where the block swapped no rows,
+    right one past the last column that its rows span, and neg_upper minus
+    U's rows start:block_end over the columns block_end:right.
+    Raises SingularMatrixError for the zero matrix and at a pivot that is
+    zero or below rtol times max |m|.
     """
     m = _as_square(m)
     n = m.shape[0]
@@ -250,71 +259,128 @@ def _banded_lu(m, rtol: float):
         # a panel shorter than the block would leave a column without pivot.
         end = max(int(np.searchsorted(first, block_end)), block_end)
         right = max(int(reach[end - 1]), block_end)
-        panel = work[start:end, start:block_end].copy()
-        order = _eliminate_panel(panel, rtol, scale, start, pivots[start:block_end])
-        rows[start:end] = rows[start:end][order]
-        inv_b, neg_r_inv_b = np.split(panel, [block_end - start])
-        top, below = np.split(work[start:end, block_end:right][order], [block_end - start])
-        work[block_end:end, block_end:right] = below + neg_r_inv_b @ top
-        upper = inv_b @ top
-        panels.append((start, block_end, end, right, order, inv_b, neg_r_inv_b, upper))
-    return sort, panels, rows, pivots
+        transforms = work[start:end, start:block_end].copy()
+        order = _eliminate_panel(transforms, rtol, scale, start, pivots[start:block_end])
+        if order is not None:
+            rows[start:end] = rows[start:end][order]
+            work[start:end, :right] = work[start:end, :right][order]
+        inv_b, neg_r_inv_b = transforms[:block_end - start], transforms[block_end - start:]
+        y = work[start:block_end, :start]
+        work[block_end:end, :start] += neg_r_inv_b @ y
+        work[start:block_end, :start] = inv_b @ y
+        top = work[start:block_end, block_end:right]
+        work[block_end:end, block_end:right] += neg_r_inv_b @ top
+        neg_upper = -inv_b @ top
+        work[start:end, start:block_end] = transforms
+        work[start:block_end, block_end:right] = 0.0
+        panels.append((start, block_end, end, right, order, transforms, neg_upper))
+    return work, rows, pivots, sort, panels
 
 
-def _solve(lu, b) -> np.ndarray:
-    """X with m X = b, for the factors lu = _banded_lu(m, ...) and any n-row b.
+def _invert(lu) -> np.ndarray:
+    """m^-1 from lu = _banded_lu(m, ...), back-substituting in its work.
 
-    Replays the forward sweep on the rows of b (initial order, then each
-    block's swaps, B^-1 and -R B^-1), then back-substitutes with U, last
-    block first, each block from the at most p + q rows right of it.
+    X = U^-1 Y, last block first, each block from the at most p + q rows
+    of X right of it.  X inverts m[rows], so its columns are permuted back.
     """
-    sort, panels, _, _ = lu
+    work, rows, _, _, panels = lu
+    for start, block_end, _, right, _, _, neg_upper in reversed(panels):
+        work[start:block_end] += neg_upper @ work[block_end:right]
+    # Column rows[k] of the inverse is column k of X.
+    if (rows == np.arange(len(rows))).all():
+        return work
+    return work.take(np.argsort(rows), axis=1)
+
+
+def _backs(lu) -> list:
+    """[B^-1 | -upper] for each block of lu = _banded_lu(m, ...)."""
+    return [
+        np.hstack((transforms[:block_end - start], neg_upper))
+        for start, block_end, *_, transforms, neg_upper in lu[4]
+    ]
+
+
+def _solve(lu, backs, b) -> np.ndarray:
+    """X with m X = b, for lu = _banded_lu(m, ...), backs = _backs(lu) and any n-row b.
+
+    Replays the sweep on the rows of b: the initial row order, then each
+    block's swaps and -R B^-1, which clear the rows below it.  B^-1 waits
+    for back-substitution, last block first, where each block's rows
+    become its back times themselves over the at most p + q rows right of
+    them, one product for B^-1 and U.
+    """
+    _, _, _, sort, panels = lu
     x = b[sort]
-    for start, block_end, end, _, order, inv_b, neg_r_inv_b, _ in panels:
-        x[start:end] = x[start:end][order]
-        top = x[start:block_end]
-        x[block_end:end] += neg_r_inv_b @ top
-        x[start:block_end] = inv_b @ top
-    for start, block_end, _, right, _, _, _, upper in reversed(panels):
-        x[start:block_end] -= upper @ x[block_end:right]
+    for start, block_end, end, _, order, transforms, _ in panels:
+        if order is not None:
+            x[start:end] = x[start:end][order]
+        x[block_end:end] += transforms[block_end - start:] @ x[start:block_end]
+    for (start, block_end, _, right, *_), back in zip(reversed(panels), reversed(backs)):
+        x[start:block_end] = back @ x[start:right]
     return x
 
 
 def mat_inverse(m) -> np.ndarray:
     """Inverse by blocked banded LU with partial pivoting on modulus.
 
-    The identity solved against the factors of _banded_lu: the forward
-    sweep replayed on its rows, then back-substitution with U.  Raises
-    SingularMatrixError when the best pivot has modulus below SINGULAR_RTOL
-    times the largest entry modulus.
+    The sweep of _banded_lu takes I to L^-1 over the columns left of each
+    block only, and back-substitution with U gives the inverse (_invert).
+    Raises SingularMatrixError when the best pivot has modulus below
+    SINGULAR_RTOL times the largest entry modulus.
     """
-    lu = _banded_lu(m, SINGULAR_RTOL)
-    return _solve(lu, mat_identity(len(lu[0])))
+    return _invert(_banded_lu(m, SINGULAR_RTOL))
+
+
+def _solve_cost(lu) -> int:
+    """Complex multiplications per column of one _solve: c = n**2 if dense.
+
+    Each block's width times the rows its sweep step touches plus the
+    columns its back-substitution reads, about n times the band.
+    """
+    return sum(
+        (block_end - start) * (end - start + right - block_end)
+        for start, block_end, end, right, *_ in lu[4]
+    )
 
 
 def _inverse_power(m, k: int) -> np.ndarray:
-    """m**-k for k >= 1 from one banded LU, by the route with fewer operations.
+    """m**-k for k >= 1 from one banded LU, by a chain of solves and squares.
 
-    A solve costs n * c complex multiplications, c per column of b: each
-    block's width times the rows its forward step touches plus the columns
-    its back-substitution reads, about n times the band.  k solves,
-    X <- m^-1 X from X = I, cost k n c.  One solve for the inverse and
-    binary powering of it cost n c plus (k.bit_length() + k.bit_count() - 2)
-    dense products of n**3 each.  The solves are taken unless they cost
-    more, so every k <= 3 takes them.  Raises SingularMatrixError as
+    A solve X <- m^-1 X costs n * c complex multiplications (_solve_cost),
+    exactly n**3 for a dense input.  Where it reaches n**3 it saves nothing
+    over a product by the inverse, and the inverse is binary powered.
+    Otherwise the chain with j squarings takes X = m^-q, q = k >> j, by
+    q - 1 solves from the inverse, then squares X j times, each square
+    followed by one more solve where the next lower bit of k is set.  j = 0
+    is k solves, j = k.bit_length() - 1 binary powering of the inverse with
+    a solve in place of each product by it, and j is the one whose chain
+    costs least, the largest on a tie.  Raises SingularMatrixError as
     mat_inverse does.
     """
+    k = operator.index(k)
     lu = _banded_lu(m, SINGULAR_RTOL)
-    n = len(lu[0])
-    c = sum(
-        (block_end - start) * (end - start + right - block_end)
-        for start, block_end, end, right, *_ in lu[1]
-    )
-    x = _solve(lu, mat_identity(n))
-    if (k - 1) * c > (k.bit_length() + k.bit_count() - 2) * n * n:
+    n, c = len(lu[1]), _solve_cost(lu)
+    x = _invert(lu)
+    if k == 1:
+        return x
+    if c >= n * n:
         return mat_pow_binary(x, k)
-    for _ in range(k - 1):
-        x = _solve(lu, x)
+
+    # Multiplications per column past the inverse, which every chain shares.
+    def cost(j):
+        solves = (k >> j) - 1 + (k & ((1 << j) - 1)).bit_count()
+        return solves * c + j * n * n, -j
+
+    squares = min(range(k.bit_length()), key=cost)
+    backs = _backs(lu)
+    for _ in range((k >> squares) - 1):
+        x = _solve(lu, backs, x)
+    spans = _spans(x)
+    for bit in reversed(range(squares)):
+        x, spans = _product(x, spans, x, spans)
+        if k >> bit & 1:
+            x = _solve(lu, backs, x)
+            spans = _spans(x)
     return x
 
 
@@ -325,7 +391,7 @@ def mat_det(m) -> complex:
     gives exactly 0j, and a tiny one never raises SingularMatrixError.
     """
     try:
-        _, _, rows, pivots = _banded_lu(m, 0.0)
+        _, rows, pivots, _, _ = _banded_lu(m, 0.0)
     except SingularMatrixError:
         return 0j
     # Each swap that puts a row in its place flips the sign; n swaps at most.

@@ -485,13 +485,15 @@ def oracle_power(matrix: np.ndarray, s: int) -> np.ndarray:
     tridiagonal or anti-tridiagonal input costs far less than n**3 per early
     squaring, and the full squares of an exactly symmetric input go to BLAS
     syrk.  For s < 0 one banded LU, over the band and row order read from
-    the entries, serves the cheaper of two routes by operation count: |s|
-    banded solves m X = B from B = I, or one solve for the inverse and
-    binary powering of it (SingularMatrixError when m has no inverse).  With
-    w the band of the factors, the solves cost |s| n**2 w multiplications
-    and the powering n**2 w plus (bit_length + popcount - 2) products of
-    n**3, so small |s| and narrow bands take the solves.  Nothing of the
-    closed form (eigenvalues, nodes, families) enters.
+    the entries, gives the inverse (SingularMatrixError when m has none)
+    and banded solves X <- m^-1 X.  The power is the chain that costs the
+    fewest multiplications: m^-q by q solves, then j squares of n**3, each
+    followed by a solve where the next lower bit of |s| is set, q = |s| >> j.
+    A solve costs about n**2 times the band of the factors, so small |s|
+    takes solves only and large |s| mostly squares; where a solve costs as
+    much as a product (a dense input, or n <= 17), the inverse is binary
+    powered.  Nothing of the closed form (eigenvalues, nodes, families)
+    enters.
     """
     if s >= 0:
         return mat_pow_binary(matrix, s)

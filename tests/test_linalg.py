@@ -13,9 +13,12 @@ from tripow.linalg import (
     _PANEL,
     SINGULAR_RTOL,
     SingularMatrixError,
+    _backs,
     _banded_lu,
+    _invert,
     _inverse_power,
     _solve,
+    _solve_cost,
     _spans,
     mat_det,
     mat_identity,
@@ -451,13 +454,32 @@ class TestBlockedInverse:
         assert _singular_columns(m) == [str(bad + 1)] * len(INVERTERS)
 
 
-def _routes(m, k):
-    """m**-k by k solves on one LU, and by binary powering of the inverse."""
+def _chain(m, k, squares):
+    """m**-k by the chain with this many squares, built from the factors.
+
+    k >> squares solves from I, then each square followed by one solve
+    where the next lower bit of k is set.
+    """
     lu = _banded_lu(m, SINGULAR_RTOL)
-    inverse = solves = _solve(lu, mat_identity(m.shape[0]))
-    for _ in range(k - 1):
-        solves = _solve(lu, solves)
-    return solves, mat_pow_binary(inverse, k)
+    x, backs = _invert(lu), _backs(lu)
+    for _ in range((k >> squares) - 1):
+        x = _solve(lu, backs, x)
+    for bit in reversed(range(squares)):
+        x = x @ x
+        if k >> bit & 1:
+            x = _solve(lu, backs, x)
+    return x
+
+
+def _counted_chain(m, k):
+    """The squares of the cheapest chain, by counting every chain's steps."""
+    lu = _banded_lu(m, SINGULAR_RTOL)
+    n, c = m.shape[0], _solve_cost(lu)
+    costs = []
+    for squares in range(k.bit_length()):
+        solves = (k >> squares) - 1 + sum(k >> bit & 1 for bit in range(squares))
+        costs.append((solves * c + squares * n * n, -squares))
+    return -min(costs)[1]
 
 
 # n on both sides of the first and the sixteenth panel edge.
@@ -470,7 +492,7 @@ ROUTE_CASES = [
 
 
 class TestNegativePowers:
-    """oracle_power(m, s < 0): |s| banded solves or the powered inverse."""
+    """oracle_power(m, s < 0): a chain of banded solves and squares, or the powered inverse."""
 
     @pytest.mark.parametrize("family, n", ROUTE_CASES)
     def test_routes_agree_with_each_other_and_the_closed_form(self, family, n):
@@ -479,29 +501,37 @@ class TestNegativePowers:
             spec = FamilySpec(family, n, a, b)
             m = build_matrix(spec)
             for k in (1, 2, 3, 5, 64):
-                solves, powering = _routes(m, k)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", ExtendedDomainWarning)
                     closed = power_matrix(spec, -k).matrix
+                powered = mat_pow_binary(mat_inverse(m), k)
+                chains = [_chain(m, k, squares) for squares in range(k.bit_length())]
                 bound = 1e-13 + 8 * k * EPS
-                assert relative_error(solves, powering) <= bound, (a, k)
-                assert relative_error(solves, closed) <= bound, (a, k)
-                assert relative_error(powering, closed) <= bound, (a, k)
+                for route in (powered, *chains):
+                    assert relative_error(route, chains[0]) <= bound, (a, k)
+                    assert relative_error(route, closed) <= bound, (a, k)
                 oracle = oracle_power(m, -k)
-                assert _same_bits(oracle, solves) or _same_bits(oracle, powering), (a, k)
+                assert any(_same_bits(oracle, route) for route in (powered, *chains)), (a, k)
 
     @pytest.mark.parametrize("family, n", ROUTE_CASES)
     def test_route_follows_the_operation_count(self, family, n):
         m = build_matrix(FamilySpec(family, n, 3.0 + 1.0j, 0.8 - 0.9j))
-        for k in (1, 2, 3, 4, 5, 64):
-            solves, powering = _routes(m, k)
-            # n <= 18 spans one or two panels, so a solve costs about n**2
-            # per column, as a dense one does, and the solves win only while
-            # k - 1 <= bit_length + popcount - 2, that is k <= 3.  At
-            # n >= 257 a tridiagonal solve costs under 20 n per column, and
-            # 63 of them cost less than 6 products of n**3.
-            by_solves = k <= 3 or n > 2 * _PANEL
-            assert _same_bits(oracle_power(m, -k), solves if by_solves else powering), k
+        c = _solve_cost(_banded_lu(m, SINGULAR_RTOL))
+        # Up to n = 17 the factors span one panel and a column, and a solve
+        # costs n**2 per column, as a product by the inverse does.  At
+        # n = 18 and past it a tridiagonal solve costs under 20 n.
+        assert c == n * n if n <= 17 else c < 20 * n
+        for k in (2, 3, 4, 5, 16, 64):
+            if c >= n * n:
+                expected = mat_pow_binary(mat_inverse(m), k)
+            else:
+                expected = _chain(m, k, _counted_chain(m, k))
+            assert _same_bits(oracle_power(m, -k), expected), k
+        if n >= 257:
+            # 64 solves cost 1200 n**2 or more against 6 n**3 for the
+            # powered inverse; the count takes 15 solves and 2 squares.
+            assert _counted_chain(m, 64) == 2
+            assert _counted_chain(m, 5) == 0
 
     @pytest.mark.parametrize(
         "family, n",
@@ -513,16 +543,23 @@ class TestNegativePowers:
         # The route of the n <= 8, |s| >= 2**10 property tests.
         m = build_matrix(FamilySpec(family, n, 3.0 + 1.0j, 0.8 - 0.9j))
         m /= np.abs(np.linalg.eigvals(m)).min()
-        for k in (2**10, 2**20 - 1, 2**20):
+        for k in (1, 2**10, 2**20 - 1, 2**20):
             assert _same_bits(_inverse_power(m, k), mat_pow_binary(mat_inverse(m), k)), k
 
     def test_dense_input_powers_the_inverse(self):
         m = random_matrix(np.random.default_rng(7), 40)
-        solves, powering = _routes(m, 64)
-        assert relative_error(solves, powering) <= 1e-10
-        assert _same_bits(oracle_power(m, -64), powering)
-        solves, powering = _routes(m, 3)
-        assert _same_bits(oracle_power(m, -3), solves)
+        assert _solve_cost(_banded_lu(m, SINGULAR_RTOL)) == 40 * 40
+        for k in (2, 3, 64):
+            assert _same_bits(oracle_power(m, -k), mat_pow_binary(mat_inverse(m), k)), k
+        solves = _chain(m, 64, 0)
+        assert relative_error(solves, oracle_power(m, -64)) <= 1e-10
+
+    def test_exponent_is_an_index(self):
+        m = build_matrix(FamilySpec(FAMILY_A, 40, 3.0 + 1.0j, 0.8 - 0.9j))
+        for s in (-3, -64):
+            assert _same_bits(oracle_power(m, np.int64(s)), oracle_power(m, s)), s
+        with pytest.raises(TypeError):
+            oracle_power(m, -3.0)
 
 
 class TestMatDet:
