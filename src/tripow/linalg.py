@@ -13,13 +13,22 @@ a @ a.T, which BLAS runs as syrk at about half the work.  One blocked
 banded LU with partial pivoting (ibid., 4.3) takes I to L^-1 as it
 factors, over the columns left of each block only, and records each
 panel's row order and transforms: back-substitution gives the inverse, and
-the same factors solve m X = B for any B.  A negative power is the chain
-of solves and squares with the fewest multiplications, counted from the
-factors' band, and the determinant is the product of the pivots.  The
-band is read from the
-entries alone, so it knows nothing of the families or their closed forms,
-and only terms with an exact zero factor are dropped.  Nothing here calls
-numpy.linalg.
+the same factors solve m X = B for any B, in place where the rows need no
+initial order.  A negative power is the chain of solves and squares with
+the fewest multiplications, counted from the factors' band, and the
+determinant is the product of the pivots.
+
+An exactly centrosymmetric m of even n = 2h, m = [[B, C], [J C J, J B J]]
+with J the h-by-h exchange, splits into two half-size matrices P = B + C J
+and Q = B - C J: m = K diag(P, Q) K^-1 for K = [[I, I], [J, -J]], so m**s
+joins P**s and Q**s for every integer s (Cantoni and Butler, Linear Algebra
+Appl. 13, 1976; Good, Technometrics 12, 1970).  _centro_split takes the
+halves only when the bottom half of the entries equals the top half
+reversed, and _centro_join writes each entry of the power once;
+powers.oracle_power takes that route where the power is dense.  The band
+and the symmetries are read from the entries alone, so nothing here knows
+the families or their closed forms, and only terms with an exact zero
+factor are dropped.  Nothing here calls numpy.linalg.
 """
 
 import operator
@@ -104,25 +113,23 @@ def _windows(spans, first, stop, n: int) -> tuple[np.ndarray, np.ndarray]:
     return least, greatest
 
 
-def _product(a, a_spans, b, b_spans):
-    """a @ b and its row spans, skipping the exact zeros outside the spans.
+def _product(a, a_spans, b, b_spans) -> np.ndarray:
+    """a @ b, skipping the exact zeros outside the operands' row spans.
 
     Row i of the product can be nonzero only in the columns that b's rows
-    a_first[i]:a_stop[i] span, which gives its span (_windows).  Likewise
-    each block of _BLOCK rows of a multiplies only the columns k0:k1 that
-    its rows span by the rows of b in that range, and fills only the
-    columns j0:j1 that those rows of b span; one reduceat gives every
-    block's k-window and one _windows call every j-window.  Every other
-    entry of the product is exactly zero.  The terms skipped all have an
-    exact zero factor, so the product equals a @ b whenever both are
-    finite.  The spans may be wider than the product's nonzeros when terms
-    cancel, never narrower.  Two operands with full spans take one plain
+    a_first[i]:a_stop[i] span, which gives its span, _windows(b_spans,
+    *a_spans, n).  Likewise each block of _BLOCK rows of a multiplies only
+    the columns k0:k1 that its rows span by the rows of b in that range,
+    and fills only the columns j0:j1 that those rows of b span; one
+    reduceat gives every block's k-window and one _windows call every
+    j-window.  Every other entry of the product is exactly zero.  The terms
+    skipped all have an exact zero factor, so the product equals a @ b
+    whenever both are finite.  Two operands with full spans take one plain
     product.
     """
     n = a.shape[0]
-    spans = _windows(b_spans, *a_spans, n)
     if _full(a_spans, n) and _full(b_spans, n):
-        return a @ b, spans
+        return a @ b
     starts = np.arange(0, n, _BLOCK)
     k_first = np.minimum.reduceat(a_spans[0], starts)
     k_stop = np.maximum.reduceat(a_spans[1], starts)
@@ -132,7 +139,49 @@ def _product(a, a_spans, b, b_spans):
         if k0 < k1 and j0 < j1:
             rows = slice(start, start + _BLOCK)
             np.matmul(a[rows, k0:k1], b[k0:k1, j0:j1], out=c[rows, j0:j1])
-    return c, spans
+    return c
+
+
+def _square_spans(m, s: int) -> list:
+    """Row spans of m, m**2, ..., m**(2**k), the squares of binary powering to s >= 1.
+
+    k = s.bit_length() - 1.  The input is scanned once (_spans) and each
+    square's spans follow from the one before (_windows): wider than its
+    nonzeros where terms cancel, never narrower.  Once a square's rows span
+    every column so do every later square's, which repeat them.
+    """
+    n, length = m.shape[0], s.bit_length()
+    chain = [_spans(m)]
+    while len(chain) < length and not _full(chain[-1], n):
+        chain.append(_windows(chain[-1], *chain[-1], n))
+    return chain + chain[-1:] * (length - len(chain))
+
+
+def _binary_power(m, chain, s: int) -> np.ndarray:
+    """m**s for s >= 1 by squaring, with chain = _square_spans(m, s).
+
+    The loop of mat_pow_binary: bit k of s multiplies the result by m**(2**k)
+    over their spans, and at the first square whose rows span every column
+    m is compared with its transpose once, taking every such square of an
+    exactly symmetric m as a @ a.T.
+    """
+    n = m.shape[0]
+    # Every square from the first whose rows span every column repeats
+    # chain[-1].
+    full = chain[-1] if _full(chain[-1], n) else None
+    base, result, symmetric = m, None, None
+    for bit, spans in enumerate(chain):
+        if s >> bit & 1:
+            if result is None:
+                result = (base, spans)
+            else:
+                result = (_product(*result, base, spans), _windows(spans, *result[1], n))
+        if bit + 1 == len(chain):
+            return result[0].copy() if result[0] is m else result[0]
+        if symmetric is None and spans is full:
+            # The first row settles most unsymmetric inputs in O(n).
+            symmetric = np.array_equal(m[0], m[:, 0]) and np.array_equal(m, m.T)
+        base = base @ base.T if symmetric else _product(base, spans, base, spans)
 
 
 def mat_pow_binary(m, s: int) -> np.ndarray:
@@ -156,21 +205,9 @@ def mat_pow_binary(m, s: int) -> np.ndarray:
     s = operator.index(s)
     if s < 0:
         raise ValueError("exponent must be non-negative; invert first for s < 0")
-    n = m.shape[0]
     if s == 0:
-        return mat_identity(n)
-    base, result, symmetric = (m, _spans(m)), None, None
-    while True:
-        if s & 1:
-            result = base if result is None else _product(*result, *base)
-        s >>= 1
-        if not s:
-            return result[0].copy() if result[0] is m else result[0]
-        a, spans = base
-        if symmetric is None and _full(spans, n):
-            # The first row settles most unsymmetric inputs in O(n).
-            symmetric = np.array_equal(m[0], m[:, 0]) and np.array_equal(m, m.T)
-        base = (a @ a.T, spans) if symmetric else _product(a, spans, a, spans)
+        return mat_identity(m.shape[0])
+    return _binary_power(m, _square_spans(m, s), s)
 
 
 def _eliminate_panel(panel, rtol: float, scale: float, first: int, pivots) -> np.ndarray:
@@ -214,7 +251,7 @@ def _eliminate_panel(panel, rtol: float, scale: float, first: int, pivots) -> np
     return order if swapped else None
 
 
-def _banded_lu(m, rtol: float):
+def _banded_lu(m, rtol: float, scale: float | None = None):
     """Blocked banded LU with partial pivoting on modulus, and its sweep of I.
 
     The rows are first ordered by their first nonzero column (a stable
@@ -232,18 +269,20 @@ def _banded_lu(m, rtol: float):
     below the block diagonal and in the block's own columns, which are the
     transforms; its rows are zero right of their block, so the sweep
     carries Y only over the columns left of each block.  Returns (work,
-    rows, pivots, sort, panels): sort is the initial row order, rows the
-    final one, and each block gives (start, block_end, end, right, order,
-    transforms, neg_upper), order None where the block swapped no rows,
-    right one past the last column that its rows span, and neg_upper minus
-    U's rows start:block_end over the columns block_end:right.
-    Raises SingularMatrixError for the zero matrix and at a pivot that is
-    zero or below rtol times max |m|.
+    rows, pivots, sort, panels): sort is the initial row order, None where
+    the rows are in order already, rows the final one, and each block gives
+    (start, block_end, end, right, order, transforms, neg_upper), order None
+    where the block swapped no rows, right one past the last column that its
+    rows span, and neg_upper minus U's rows start:block_end over the columns
+    block_end:right.
+    m must be a finite square complex128 matrix (_as_square).  Raises
+    SingularMatrixError for the zero matrix and at a pivot that is zero or
+    below rtol times scale, max |m| unless given.
     """
-    m = _as_square(m)
     n = m.shape[0]
     moduli = np.abs(m)
-    scale = float(moduli.max())
+    if scale is None:
+        scale = float(moduli.max())
     if scale == 0.0:
         raise SingularMatrixError("cannot invert the zero matrix")
     first, stop = _spans(moduli)
@@ -274,6 +313,8 @@ def _banded_lu(m, rtol: float):
         work[start:end, start:block_end] = transforms
         work[start:block_end, block_end:right] = 0.0
         panels.append((start, block_end, end, right, order, transforms, neg_upper))
+    if (sort == np.arange(n)).all():
+        sort = None
     return work, rows, pivots, sort, panels
 
 
@@ -307,10 +348,11 @@ def _solve(lu, backs, b) -> np.ndarray:
     block's swaps and -R B^-1, which clear the rows below it.  B^-1 waits
     for back-substitution, last block first, where each block's rows
     become its back times themselves over the at most p + q rows right of
-    them, one product for B^-1 and U.
+    them, one product for B^-1 and U.  Where the rows need no initial
+    order the sweep works on b itself, which the caller must not use again.
     """
     _, _, _, sort, panels = lu
-    x = b[sort]
+    x = b if sort is None else b[sort]
     for start, block_end, end, _, order, transforms, _ in panels:
         if order is not None:
             x[start:end] = x[start:end][order]
@@ -328,7 +370,7 @@ def mat_inverse(m) -> np.ndarray:
     Raises SingularMatrixError when the best pivot has modulus below
     SINGULAR_RTOL times the largest entry modulus.
     """
-    return _invert(_banded_lu(m, SINGULAR_RTOL))
+    return _invert(_banded_lu(_as_square(m), SINGULAR_RTOL))
 
 
 def _solve_cost(lu) -> int:
@@ -343,7 +385,7 @@ def _solve_cost(lu) -> int:
     )
 
 
-def _inverse_power(m, k: int) -> np.ndarray:
+def _inverse_power(m, k: int, scale: float | None = None) -> np.ndarray:
     """m**-k for k >= 1 from one banded LU, by a chain of solves and squares.
 
     A solve X <- m^-1 X costs n * c complex multiplications (_solve_cost),
@@ -354,11 +396,12 @@ def _inverse_power(m, k: int) -> np.ndarray:
     followed by one more solve where the next lower bit of k is set.  j = 0
     is k solves, j = k.bit_length() - 1 binary powering of the inverse with
     a solve in place of each product by it, and j is the one whose chain
-    costs least, the largest on a tie.  Raises SingularMatrixError as
-    mat_inverse does.
+    costs least, the largest on a tie.  m must be a finite square complex128
+    matrix.  Raises SingularMatrixError as mat_inverse does, comparing the
+    pivots with SINGULAR_RTOL times scale, max |m| unless given.
     """
     k = operator.index(k)
-    lu = _banded_lu(m, SINGULAR_RTOL)
+    lu = _banded_lu(m, SINGULAR_RTOL, scale)
     n, c = len(lu[1]), _solve_cost(lu)
     x = _invert(lu)
     if k == 1:
@@ -377,11 +420,79 @@ def _inverse_power(m, k: int) -> np.ndarray:
         x = _solve(lu, backs, x)
     spans = _spans(x)
     for bit in reversed(range(squares)):
-        x, spans = _product(x, spans, x, spans)
+        x, spans = _product(x, spans, x, spans), _windows(spans, *spans, n)
         if k >> bit & 1:
             x = _solve(lu, backs, x)
             spans = _spans(x)
     return x
+
+
+def _centro_split(m):
+    """(P, Q) = (B + C J, B - C J) when m = [[B, C], [J C J, J B J]], else None.
+
+    m is exactly centrosymmetric when its bottom half equals its top half
+    with rows and columns reversed, entry for entry, compared as the
+    symmetry check of _binary_power compares m with its transpose.  With J
+    the h-by-h exchange, n = 2h and K = [[I, I], [J, -J]], such an m equals
+    K diag(P, Q) K^-1, so m**s = K diag(P**s, Q**s) K^-1 for every integer
+    s (_centro_join), and m is invertible exactly when P and Q are.  Odd n,
+    any other input and halves with an entry that overflows give None.
+    """
+    n = m.shape[0]
+    h = n // 2
+    # The first row settles most other inputs in O(n).
+    if n % 2 or not (
+        np.array_equal(m[0], m[-1, ::-1]) and np.array_equal(m[h:], m[h - 1::-1, ::-1])
+    ):
+        return None
+    b, cj = m[:h, :h], m[:h, :h - 1:-1]
+    with np.errstate(over="ignore"):
+        halves = b + cj, b - cj
+    return halves if all(np.isfinite(half).all() for half in halves) else None
+
+
+def _half_powers(m, halves, s: int) -> list:
+    """[P**s, Q**s] for halves = _centro_split(m) and s != 0.
+
+    s > 0 powers each half as mat_pow_binary does.  s < 0 factors each half
+    on its own and compares its pivots with SINGULAR_RTOL times max |m|, the
+    scale of m rather than of the half; SingularMatrixError then names the
+    half, whose columns are not columns of m.
+    """
+    if s > 0:
+        return [_binary_power(half, _square_spans(half, s), s) for half in halves]
+    # The bottom half of m repeats the top half's entries.
+    scale = float(np.abs(m[:m.shape[0] // 2]).max())
+    if scale == 0.0:
+        raise SingularMatrixError("cannot invert the zero matrix")
+    powers = []
+    for name, half in zip(("P = B + CJ", "Q = B - CJ"), halves):
+        try:
+            powers.append(_inverse_power(half, -s, scale))
+        except SingularMatrixError as err:
+            raise SingularMatrixError(
+                f"singular matrix: half {name} of the centrosymmetric split has a "
+                f"pivot below {SINGULAR_RTOL:g} of the matrix scale {scale:.3e}"
+            ) from err
+    return powers
+
+
+def _centro_join(p, q) -> np.ndarray:
+    """[[X, Y J], [J Y, J X J]] for X = (p + q) / 2 and Y = (p - q) / 2.
+
+    With p = P**s and q = Q**s from _centro_split(m), this is m**s, exactly
+    centrosymmetric.  p and q are halved in place, exactly unless an entry
+    is subnormal; the top half takes one addition and one subtraction, and
+    the bottom half is the top half read with its rows and columns reversed.
+    """
+    h = p.shape[0]
+    out = np.empty((2 * h, 2 * h), dtype=np.complex128)
+    p *= 0.5
+    q *= 0.5
+    np.add(p, q, out=out[:h, :h])
+    np.subtract(p, q, out=out[:h, :h - 1:-1])
+    out[h:] = out[h - 1::-1, ::-1]
+    return out
 
 
 def mat_det(m) -> complex:
@@ -390,6 +501,7 @@ def mat_det(m) -> complex:
     The product of the pivots times the sign of the row order; a zero pivot
     gives exactly 0j, and a tiny one never raises SingularMatrixError.
     """
+    m = _as_square(m)
     try:
         _, rows, pivots, _, _ = _banded_lu(m, 0.0)
     except SingularMatrixError:

@@ -76,10 +76,16 @@ from .families import (
 )
 from .linalg import (
     SingularMatrixError,
+    _as_square,
+    _binary_power,
+    _centro_join,
+    _centro_split,
+    _full,
+    _half_powers,
     _inverse_power,
+    _square_spans,
     mat_identity,
     mat_norm_maxabs,
-    mat_pow_binary,
 )
 from .spectral import _SIGN4, SpectralData, eigenvalues, power_generator
 
@@ -492,12 +498,34 @@ def oracle_power(matrix: np.ndarray, s: int) -> np.ndarray:
     A solve costs about n**2 times the band of the factors, so small |s|
     takes solves only and large |s| mostly squares; where a solve costs as
     much as a product (a dense input, or n <= 17), the inverse is binary
-    powered.  Nothing of the closed form (eigenvalues, nodes, families)
-    enters.
+    powered.
+
+    Where the power is dense, an exactly centrosymmetric m of even n = 2h,
+    m = [[B, C], [J C J, J B J]] with J the h-by-h exchange, is powered as
+    two halves: m**s = K diag(P**s, Q**s) K^-1 for P = B + C J, Q = B - C J
+    and K = [[I, I], [J, -J]], so that m**s is
+    [[P**s + Q**s, (P**s - Q**s) J], [J (P**s - Q**s), J (P**s + Q**s) J]] / 2.
+    That is every s < 0, whose inverse is dense, and every s > 0 whose
+    squares come to span every column, by the row spans that binary
+    powering reads anyway; a full square then costs 2 (n/2)**3 instead of
+    n**3, and the LU and the solves run on the halves.  The halves are
+    taken only when the bottom half of the entries equals the top half
+    reversed exactly; every other input, and every power that stays banded,
+    keeps the routes above.  Nothing of the closed form (eigenvalues, nodes,
+    families) enters.
     """
-    if s >= 0:
-        return mat_pow_binary(matrix, s)
-    return _inverse_power(matrix, -s)
+    s = operator.index(s)
+    m = _as_square(matrix)
+    if s == 0:
+        return mat_identity(m.shape[0])
+    chain = _square_spans(m, s) if s > 0 else None
+    # The inverse is dense, and so is every square from the first whose
+    # rows span every column.
+    dense = s < 0 or (len(chain) > 1 and _full(chain[-1], m.shape[0]))
+    halves = _centro_split(m) if dense else None
+    if halves is not None:
+        return _centro_join(*_half_powers(m, halves, s))
+    return _inverse_power(m, -s) if s < 0 else _binary_power(m, chain, s)
 
 
 def power_verify(spec: FamilySpec, s: int, tol: float = 1e-8) -> PowerResult:

@@ -15,6 +15,8 @@ from tripow.linalg import (
     SingularMatrixError,
     _backs,
     _banded_lu,
+    _centro_join,
+    _centro_split,
     _invert,
     _inverse_power,
     _solve,
@@ -482,6 +484,18 @@ def _counted_chain(m, k):
     return -min(costs)[1]
 
 
+def _counted_route(m, k):
+    """m**-k by the route that the count picks, on m as a whole."""
+    if _solve_cost(_banded_lu(m, SINGULAR_RTOL)) >= m.shape[0] ** 2:
+        return mat_pow_binary(mat_inverse(m), k)
+    return _chain(m, k, _counted_chain(m, k))
+
+
+def _joined(route, m, k):
+    """The join of route(half, k) run on both halves of a centrosymmetric m."""
+    return _centro_join(*(route(half, k) for half in _centro_split(m)))
+
+
 # n on both sides of the first and the sixteenth panel edge.
 ROUTE_CASES = [
     (family, n)
@@ -511,7 +525,18 @@ class TestNegativePowers:
                     assert relative_error(route, chains[0]) <= bound, (a, k)
                     assert relative_error(route, closed) <= bound, (a, k)
                 oracle = oracle_power(m, -k)
-                assert any(_same_bits(oracle, route) for route in (powered, *chains)), (a, k)
+                if _centro_split(m) is None:
+                    routes = (powered, *chains)
+                else:
+                    # Even-n "adagger" and "anti" are centrosymmetric: the
+                    # oracle joins the same routes run on the two halves.
+                    routes = [_joined(lambda half, k: mat_pow_binary(mat_inverse(half), k), m, k)]
+                    routes += [
+                        _joined(lambda half, k: _chain(half, k, squares), m, k)
+                        for squares in range(k.bit_length())
+                    ]
+                    assert relative_error(oracle, closed) <= bound, (a, k)
+                assert any(_same_bits(oracle, route) for route in routes), (a, k)
 
     @pytest.mark.parametrize("family, n", ROUTE_CASES)
     def test_route_follows_the_operation_count(self, family, n):
@@ -522,10 +547,11 @@ class TestNegativePowers:
         # n = 18 and past it a tridiagonal solve costs under 20 n.
         assert c == n * n if n <= 17 else c < 20 * n
         for k in (2, 3, 4, 5, 16, 64):
-            if c >= n * n:
-                expected = mat_pow_binary(mat_inverse(m), k)
+            if _centro_split(m) is None:
+                expected = _counted_route(m, k)
             else:
-                expected = _chain(m, k, _counted_chain(m, k))
+                # Each half of a centrosymmetric m takes its own count.
+                expected = _joined(_counted_route, m, k)
             assert _same_bits(oracle_power(m, -k), expected), k
         if n >= 257:
             # 64 solves cost 1200 n**2 or more against 6 n**3 for the
@@ -560,6 +586,171 @@ class TestNegativePowers:
             assert _same_bits(oracle_power(m, np.int64(s)), oracle_power(m, s)), s
         with pytest.raises(TypeError):
             oracle_power(m, -3.0)
+
+
+def _plain_power(m, s):
+    """The route of oracle_power on m as a whole, without the split."""
+    return mat_pow_binary(m, s) if s >= 0 else _inverse_power(m, -s)
+
+
+def _centrosymmetric(p, q):
+    """[[B, C], [J C J, J B J]] with B + C J = p and B - C J = q.
+
+    Entries that are small dyadic numbers keep every step exact, so the
+    split gives p and q back bit for bit.
+    """
+    b, cj = (p + q) / 2, (p - q) / 2
+    top = np.hstack((b, cj[:, ::-1]))
+    return np.vstack((top, top[::-1, ::-1])).astype(np.complex128)
+
+
+def _diagonally_dominant(h):
+    """4 on the diagonal and 1 beside it: exact entries, pivots far from zero."""
+    return 4.0 * np.eye(h) + np.eye(h, k=1) + np.eye(h, k=-1)
+
+
+# Halves of 8, 9, 65 and 129 rows: within one panel, and one row past a
+# panel and a block edge.
+SPLIT_CASES = [(family, n) for family in (FAMILY_ADAGGER, FAMILY_ANTI) for n in (16, 18, 130, 258)]
+
+
+class TestCentrosymmetricSplit:
+    """An exactly centrosymmetric m of even n is powered as two halves where the power is dense."""
+
+    def test_hand_values(self):
+        # Eigenvalues 3 and 1: m**s = [[3**s + 1, 3**s - 1], [3**s - 1, 3**s + 1]] / 2.
+        m = np.array([[2, 1], [1, 2]], dtype=np.complex128)
+        assert [half.tolist() for half in _centro_split(m)] == [[[3]], [[1]]]
+        assert oracle_power(m, 4).tolist() == [[41, 40], [40, 41]]
+        assert relative_error(oracle_power(m, -1), np.array([[2, -1], [-1, 2]]) / 3) <= EPS
+
+    def test_split_and_join_are_exact(self):
+        rng = np.random.default_rng(21)
+        p, q = (rng.integers(-8, 9, (5, 5)).astype(np.complex128) for _ in range(2))
+        halves = _centro_split(_centrosymmetric(p, q))
+        assert _same_bits(halves[0], p) and _same_bits(halves[1], q)
+        assert _same_bits(_centro_join(p.copy(), q.copy()), _centrosymmetric(p, q))
+
+    @pytest.mark.parametrize("family, n", SPLIT_CASES)
+    def test_agrees_with_the_plain_route(self, family, n):
+        # Spectral radii 1 and 0.85, every eigenvalue at least 0.57 in modulus.
+        for a, b in ((0.6j, 0.4), (0.3 - 0.5j, 0.25 + 0.1j)):
+            m = build_matrix(FamilySpec(family, n, a, b))
+            assert _centro_split(m) is not None
+            for s in (1, 2, 3, 64, n - 1, 4096, -1, -3, -64):
+                oracle = oracle_power(m, s)
+                bound = 1e-13 + 8 * abs(s) * EPS
+                assert relative_error(oracle, _plain_power(m, s)) <= bound, (a, s)
+
+    @pytest.mark.parametrize("family, n", SPLIT_CASES)
+    def test_dense_powers_join_the_halves(self, family, n):
+        m = build_matrix(FamilySpec(family, n, 0.6j, 0.4))
+        # 2**k >= n squares past the first full square: n = 16 at s = 64.
+        for s in (64, 4096, -1, -3, -64) if n <= 64 else (4096, -1, -3, -64):
+            oracle = oracle_power(m, s)
+            assert _same_bits(oracle, _joined(_plain_power, m, s)), s
+            # Exactly centrosymmetric, signed zeros included.
+            assert _same_bits(oracle, np.ascontiguousarray(oracle[::-1, ::-1])), s
+
+    @pytest.mark.parametrize(
+        "family, n, exponents",
+        [
+            # Odd n: "adagger" is not centrosymmetric.
+            (FAMILY_ADAGGER, 17, (64, 4096, -1, -64)),
+            (FAMILY_ADAGGER, 257, (4096, -3, -64)),
+            # Family "a" at even n: its corners are not.
+            (FAMILY_A, 16, (64, 4096, -1, -64)),
+            (FAMILY_A, 130, (4096, -3)),
+            # Powers that stay banded: no square spans every column.
+            (FAMILY_ADAGGER, 258, (1, 2, 3, 64, 255, 256)),
+            (FAMILY_ANTI, 258, (1, 2, 3, 63, 64, 255)),
+        ],
+    )
+    def test_other_inputs_keep_the_plain_route(self, family, n, exponents):
+        m = build_matrix(FamilySpec(family, n, 0.6j, 0.4))
+        for s in exponents:
+            assert _same_bits(oracle_power(m, s), _plain_power(m, s)), s
+
+    def test_one_ulp_from_centrosymmetric_keeps_the_plain_route(self):
+        m = build_matrix(FamilySpec(FAMILY_ADAGGER, 130, 0.6j, 0.4))
+        m[127, 126] = complex(np.nextafter(m[127, 126].real, np.inf), m[127, 126].imag)
+        assert _centro_split(m) is None
+        for s in (64, 4096, -3):
+            assert _same_bits(oracle_power(m, s), _plain_power(m, s)), s
+
+    def test_halves_that_overflow_keep_the_plain_route(self):
+        # B + C J overflows where m does not; the inverse is representable.
+        m = build_matrix(FamilySpec(FAMILY_ADAGGER, 4, 1e308, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _centro_split(m) is None
+            for s in (-1, -3):
+                assert _same_bits(oracle_power(m, s), _plain_power(m, s)), s
+
+    @pytest.mark.parametrize("family, n", SPLIT_CASES)
+    def test_zeroth_power_is_the_exact_identity(self, family, n):
+        m = build_matrix(FamilySpec(family, n, 0.6j, 0.4))
+        assert _same_bits(oracle_power(m, 0), mat_identity(n))
+
+    @pytest.mark.parametrize("singular", ["P", "Q"])
+    def test_a_singular_half_is_named(self, singular):
+        h = 20
+        good, bad = _diagonally_dominant(h), _diagonally_dominant(h)
+        # Two parallel columns make the bad half singular, and so m.
+        bad[:, 13] = 2.0 * bad[:, 12]
+        m = _centrosymmetric(*((bad, good) if singular == "P" else (good, bad)))
+        for invert in INVERTERS[2:]:
+            with pytest.raises(SingularMatrixError, match=f"half {singular} ") as err:
+                invert(m)
+            assert "column" not in str(err.value)
+        with pytest.raises(SingularMatrixError):
+            mat_inverse(m)
+
+    def test_zero_matrix_is_refused_as_such(self):
+        for n in (2, 18):
+            with pytest.raises(SingularMatrixError, match="zero matrix"):
+                oracle_power(np.zeros((n, n)), -1)
+
+    @pytest.mark.parametrize("small", ["P", "Q"])
+    def test_pivots_compare_with_the_scale_of_the_whole_matrix(self, small):
+        # The small half is well conditioned on its own scale, but its
+        # pivots fall below SINGULAR_RTOL of the whole matrix's.
+        h = 20
+        halves = (_diagonally_dominant(h), 2.0 ** -50 * _diagonally_dominant(h))
+        m = _centrosymmetric(*(halves[::-1] if small == "P" else halves))
+        assert mat_norm_maxabs(m) >= 2.0
+        with pytest.raises(SingularMatrixError, match=f"half {small} "):
+            oracle_power(m, -1)
+        with pytest.raises(SingularMatrixError):
+            mat_inverse(m)
+        assert mat_norm_maxabs(mat_inverse(halves[1]) @ halves[1] - mat_identity(h)) <= 1e-12
+
+
+class TestSolveInPlace:
+    @pytest.mark.parametrize("family, n", [(FAMILY_A, 17), (FAMILY_ADAGGER, 130), (FAMILY_A, 257)])
+    def test_matches_the_copying_solve(self, family, n):
+        # Rows already in order: the solve works on b itself.
+        m = build_matrix(FamilySpec(family, n, 3.0 + 1.0j, 0.8 - 0.9j))
+        lu = _banded_lu(m, SINGULAR_RTOL)
+        work, rows, pivots, sort, panels = lu
+        assert sort is None
+        b = random_matrix(np.random.default_rng(n), n)
+        kept = b.copy()
+        copying = _solve((work, rows, pivots, np.arange(n), panels), _backs(lu), b)
+        assert _same_bits(b, kept)
+        in_place = _solve(lu, _backs(lu), b)
+        assert in_place is b
+        assert _same_bits(in_place, copying)
+
+    def test_rows_out_of_order_are_copied(self):
+        m = build_matrix(FamilySpec(FAMILY_ANTI, 130, 3.0 + 1.0j, 0.8 - 0.9j))
+        lu = _banded_lu(m, SINGULAR_RTOL)
+        assert lu[3] is not None
+        b = random_matrix(np.random.default_rng(5), 130)
+        kept = b.copy()
+        x = _solve(lu, _backs(lu), b)
+        assert _same_bits(b, kept)
+        assert relative_error(m @ x, kept) <= 1e-12
 
 
 class TestMatDet:
