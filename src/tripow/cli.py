@@ -49,7 +49,7 @@ from .powers import (
     power_matrix,
     power_verify,
 )
-from .spectral import ClosureError, _nodes, decompose, eigenvalues
+from .spectral import ClosureError, _nodes, _own_eigenvalues, decompose, eigenvalues
 
 __all__ = ["main", "parse_complex", "format_complex"]
 
@@ -198,12 +198,7 @@ def cmd_eigen(args, out) -> int:
     _check_finite(spec, values)
     nodes = _nodes(spec.family, spec.n)
     vectors = decompose(spec).vec_matrix if args.vectors else None
-    if spec.family == FAMILY_ANTI:
-        # eigenvalues gives the "adagger" twin's; the anti matrix has the same
-        # eigenvectors, and the exchange maps eigenvector k to
-        # (-1)**(k + n/2 + 1) times itself, which flips the sign of lambda_k.
-        k = np.arange(1, spec.n + 1)
-        values = values * (-1.0) ** (k + spec.n // 2 + 1)
+    values = _own_eigenvalues(spec, values)
     if args.format == "json":
         payload = {
             "family": spec.family,

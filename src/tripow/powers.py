@@ -1,34 +1,24 @@
 """Closed-form integer powers of the structured families.
 
-The s-th power of each family is a weighted sum over eigenvalue powers:
+The s-th power of each family is V diag(lambda**s) V^-1 with the analytic
+eigenvectors of spectral, whose product-to-sum rule turns every entry into
+two entries of one generator h, half the DCT-I of lambda**s / L on the
+angle grid, one FFT (spectral.power_generator).  With 0-based i, j:
 
-    entry(i, j) = pre_i * g_j * sum_k lambda_k**s * w_k * phi_{i-1}(x_k) * phi_{j-1}(x_k)
-
-with phi the first-kind (family "a") or signed second-kind ("adagger")
-Chebyshev polynomials at the half-nodes x_k = cos(theta_k), w/g the row and
-column weight families of the analytic inverse, and pre_i a 1/2 prefactor
-on the last row of family "a" only.  The product-to-sum rule collapses the
-sum to two entries of one generator h_m = sum_k lambda_k**s w_k cos(m theta_k):
-
-    family "a":  (h[|i-j|] + h[i+j]) / 2 * g_j * pre_i
+    family "a":  h[|i-j|] + h[i+j], halved in the first column and last row
     "adagger":   sign_r(i) * sign_r(j) * (h[|i-j|] - h[i+j+2])
 
-(0-based i, j; the "adagger" weights absorb the 1/sin(theta)**2 of the
-second-kind product).  On the angle grid pi*q/L the weights are all 1/L
-(the end weights of "a" doubled), so h is half the DCT-I of lambda**s / L,
-one FFT (spectral.power_generator).  A full power is therefore a Toeplitz
-view plus or minus a Hankel view of h with fixed edge factors: O(n**2) with
-no matrix product, and every single entry is O(n log n).
-
-One row writer builds every power, full or band alone (below), and writes
-each entry once.  sign_r has period 4, so on the rows i = r (mod 4) the
-factor sign_r(i) * sign_r(j) is a period-4 sign of the index into h; it
-folds into four signed copies of h, and those rows are one subtraction of
-two window views.  Family "a" is the unsigned case: one copy, one
-addition.  The anti matrix is the exchange flip J A of its "adagger" twin
-A, and J commutes with A, so even powers coincide with the twin's and an
-odd power is J A**s: the twin's power read with its rows reversed, a view
-with a negative row stride and the same values and bits.
+A full power is therefore a Toeplitz view plus or minus a Hankel view of h
+with fixed edge factors: O(n**2) with no matrix product, and every single
+entry is O(n log n).  The numbers in which the families differ are their
+spectral._Rule, and one row writer reads them: it builds every power, full
+or band alone (below), and every single entry, as one column.  sign_r has
+period 4, so on the rows i = r (mod 4) sign_r(i) * sign_r(j) is a
+period-4 sign of the index into h: four signed copies of h, two window
+views per residue.  The anti matrix is the exchange flip J A of its
+"adagger" twin A, and J commutes with A, so even powers coincide with the
+twin's and an odd power is J A**s: the twin's power read with its rows
+reversed, a view.
 
 For 0 <= s < n - 1 the s-th power of a tridiagonal matrix has bandwidth s,
 and so has an odd anti power once its rows are flipped back.  Only those
@@ -67,13 +57,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .families import (
-    FAMILY_A,
-    FAMILY_ADAGGER,
-    FAMILY_ANTI,
-    FamilySpec,
-    build_matrix,
-)
+from .families import FAMILY_A, FamilySpec, build_matrix
 from .linalg import (
     SingularMatrixError,
     _as_square,
@@ -87,7 +71,7 @@ from .linalg import (
     mat_identity,
     mat_norm_maxabs,
 )
-from .spectral import _SIGN4, SpectralData, eigenvalues, power_generator
+from .spectral import _RULES, _SIGN4, SpectralData, eigenvalues, power_generator
 
 __all__ = [
     "ExtendedDomainWarning",
@@ -100,14 +84,6 @@ __all__ = [
     "power_matrix",
     "power_verify",
 ]
-
-# PowerResult.path by family, indexed by the parity of n for "adagger" and
-# of s for "anti".  The strings are part of the JSON output.
-_PATHS = {
-    FAMILY_A: ("closed-form-A", "closed-form-A"),
-    FAMILY_ADAGGER: ("closed-form-ADagger-even", "closed-form-ADagger-odd"),
-    FAMILY_ANTI: ("closed-form-anti-even-s", "closed-form-anti-odd-s"),
-}
 
 # Eigenvalues whose modulus falls below this fraction of the spectral radius
 # block negative powers.
@@ -286,15 +262,13 @@ def _generator(spec: FamilySpec, lam: np.ndarray, s: int) -> np.ndarray:
 def _entry(data: SpectralData, s: int, i: int, j: int, flip: bool = False) -> complex:
     """Entry (i, j) of the s-th power, 1-based, by the rule of the data's family.
 
-    Family "a" reads h[|i-j|] + h[i+j-2], halved in the first column and
-    the last row.  "adagger" reads sign_r(i-1) * sign_r(j-1) * (h[|i-j|] -
-    h[i+j]) with the arithmetic of power_matrix: both samples times the
-    column sign, and the row sign as the order of the subtraction, so the
-    entry equals the matrix's bit for bit, zero signs included.  flip reads
-    row n + 1 - i instead, after the index check.  s = 0 gives the exact
-    identity, and for s > 0 an entry outside the band |i-j| <= s is 0j.
+    Column j is written by the row writer of power_matrix, and its edge
+    halving applied, so the entry equals the matrix's bit for bit, zero
+    signs included.  flip reads row n + 1 - i instead, after the index
+    check.  s = 0 gives the exact identity, and for s > 0 an entry outside
+    the band |i-j| <= s is 0j.
     """
-    n = data.spec.n
+    n, rule = data.spec.n, _RULES[data.spec.family]
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"indices must satisfy 1 <= i, j <= {n}, got ({i}, {j})")
     h = _generator(data.spec, data.eigenvalues, s)
@@ -302,17 +276,16 @@ def _entry(data: SpectralData, s: int, i: int, j: int, flip: bool = False) -> co
         i = n + 1 - i
     if s == 0 or 0 < s < abs(i - j):
         return complex(i == j)
-    if data.spec.family == FAMILY_A:
-        value = h[abs(i - j)] + h[i + j - 2]
+    column = np.empty((n, 1), dtype=np.complex128)
+    # Row i reads the Toeplitz index P - i + j and the Hankel index i + j (0-based).
+    _write_rows(rule, h, column, (h.size - 2 + j, -1), (j - 1, 1))
+    value = column[i - 1, 0]
+    if rule.halves_edges:
         if j == 1:
             value *= 0.5
         if i == n:
             value *= 0.5
-        return complex(value)
-    toeplitz, hankel = h[[abs(i - j), i + j]] * _SIGN4[(j - 1) % 4]
-    if _SIGN4[(i - 1) % 4] < 0:
-        toeplitz, hankel = hankel, toeplitz
-    return complex(toeplitz - hankel)
+    return complex(value)
 
 
 def power_entry_a(data: SpectralData, s: int, i: int, j: int) -> complex:
@@ -358,14 +331,10 @@ def power_entry_anti(data: SpectralData, s: int, i: int, j: int) -> complex:
 def _assemble(spec: FamilySpec, h: np.ndarray, s: int) -> np.ndarray:
     """The s-th power from its generator h, as Toeplitz -+ Hankel views of h.
 
-    Family "a" is Toeplitz h[|i-j|] plus Hankel h[i+j] with the first column
-    and the last row halved; "adagger" is sign_r(i) * sign_r(j) * (Toeplitz
-    h[|i-j|] minus Hankel h[i+j+2]).  _write_rows writes either into the
-    rows it is given: the matrix, or a band view of it.  "anti" data writes
-    the "adagger" twin's power, and an odd anti power is that power read
-    with its rows reversed: the view matrix[::-1], which has the same
-    values and bits as a reversed write, a negative row stride, and costs
-    no pass.
+    _write_rows writes the rule's combination into the matrix or a band view
+    of it, and the rule's edges are halved.  A flipped rule's odd power is
+    the twin's read with its rows reversed: the view matrix[::-1], which
+    has the bits of a reversed write and costs no pass.
 
     For 0 <= s < n - 1 the power has bandwidth s and every entry outside the
     band is an exact +0.0.  While 2s + 2 <= n only the band is written:
@@ -382,7 +351,7 @@ def _assemble(spec: FamilySpec, h: np.ndarray, s: int) -> np.ndarray:
     or outside the band of a neighbouring row, and the rest of them is
     already +0.0.
     """
-    n = spec.n
+    n, rule = spec.n, _RULES[spec.family]
     period = h.size - 1
     reach = s if 0 <= s < n - 1 else n - 1
     if 0 <= s and 2 * s + 2 <= n:
@@ -390,49 +359,47 @@ def _assemble(spec: FamilySpec, h: np.ndarray, s: int) -> np.ndarray:
         band = sliding_window_view(flat, 2 * s + 1, writeable=True)[::n + 1]
         matrix = flat[s:s + n * n].reshape(n, n)
         # Row i reads the Toeplitz index P - s + c on every row, and the
-        # Hankel index 2i - s + c (plus the family's shift).
-        _write_rows(spec.family, h, band, (period - s, 0), (-s, 2))
+        # Hankel index 2i - s + c (plus the rule's shift).
+        _write_rows(rule, h, band, (period - s, 0), (-s, 2))
     else:
         matrix = np.empty((n, n), dtype=np.complex128)
         # h is even with period P, so h[|i-j|] = h[P - i + j].
-        _write_rows(spec.family, h, matrix, (period, -1), (0, 1))
+        _write_rows(rule, h, matrix, (period, -1), (0, 1))
     k = min(reach + 1, n - 1 - reach)
     # With no band (k = 0) the step would cost only its calls' overhead.
     if k:
         corner = np.tri(k, dtype=bool)
         matrix[:k, n - k:][corner.T] = 0
         matrix[n - k:, :k][corner] = 0
-    if spec.family == FAMILY_A:
+    if rule.halves_edges:
         matrix[:reach + 1, 0] *= 0.5
         matrix[-1, n - 1 - reach:] *= 0.5
-    return matrix[::-1] if spec.family == FAMILY_ANTI and s % 2 else matrix
+    return matrix[::-1] if rule.flips and s % 2 else matrix
 
 
-def _write_rows(family: str, h: np.ndarray, rows: np.ndarray, toeplitz, hankel):
-    """Write Toeplitz -+ Hankel windows of h into rows, with the family's signs.
+def _write_rows(rule, h: np.ndarray, rows: np.ndarray, toeplitz, hankel):
+    """Write Toeplitz -+ Hankel windows of h into rows, with the rule's signs.
 
     toeplitz and hankel are (start, step) pairs: on row i the operand is the
     window of rows.shape[1] samples of h from index start + step * i, plus
-    the family's Hankel shift for hankel.  A window index -m reads h[m], and
+    the rule's Hankel shift for hankel.  A window index -m reads h[m], and
     P + m reads h[m] (P = h.size - 1).
 
-    Family "a" adds the two windows unsigned, with Hankel shift 0.
-    "adagger" subtracts them with shift 2 and the period-4 signs: on the
-    rows with i = r (mod 4) sign_r(i) is fixed, and sign_r(j) is a period-4
-    sign of the Toeplitz index P - i + j and of the Hankel index i + j + 2,
-    so the rows of each residue r are one subtraction of two window views
-    of four signed copies of h.
+    With sign period 4, sign_r(j) is a period-4 sign of the Toeplitz index
+    P - i + j and of the Hankel index i + j + shift on the rows i = r
+    (mod 4): two window views of four signed copies of h per residue.  Sign
+    period 1 makes no copy: a product with +1 turns some -0.0 into +0.0.
     """
     n, width = rows.shape
     period = h.size - 1
+    cycle, shift = rule.sign_period, rule.hankel_shift
+    combine = np.add if rule.hankel_sign > 0 else np.subtract
     # extended[pad + m] is h[m] for m from -pad (no window starts lower) to P + n - 1.
     pad = max(0, -hankel[0])
     extended = np.concatenate((h[pad:0:-1], h, h[1:n]))
-    if family == FAMILY_A:
-        cycle, shift, combine, copies = 1, 0, np.add, extended[None]
-    else:
+    copies = extended[None]
+    if cycle > 1:
         # Copy k is h[m] * _SIGN4[(m + k) % 4] at index m.
-        cycle, shift, combine = 4, 2, np.subtract
         m = np.arange(-pad, extended.size - pad)
         copies = extended * _SIGN4[(np.arange(4)[:, None] + m) % 4]
     windows = sliding_window_view(copies, width, axis=1)
@@ -479,8 +446,9 @@ def power_matrix(spec: FamilySpec, s: int) -> PowerResult:
     h = _generator(spec, eigenvalues(spec), s)
     # The identity is returned exactly rather than assembled with rounding.
     matrix = mat_identity(spec.n) if s == 0 else _assemble(spec, h, s)
-    parity = s % 2 if spec.family == FAMILY_ANTI else spec.n % 2
-    return PowerResult(spec, s, matrix, _PATHS[spec.family][parity])
+    rule = _RULES[spec.family]
+    parity = (s if rule.flips else spec.n) % 2
+    return PowerResult(spec, s, matrix, rule.paths[parity])
 
 
 def oracle_power(matrix: np.ndarray, s: int) -> np.ndarray:

@@ -17,11 +17,13 @@ polynomials at the half-nodes cos(theta_k):
   U_i(cos theta) = sin((i+1)*theta)/sin(theta), a sine-type transform;
   V^-1 carries the per-row coefficient 2*sin(theta_k)**2/(n+1), which the
   paper writes in two forms that agree (mu for odd n, eta for even n).
-* family "anti": the exchange flip of "adagger".  It shares the twin's
-  eigenvectors, and since the exchange maps eigenvector k to
-  (-1)**(k + n/2 + 1) times itself, its eigenvalues are the twin's with
-  that sign.  decompose stores the twin's decomposition, which is what the
-  power formulas consume.
+* family "anti": the exchange flip of "adagger", with the twin's
+  eigenvectors and its eigenvalues times the exchange's signs
+  (_own_eigenvalues).  decompose stores the twin's decomposition, which is
+  what the power formulas consume.
+
+The families differ only in their boundary rows, so their closed forms
+differ only in the few numbers of their _Rule, which the code reads.
 
 The nodes are always real, so V is real; only the eigenvalues themselves
 are complex.  Each decomposition is validated at construction time: if the
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import FAMILY_A, FAMILY_ADAGGER, FamilySpec
+from .families import FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI, FamilySpec
 from .linalg import mat_identity, mat_norm_maxabs
 
 __all__ = [
@@ -69,6 +71,28 @@ CLOSURE_TOL = 1e-9
 
 # sign_r(i) for i mod 4 = 0, 1, 2, 3; index it with i % 4 to vectorize sign_r.
 _SIGN4 = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """The numbers by which one family's closed forms differ."""
+
+    period_shift: int  # the grid's period L = n + period_shift
+    descending: bool  # eigenvalue k = 1..n at q = L - k, not at q = k - 1
+    hankel_shift: int  # entry (i, j), 0-based, is h[|i-j|] + hankel_sign * h[i+j+hankel_shift]
+    hankel_sign: int  # +1: a cosine-type transform, -1: a sine-type one
+    sign_period: int  # 4: times sign_r(i) * sign_r(j), which needs hankel_sign -1; 1: no signs
+    paths: tuple[str, str]  # PowerResult.path by parity; part of the JSON output
+    halves_edges: bool = False  # the first column and the last row carry a factor 1/2
+    flips: bool = False  # the exchange flip of its twin; the parity of s, not n, picks the path
+
+
+_SINE = (1, True, 2, -1, 4)  # the numbers that "anti" shares with its twin
+_RULES = {
+    FAMILY_A: _Rule(-1, False, 0, 1, 1, ("closed-form-A", "closed-form-A"), halves_edges=True),
+    FAMILY_ADAGGER: _Rule(*_SINE, ("closed-form-ADagger-even", "closed-form-ADagger-odd")),
+    FAMILY_ANTI: _Rule(*_SINE, ("closed-form-anti-even-s", "closed-form-anti-odd-s"), flips=True),
+}
 
 
 class ClosureError(ArithmeticError):
@@ -123,16 +147,27 @@ def eigenvalues(spec: FamilySpec) -> np.ndarray:
         return spec.a + spec.b * _nodes(spec.family, spec.n)
 
 
+def _own_eigenvalues(spec: FamilySpec, values: np.ndarray) -> np.ndarray:
+    """The eigenvalues of spec's own matrix, from values = eigenvalues(spec).
+
+    A flipped family's J A has the eigenvectors of its twin A, which J maps
+    to (-1)**(k + n/2 + 1) times themselves: that sign flips lambda_k.
+    """
+    if not _RULES[spec.family].flips:
+        return values
+    return values * (-1.0) ** (np.arange(1, spec.n + 1) + spec.n // 2 + 1)
+
+
 def _angle_grid(family: str, n: int) -> tuple[np.ndarray, int]:
     """The eigenvalue angles theta_k = pi*q_k/L as integers (q, L), k=1..n.
 
-    q = k - 1 with L = n - 1 for family "a"; q = n + 1 - k with L = n + 1
-    otherwise, where the grid ends q = 0 and q = L carry no eigenvalue.
-    The half-nodes are cos(theta_k) = node_k / 2.
+    By the family's rule: q = k - 1 with L = n - 1 for "a", q = L - k with
+    L = n + 1 otherwise, where the grid ends q = 0 and q = L carry no
+    eigenvalue.  The half-nodes are cos(theta_k) = node_k / 2.
     """
-    if family == FAMILY_A:
-        return np.arange(n), n - 1
-    return np.arange(n, 0, -1), n + 1
+    rule = _RULES[family]
+    period = n + rule.period_shift
+    return (np.arange(period - 1, period - 1 - n, -1) if rule.descending else np.arange(n)), period
 
 
 def _sin_pi(num, den: int) -> np.ndarray:
@@ -287,7 +322,7 @@ def decompose(spec: FamilySpec) -> SpectralData:
     CLOSURE_TOL or more, which would indicate a transcription bug in one of
     the coefficient families rather than a property of the input.
     """
-    if spec.family == FAMILY_A:
+    if _RULES[spec.family].hankel_sign > 0:
         vec, inv = transform_k(spec), inv_transform_k(spec)
     else:
         vec, inv = transform_t(spec), inv_transform_t(spec)
@@ -321,16 +356,17 @@ def _cosine_sums(spec: FamilySpec, values: np.ndarray) -> np.ndarray:
 def _identity_generator(spec: FamilySpec, size: int) -> np.ndarray:
     """The generator of the identity, h_m for m = 0..size-1.
 
-    Family "a": 1 where m is a multiple of 2(n-1), else 0.  Otherwise
-    [n, 0, -1, 0, -1, ...] / (n+1), with n again where m is a multiple of
-    2(n+1).
+    (L * [m = 0 mod 2L] - [m even]) / L, the second term only where the
+    Hankel term subtracts.  L is the rule's, not _angle_grid's, and q is not
+    read, so that the closure check catches a wrong grid.
     """
-    m = np.arange(size)
-    if spec.family == FAMILY_A:
-        return (m % (2 * spec.n - 2) == 0).astype(float)
-    unit = np.where(m % 2 == 0, -1.0, 0.0)
-    unit[m % (2 * spec.n + 2) == 0] = spec.n
-    return unit / (spec.n + 1)
+    rule = _RULES[spec.family]
+    period = spec.n + rule.period_shift
+    unit = np.zeros(size)
+    if rule.hankel_sign < 0:
+        unit[::2] = -1.0
+    unit[::2 * period] += period
+    return unit / period
 
 
 def power_generator(spec: FamilySpec, lam_pows: np.ndarray) -> np.ndarray:

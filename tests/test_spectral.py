@@ -19,6 +19,7 @@ from tripow.spectral import (
     _beta_weights,
     _cosine_table,
     _dagger_row_weights,
+    _identity_generator,
     _sines,
     decompose,
     eigenvalues,
@@ -277,6 +278,21 @@ def weighted_generator(q, period, values):
     return np.concatenate((sums[:period + 1], sums[period - 1::-1]))
 
 
+def hand_identity_generator(family, n, size):
+    """The identity's generator by hand, h_m for m = 0..size-1: the reference.
+
+    Family "a": 1 where m is a multiple of 2(n-1), else 0.  Otherwise
+    [n, 0, -1, 0, -1, ...] / (n+1), with n again where m is a multiple of
+    2(n+1).
+    """
+    m = np.arange(size)
+    if family == FAMILY_A:
+        return (m % (2 * n - 2) == 0).astype(float)
+    unit = np.where(m % 2 == 0, -1.0, 0.0)
+    unit[m % (2 * n + 2) == 0] = n
+    return unit / (n + 1)
+
+
 class TestAngleGrid:
     def test_nodes_are_exactly_antisymmetric_with_an_exact_middle_zero(self):
         for family, n, nodes, _, _ in node_cases():
@@ -329,6 +345,19 @@ class TestAngleGrid:
                 spec = FamilySpec(family, n, 0.0, 1.0)
                 expected = weighted_generator(np.arange(n, 0, -1), n + 1, lam * (1.0 / (n + 1)))
                 np.testing.assert_array_equal(power_generator(spec, lam), expected)
+
+    def test_identity_generator_is_the_hand_formula_bit_for_bit(self):
+        # 2L + 1 entries, as the closure check reads them, and over four periods.
+        for family in (FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI):
+            for n in range(1, 201):
+                if (family == FAMILY_A and n < 2) or (family == FAMILY_ANTI and n % 2):
+                    continue
+                period = n - 1 if family == FAMILY_A else n + 1
+                spec = FamilySpec(family, n, 0.0, 1.0)
+                for size in (2 * period + 1, 8 * period + 3):
+                    got = _identity_generator(spec, size)
+                    want = hand_identity_generator(family, n, size)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (family, n)
 
 
 class TestDecompose:
