@@ -20,6 +20,7 @@ output is written, with no traceback.
 """
 
 import argparse
+import cmath
 import csv
 import json
 import os
@@ -42,7 +43,6 @@ from .families import (
 from .fibpoly import fib_det_check, fib_factor_eval, fib_poly_eval
 from .linalg import SingularMatrixError, mat_norm_maxabs
 from .powers import (
-    PowerOverflowError,
     VerificationError,
     _check_finite,
     oracle_power,
@@ -345,9 +345,12 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_fib(args, out) -> int:
-    by_recurrence = fib_poly_eval(args.n - 1, args.x)
-    by_factorization = fib_factor_eval(args.n, args.x)
-    det_lhs, det_rhs = fib_det_check(args.n, args.x)
+    # A value beyond the float range is refused below, once, rather than
+    # announced by numpy's warnings and printed as NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        by_recurrence = fib_poly_eval(args.n - 1, args.x)
+        by_factorization = fib_factor_eval(args.n, args.x)
+        det_lhs, det_rhs = fib_det_check(args.n, args.x)
     fields = {
         "n": args.n,
         "x": args.x,
@@ -358,6 +361,12 @@ def cmd_fib(args, out) -> int:
         "factorization_residual": abs(by_factorization - by_recurrence),
         "determinant_residual": abs(det_lhs - det_rhs),
     }
+    overflowed = [key for key, value in fields.items() if not cmath.isfinite(value)]
+    if overflowed:
+        raise OverflowError(
+            f"fib n={args.n} x={format_complex(args.x)}: {', '.join(overflowed)} "
+            "not finite, beyond the float range"
+        )
     if args.format == "json":
         print(json.dumps({key: _json_value(value) for key, value in fields.items()}), file=out)
     elif args.format == "csv":
@@ -510,7 +519,7 @@ def main(argv=None) -> int:
         # exit as a shell reports a writer killed by SIGPIPE (128 + 13).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (SingularMatrixError, VerificationError, ClosureError, PowerOverflowError) as exc:
+    except (SingularMatrixError, VerificationError, ClosureError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

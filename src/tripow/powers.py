@@ -503,14 +503,23 @@ def power_verify(spec: FamilySpec, s: int, tol: float = 1e-8) -> PowerResult:
     max|C - O| / max(1, max|O|) for closed form C and oracle O, which is the
     absolute residual whenever no oracle entry exceeds 1 in modulus.
     Raises VerificationError (carrying both matrices and the residual) when
-    it exceeds tol, and ValueError for a NaN or negative tol.
+    it exceeds tol, ValueError for a NaN or negative tol, and
+    PowerOverflowError when the oracle's products overflow although the
+    closed form fits: its residual would be NaN, which no tol fails.
     """
     s = operator.index(s)
     if not tol >= 0:
         raise ValueError(f"tol must be a non-negative number, got {tol!r}")
     result = power_matrix(spec, s)
-    oracle = oracle_power(build_matrix(spec), s)
-    residual = mat_norm_maxabs(result.matrix - oracle) / max(1.0, mat_norm_maxabs(oracle))
+    with np.errstate(over="ignore", invalid="ignore"):
+        oracle = oracle_power(build_matrix(spec), s)
+    scale = mat_norm_maxabs(oracle)
+    if not math.isfinite(scale):
+        raise PowerOverflowError(
+            f"the dense oracle power overflows for family={spec.family} n={spec.n} "
+            f"a={spec.a} b={spec.b} s={s}, so the closed form cannot be checked"
+        )
+    residual = mat_norm_maxabs(result.matrix - oracle) / max(1.0, scale)
     if residual > tol:
         raise VerificationError(
             f"closed form disagrees with oracle: relative residual {residual:.3e} > "

@@ -8,19 +8,25 @@ in tripow (nodes, eigenvector tables, row weights, Fibonacci factors) is one
 sine of an exactly reduced multiple of pi/L (_sin_pi), so the nodes are
 exactly antisymmetric, the middle node of odd n is 0.0, and the nodes are
 twice the cosine table's cos(theta_k) bit for bit.  V holds Chebyshev
-polynomials at the half-nodes cos(theta_k):
+polynomials at the half-nodes cos(theta_k), and one rule builds it and its
+inverse for every family (_eigenvector_tables): row i = 0..n-1 of V is
+f((i + hankel_shift/2) * theta_k), with
 
-* family "a": T_i(cos theta) = cos(i*theta), a cosine-type transform; the
-  last row is halved, and V^-1 is assembled from the beta/gamma
-  coefficient families.
-* family "adagger": sign_r(i) * U_i(cos theta) with
-  U_i(cos theta) = sin((i+1)*theta)/sin(theta), a sine-type transform;
-  V^-1 carries the per-row coefficient 2*sin(theta_k)**2/(n+1), which the
-  paper writes in two forms that agree (mu for odd n, eta for even n).
-* family "anti": the exchange flip of "adagger", with the twin's
-  eigenvectors and its eigenvalues times the exchange's signs
-  (_own_eigenvalues).  decompose stores the twin's decomposition, which is
-  what the power formulas consume.
+* f = cos for a cosine-type rule (family "a": T_i(cos theta) = cos(i*theta),
+  last row halved), and
+* f(m*theta) = sin(m*theta)/sin(theta) for a sine-type one (family
+  "adagger": sign_r(i) * U_i(cos theta), U_i(cos theta) =
+  sin((i+1)*theta)/sin(theta)),
+
+and V^-1 is the unhalved V transposed, times the row weights
+w_k = 2*norm_k**2/L, halved at the grid ends as in a DCT-I, and times 1/2 in
+the DC column (i + hankel_shift/2 = 0).  norm_k is what column k is divided
+by: 1 for a cosine and sin(theta_k) for a sine.  The paper writes these
+weights as the beta/gamma coefficient families for "a" and as mu (odd n)
+and eta (even n) for "adagger"; all of them are this one w.  Family "anti"
+is the exchange flip of "adagger", with the twin's eigenvectors and its
+eigenvalues times the exchange's signs (_own_eigenvalues).  decompose
+stores the twin's decomposition, which is what the power formulas consume.
 
 The families differ only in their boundary rows, so their closed forms
 differ only in the few numbers of their _Rule, which the code reads.
@@ -35,11 +41,10 @@ Powers never need V or its inverse.  The product-to-sum rule turns every
 entry of V diag(lambda**s) V^-1 into a sum or difference of two terms of
 one vector
 
-    h_m = sum_k lambda_k**s * w_k * cos(m * theta_k),
+    h_m = sum_k lambda_k**s * w_k / (2*norm_k**2) * cos(m * theta_k),
 
-with the inverse's row weights w_k, which cancel to 1/L: for "a" once the
-end weights are doubled as in a DCT-I, for "adagger" once 2*sin**2/(n+1) is
-divided by the 2*sin**2 of U_i * U_j.  So h is half the DCT-I of
+with the inverse's row weights w_k, which the product of two rows of V
+cancels to 1/L, halved at the grid ends.  So h is half the DCT-I of
 lambda**s / L on the grid, one FFT (power_generator), which validates the
 grid in O(n log n): lambda**s = 1 must give the identity's generator within
 CLOSURE_TOL.
@@ -193,21 +198,51 @@ def _nodes(family: str, n: int) -> np.ndarray:
     return 2.0 * _cos_pi(*_angle_grid(family, n))
 
 
-def _grid_multiples(spec: FamilySpec, first: int) -> tuple[np.ndarray, int]:
-    """(i * q_k) mod 2L for i = first..first+n-1 (rows) and k = 1..n, and L.
+def _row_weights(family: str, n: int) -> np.ndarray:
+    """The row weights w_k of the analytic inverse, k = 1..n.
 
-    Entry (i, k) of a transform is a function of i * theta_k, which has
-    period 2L in these integers, so each transform evaluates one sine or
-    cosine per point of the period and gathers the table from it.
+    w_k = 2 * norm_k**2 / L, the generator's 1/L times the squared norm that
+    column k of V is divided by (1 for a cosine-type rule, sin(theta_k) for a
+    sine-type one), halved at the grid ends q = 0 and q = L as in a DCT-I.
+    The paper writes them as beta/gamma for "a" and as mu (odd n) and eta
+    (even n) for "adagger"; the sine form keeps full relative accuracy at the
+    edge rows, where the eta form's 4 - psi**2 cancels.
     """
-    q, period = _angle_grid(spec.family, spec.n)
-    return np.outer(np.arange(first, first + spec.n), q) % (2 * period), period
+    q, period = _angle_grid(family, n)
+    norms = _sin_pi(q, period) if _RULES[family].hankel_sign < 0 else np.ones(n)
+    weights = 2.0 * norms**2 / period
+    weights[(q == 0) | (q == period)] *= 0.5
+    return weights
 
 
-def _cosine_table(spec: FamilySpec) -> np.ndarray:
-    """table[i, k] = T_i(cos theta_k) = cos(i * theta_k) for i = 0..n-1."""
-    multiples, period = _grid_multiples(spec, 0)
-    return _cos_pi(np.arange(2 * period), period)[multiples]
+def _eigenvector_tables(spec: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
+    """V and its analytic inverse by spec's rule, from one gathered table.
+
+    Row i = 0..n-1 of the unhalved table reads the multiples
+    (i + hankel_shift/2) * q_k of the angle grid, which have period 2L, so
+    one cosine (Hankel sign +1) or one sine divided by sin(theta_k) (-1) per
+    point of the period is gathered; where the rule's signs have period 4,
+    row i is times sign_r(i).  V^-1 is that table transposed times the row
+    weights w (_row_weights) and 1/2 in the DC column (multiple 0); V is the
+    table with its last row halved where the rule halves its edges.
+    """
+    rule, n = _RULES[spec.family], spec.n
+    q, period = _angle_grid(spec.family, n)
+    rows = np.arange(n) + rule.hankel_shift // 2
+    multiples = np.outer(rows, q) % (2 * period)
+    points = np.arange(2 * period)
+    if rule.hankel_sign > 0:
+        table = _cos_pi(points, period)[multiples]
+    else:
+        table = _sin_pi(points, period)[multiples]
+        table /= _sin_pi(q, period)
+    if rule.sign_period == 4:
+        table *= _SIGN4[np.arange(n) % 4, None]
+    inverse = _row_weights(spec.family, n)[:, None] * table.T
+    inverse[:, rows == 0] *= 0.5
+    if rule.halves_edges:
+        table[-1] *= 0.5
+    return table, inverse
 
 
 def transform_k(spec: FamilySpec) -> np.ndarray:
@@ -219,21 +254,18 @@ def transform_k(spec: FamilySpec) -> np.ndarray:
     """
     if spec.family != FAMILY_A:
         raise ValueError(f"expected family 'a', got {spec.family!r}")
-    table = _cosine_table(spec)
-    table[-1] *= 0.5
-    return table
+    return _eigenvector_tables(spec)[0]
 
 
 def inv_transform_k(spec: FamilySpec) -> np.ndarray:
-    """Analytic inverse of transform_k, assembled from row and column weights.
+    """Analytic inverse of transform_k.
 
     Entry (k, j) is gamma_j * beta_k * cos((j-1) * theta_k) with
     gamma = (1, 2, ..., 2) and beta = (1, 2, ..., 2, 1) / (2n - 2).
     """
     if spec.family != FAMILY_A:
         raise ValueError(f"expected family 'a', got {spec.family!r}")
-    n = spec.n
-    return (_beta_weights(n)[:, None] * _cosine_table(spec).T) * _gamma_scales(n)
+    return _eigenvector_tables(spec)[1]
 
 
 def transform_t(spec: FamilySpec) -> np.ndarray:
@@ -246,13 +278,7 @@ def transform_t(spec: FamilySpec) -> np.ndarray:
     """
     if spec.family == FAMILY_A:
         raise ValueError("expected family 'adagger' or 'anti', got 'a'")
-    n = spec.n
-    multiples, period = _grid_multiples(spec, 1)
-    table = _sin_pi(np.arange(2 * period), period)[multiples]
-    # sin(theta_k) is _sines(n)[k-1], the first row's numerator bit for bit.
-    table /= _sines(n)
-    table *= _SIGN4[np.arange(n) % 4, None]
-    return table
+    return _eigenvector_tables(spec)[0]
 
 
 def inv_transform_t(spec: FamilySpec) -> np.ndarray:
@@ -264,37 +290,7 @@ def inv_transform_t(spec: FamilySpec) -> np.ndarray:
     """
     if spec.family == FAMILY_A:
         raise ValueError("expected family 'adagger' or 'anti', got 'a'")
-    weights = _dagger_row_weights(spec.n)
-    return weights[:, None] * transform_t(spec).T
-
-
-def _beta_weights(n: int) -> np.ndarray:
-    beta = np.full(n, 1.0 / (n - 1))
-    beta[0] = beta[-1] = 1.0 / (2 * n - 2)
-    return beta
-
-
-def _gamma_scales(n: int) -> np.ndarray:
-    gamma = np.full(n, 2.0)
-    gamma[0] = 1.0
-    return gamma
-
-
-def _sines(n: int) -> np.ndarray:
-    """sin(k*pi/(n+1)) for k = 1..n, to full relative accuracy.
-
-    Near pi the rounding of k*pi/(n+1) would cost up to about 2e-13
-    relative in the smallest sines; _sin_pi folds the angle first.
-    """
-    return _sin_pi(np.arange(1, n + 1), n + 1)
-
-
-def _dagger_row_weights(n: int) -> np.ndarray:
-    # The paper states these weights as mu (odd n) and eta (even n); both
-    # equal 2 sin(k pi/(n+1))**2 / (n+1).  The sine form keeps full relative
-    # accuracy at the edge rows k = 1 and k = n, where the eta form's
-    # 4 - psi**2 cancels.
-    return 2.0 * _sines(n) ** 2 / (n + 1)
+    return _eigenvector_tables(spec)[1]
 
 
 @dataclass
@@ -319,13 +315,10 @@ def decompose(spec: FamilySpec) -> SpectralData:
     """Build and validate the closed-form decomposition for spec.
 
     Raises ClosureError when the analytic inverse misses the identity by
-    CLOSURE_TOL or more, which would indicate a transcription bug in one of
-    the coefficient families rather than a property of the input.
+    CLOSURE_TOL or more, which would indicate a wrong rule, grid or weight
+    rather than a property of the input.
     """
-    if _RULES[spec.family].hankel_sign > 0:
-        vec, inv = transform_k(spec), inv_transform_k(spec)
-    else:
-        vec, inv = transform_t(spec), inv_transform_t(spec)
+    vec, inv = _eigenvector_tables(spec)
     residual = mat_norm_maxabs(vec @ inv - mat_identity(spec.n))
     if residual >= CLOSURE_TOL:
         raise ClosureError(
@@ -372,9 +365,10 @@ def _identity_generator(spec: FamilySpec, size: int) -> np.ndarray:
 def power_generator(spec: FamilySpec, lam_pows: np.ndarray) -> np.ndarray:
     """The generator h of the power whose eigenvalue powers are lam_pows.
 
-    h_m = sum_k lam_pows_k * w_k * cos(m * theta_k) for m = 0..2L, with L
-    as in the angle grid (n - 1 for family "a", n + 1 otherwise) and the
-    weights w of the analytic inverse, which cancel to 1/L: h is half the
+    h_m = sum_k lam_pows_k * w_k / (2*norm_k**2) * cos(m * theta_k) for
+    m = 0..2L, with L as in the angle grid (n - 1 for family "a", n + 1
+    otherwise) and the row weights w of the analytic inverse (_row_weights),
+    which cancel to 1/L, halved at the grid ends: h is half the
     DCT-I of lam_pows / L on the grid (_cosine_sums).  h is exactly even
     about L: h[2L - m] == h[m] for every m, bit for bit, so the powers
     assembled from it keep their symmetries exactly.  The uniform weights

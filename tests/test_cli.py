@@ -425,8 +425,8 @@ class TestEigenCommand:
         with monkeypatch.context() as patch:
             patch.setattr(tripow.cli, "decompose", _refuse)
             assert run_cli(capsys, *argv) == expected
-        inverse = tripow.spectral.inv_transform_k
-        monkeypatch.setattr(tripow.spectral, "inv_transform_k", lambda spec: 2 * inverse(spec))
+        weights = tripow.spectral._row_weights
+        monkeypatch.setattr(tripow.spectral, "_row_weights", lambda family, n: 2 * weights(family, n))
         assert run_cli(capsys, *argv) == expected
         code, out, err = run_cli(capsys, *argv, "--vectors")
         assert (code, out) == (1, "")
@@ -547,6 +547,20 @@ class TestVerifyCommand:
         assert code == 0, err
         assert "ok" in out
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_oracle_overflow_exits_one_with_empty_stdout(self, capsys, fmt):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "verify", "--family", "adagger", "--n", "4",
+                "--a=25391.511504189668+0i", "--b=25391.511504189668+0i", "--s", "64",
+                "--format", fmt,
+            )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: the dense oracle power overflows")
+
     def test_breach_reports_the_relative_residual(self, capsys):
         spec = FamilySpec("a", 4, 1.5, 0.5)
         with pytest.raises(VerificationError) as err:
@@ -642,6 +656,16 @@ class TestFibCommand:
         code, out, _ = run_cli(capsys, "fib", "--n", "5", "--x", "0+2i", "--format", "json")
         assert code == 0
         assert json.loads(out)["factorization_residual"] < 1e-9
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_values_beyond_float_exit_one_with_empty_stdout(self, capsys, fmt):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "fib", "--n", "400", "--x", "1e3+0i", "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: fib n=400") and "not finite" in err
 
     def test_small_order_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "fib", "--n", "2", "--x", "1+0i")

@@ -741,6 +741,16 @@ class TestPowerVerify:
         with pytest.raises(ValueError, match="tol must be a non-negative number"):
             power_verify(FamilySpec(FAMILY_A, 4, 1.0, 1.0), 3, tol=tol)
 
+    def test_oracle_that_overflows_is_refused_not_passed(self):
+        # The closed form fits, but the oracle's products overflow to inf and
+        # NaN, and residual > tol is False for a NaN residual.
+        spec = FamilySpec(FAMILY_ADAGGER, 4, 25391.511504189668, 25391.511504189668)
+        assert np.isfinite(power_matrix(spec, 64).matrix).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PowerOverflowError, match="oracle power overflows"):
+                power_verify(spec, 64)
+
     def test_small_results_report_the_absolute_residual(self):
         spec = FamilySpec(FAMILY_ADAGGER, 9, 0.1 + 0.2j, 0.15 - 0.1j)
         result = power_verify(spec, 5, tol=1e-8)

@@ -2,11 +2,13 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tripow.families import (
+    FAMILIES,
     FAMILY_A,
     FAMILY_ADAGGER,
     FAMILY_ANTI,
@@ -15,12 +17,13 @@ from tripow.families import (
 )
 from tripow.linalg import mat_identity, mat_inverse, mat_norm_maxabs
 from tripow.spectral import (
+    _SIGN4,
     ClosureError,
-    _beta_weights,
-    _cosine_table,
-    _dagger_row_weights,
+    _angle_grid,
+    _cos_pi,
     _identity_generator,
-    _sines,
+    _row_weights,
+    _sin_pi,
     decompose,
     eigenvalues,
     eigenvalues_a,
@@ -39,6 +42,72 @@ from helpers import random_params
 
 SQRT2 = math.sqrt(2)
 SQRT5 = math.sqrt(5)
+
+
+def valid_orders(family, orders):
+    """The orders n that family admits: n >= 2 for "a", even n for "anti"."""
+    return [
+        n for n in orders
+        if (family != FAMILY_A or n >= 2) and (family != FAMILY_ANTI or n % 2 == 0)
+    ]
+
+
+# Each family's eigenvector pair written out by hand, with its own weights:
+# the bit-for-bit reference for the tables that one rule builds.
+def grid_multiples(spec, first):
+    """(i * q_k) mod 2L for rows i = first..first+n-1, and L."""
+    q, period = _angle_grid(spec.family, spec.n)
+    return np.outer(np.arange(first, first + spec.n), q) % (2 * period), period
+
+
+def cosine_table(spec):
+    """table[i, k] = T_i(cos theta_k) = cos(i * theta_k) for i = 0..n-1."""
+    multiples, period = grid_multiples(spec, 0)
+    return _cos_pi(np.arange(2 * period), period)[multiples]
+
+
+def beta_weights(n):
+    beta = np.full(n, 1.0 / (n - 1))
+    beta[0] = beta[-1] = 1.0 / (2 * n - 2)
+    return beta
+
+
+def gamma_scales(n):
+    gamma = np.full(n, 2.0)
+    gamma[0] = 1.0
+    return gamma
+
+
+def sines(n):
+    """sin(k*pi/(n+1)) for k = 1..n."""
+    return _sin_pi(np.arange(1, n + 1), n + 1)
+
+
+def reference_tables(spec):
+    """(V, V^-1) of spec by its family's hand-written pair.
+
+    "a": the cosine table with its last row halved, and beta_k * gamma_j
+    times the unhalved table transposed.  "adagger" and "anti":
+    sign_r(i) * sin((i+1) theta_k) / sin(theta_k), and the row weights
+    2 sin(theta_k)**2 / (n+1) times it transposed.
+    """
+    n = spec.n
+    if spec.family == FAMILY_A:
+        vec = cosine_table(spec)
+        vec[-1] *= 0.5
+        return vec, (beta_weights(n)[:, None] * cosine_table(spec).T) * gamma_scales(n)
+    multiples, period = grid_multiples(spec, 1)
+    vec = _sin_pi(np.arange(2 * period), period)[multiples]
+    vec /= sines(n)
+    vec *= _SIGN4[np.arange(n) % 4, None]
+    return vec, (2.0 * sines(n) ** 2 / (n + 1))[:, None] * vec.T
+
+
+def table_functions(spec):
+    """(V, V^-1) of spec by the public table functions of its family."""
+    if spec.family == FAMILY_A:
+        return transform_k(spec), inv_transform_k(spec)
+    return transform_t(spec), inv_transform_t(spec)
 
 
 def all_specs(rng, max_n=12):
@@ -166,6 +235,26 @@ class TestTransforms:
             assert residual < 1e-9
 
 
+TABLE_ORDERS = list(range(1, 201)) + [1023, 1024, 2048]
+
+
+class TestOneRule:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_tables_are_the_hand_written_pair_bit_for_bit(self, family):
+        for n in valid_orders(family, TABLE_ORDERS):
+            spec = FamilySpec(family, n, 0.0, 1.0)
+            for got, want in zip(table_functions(spec), reference_tables(spec)):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (family, n)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_decompose_stores_the_table_functions_bit_for_bit(self, family):
+        for n in valid_orders(family, range(1, 65)):
+            spec = FamilySpec(family, n, 0.5 + 0.25j, 1.0 - 0.5j)
+            data = decompose(spec)
+            for got, want in zip((data.vec_matrix, data.inv_matrix), table_functions(spec)):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (family, n)
+
+
 class TestAnalyticInverses:
     def test_inv_transform_k_three(self):
         kinv = inv_transform_k(FamilySpec(FAMILY_A, 3, 0.0, 1.0))
@@ -226,7 +315,7 @@ class TestAnalyticInverses:
                         paper[k - 1] = psi[3 * (n + 1) // 2 - k - 1] ** 2 / (2 * n + 2)
             else:
                 paper = (4.0 - psi**2) / (2 * n + 2)
-            np.testing.assert_allclose(_dagger_row_weights(n), paper, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(_row_weights(FAMILY_ADAGGER, n), paper, rtol=1e-12, atol=0)
 
     def test_row_weights_keep_relative_accuracy_at_the_edge_rows(self):
         if np.finfo(np.longdouble).eps > 1e-18:
@@ -235,7 +324,7 @@ class TestAnalyticInverses:
         for n in (1023, 2048):
             k = np.arange(1, n + 1, dtype=np.longdouble)
             exact = 2 * np.sin(k * pi / (n + 1)) ** 2 / (n + 1)
-            np.testing.assert_allclose(_dagger_row_weights(n), exact, rtol=2e-15, atol=0)
+            np.testing.assert_allclose(_row_weights(FAMILY_ADAGGER, n), exact, rtol=2e-15, atol=0)
 
     def test_closure_tight_for_small_cases(self):
         spec3 = FamilySpec(FAMILY_ADAGGER, 3, 0.0, 1.0)
@@ -303,7 +392,7 @@ class TestAngleGrid:
     def test_nodes_are_twice_the_cosine_table_bit_for_bit(self):
         for family, n, nodes, _, _ in node_cases():
             if n >= 2:
-                table = _cosine_table(FamilySpec(family, n, 0.0, 1.0))
+                table = cosine_table(FamilySpec(family, n, 0.0, 1.0))
                 np.testing.assert_array_equal(nodes, 2.0 * table[1], err_msg=f"{family} n={n}")
 
     def test_node_error_is_no_larger_than_the_rounded_angle_formula(self):
@@ -320,12 +409,15 @@ class TestAngleGrid:
             assert np.all(error <= 4 * np.finfo(float).epsneg * np.abs(exact)), f"{family} n={n}"
 
     def test_inverse_weights_cancel_to_one_over_the_period(self):
+        # w_k / (2 norm_k**2), with the grid ends doubled back, is 1/L: exactly
+        # for the cosine rule, whose norms are 1, and within an ulp for the sine
+        # rule's rounded 2 sin**2 / L / (2 sin**2).
         for n in NODE_ORDERS:
             if n >= 2:
-                beta = _beta_weights(n)
-                beta[[0, -1]] *= 2.0
-                np.testing.assert_array_equal(beta, 1.0 / (n - 1))
-            uniform = _dagger_row_weights(n) / (2.0 * _sines(n) ** 2)
+                weights = _row_weights(FAMILY_A, n)
+                weights[[0, -1]] *= 2.0
+                np.testing.assert_array_equal(weights / 2.0, 1.0 / (n - 1))
+            uniform = _row_weights(FAMILY_ADAGGER, n) / (2.0 * sines(n) ** 2)
             ulp = np.spacing(1.0 / (n + 1))
             assert np.abs(uniform - 1.0 / (n + 1)).max() <= ulp
 
@@ -337,7 +429,7 @@ class TestAngleGrid:
         for n in (2, 3, 4, 7, 32, 33, 256):
             lam = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
             spec = FamilySpec(FAMILY_A, n, 0.0, 1.0)
-            expected = weighted_generator(np.arange(n), n - 1, lam * _beta_weights(n))
+            expected = weighted_generator(np.arange(n), n - 1, lam * beta_weights(n))
             np.testing.assert_array_equal(power_generator(spec, lam), expected)
             for family in (FAMILY_ADAGGER, FAMILY_ANTI):
                 if family == FAMILY_ANTI and n % 2 == 1:
@@ -457,29 +549,38 @@ class TestDecompose:
             assert abs(char_value_adagger(n, node)) < 1e-9
 
     def test_closure_error_is_raised_on_corruption(self, monkeypatch):
-        # Force a bad coefficient family through the dense validation in
-        # decompose, and a grid on the wrong period through the generator's
-        # validation in power_matrix, which reads the angle grid and no
-        # coefficient family.
+        # Force a bad row weight, and then a gather whose row offset is off by
+        # one, through the dense validation in decompose, and a grid on the
+        # wrong period through the generator's validation in power_matrix,
+        # which reads the angle grid and no row weight.
         import tripow.spectral as spectral_mod
         from tripow.powers import power_matrix
 
-        beta = spectral_mod._beta_weights
-        monkeypatch.setattr(spectral_mod, "_beta_weights", lambda n: beta(n) * 1.5)
-        with pytest.raises(ClosureError):
-            decompose(FamilySpec(FAMILY_A, 4, 1.0, 1.0))
+        specs = (
+            FamilySpec(FAMILY_A, 4, 1.0, 1.0),
+            FamilySpec(FAMILY_ADAGGER, 5, 1.0, 1.0),
+            FamilySpec(FAMILY_ANTI, 4, 1.0, 1.0),
+        )
+        weights = spectral_mod._row_weights
 
-        weights = spectral_mod._dagger_row_weights
-
-        def corrupted(n):
-            bad = weights(n).copy()
+        def corrupted(family, n):
+            bad = weights(family, n)
             bad[0] *= 1.5
             return bad
 
-        monkeypatch.setattr(spectral_mod, "_dagger_row_weights", corrupted)
-        for spec in (FamilySpec(FAMILY_ADAGGER, 5, 1.0, 1.0), FamilySpec(FAMILY_ANTI, 4, 1.0, 1.0)):
-            with pytest.raises(ClosureError):
-                decompose(spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral_mod, "_row_weights", corrupted)
+            for spec in specs:
+                with pytest.raises(ClosureError):
+                    decompose(spec)
+
+        for spec in specs:
+            with monkeypatch.context() as patch:
+                rule = spectral_mod._RULES[spec.family]
+                shifted_rows = replace(rule, hankel_shift=rule.hankel_shift + 2)
+                patch.setitem(spectral_mod._RULES, spec.family, shifted_rows)
+                with pytest.raises(ClosureError):
+                    decompose(spec)
 
         grid = spectral_mod._angle_grid
 
@@ -488,10 +589,6 @@ class TestDecompose:
             return q, period + 1
 
         monkeypatch.setattr(spectral_mod, "_angle_grid", shifted)
-        for spec in (
-            FamilySpec(FAMILY_A, 4, 1.0, 1.0),
-            FamilySpec(FAMILY_ADAGGER, 5, 1.0, 1.0),
-            FamilySpec(FAMILY_ANTI, 4, 1.0, 1.0),
-        ):
+        for spec in specs:
             with pytest.raises(ClosureError):
                 power_matrix(spec, 2)
