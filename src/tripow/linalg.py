@@ -24,8 +24,10 @@ and Q = B - C J: m = K diag(P, Q) K^-1 for K = [[I, I], [J, -J]], so m**s
 joins P**s and Q**s for every integer s (Cantoni and Butler, Linear Algebra
 Appl. 13, 1976; Good, Technometrics 12, 1970).  _centro_split takes the
 halves only when the bottom half of the entries equals the top half
-reversed, and _centro_join writes each entry of the power once;
-powers.oracle_power takes that route where the power is dense.  The band
+reversed, and _centro_join writes each entry of the power once.
+oracle_power, the reference that powers.power_verify checks the closed
+forms against, takes that route where the power is dense, and powers each
+half by the route it takes for a whole matrix (_power).  The band
 and the symmetries are read from the entries alone, so nothing here knows
 the families or their closed forms, and only terms with an exact zero
 factor are dropped.  Nothing here calls numpy.linalg.
@@ -451,32 +453,6 @@ def _centro_split(m):
     return halves if all(np.isfinite(half).all() for half in halves) else None
 
 
-def _half_powers(m, halves, s: int) -> list:
-    """[P**s, Q**s] for halves = _centro_split(m) and s != 0.
-
-    s > 0 powers each half as mat_pow_binary does.  s < 0 factors each half
-    on its own and compares its pivots with SINGULAR_RTOL times max |m|, the
-    scale of m rather than of the half; SingularMatrixError then names the
-    half, whose columns are not columns of m.
-    """
-    if s > 0:
-        return [_binary_power(half, _square_spans(half, s), s) for half in halves]
-    # The bottom half of m repeats the top half's entries.
-    scale = float(np.abs(m[:m.shape[0] // 2]).max())
-    if scale == 0.0:
-        raise SingularMatrixError("cannot invert the zero matrix")
-    powers = []
-    for name, half in zip(("P = B + CJ", "Q = B - CJ"), halves):
-        try:
-            powers.append(_inverse_power(half, -s, scale))
-        except SingularMatrixError as err:
-            raise SingularMatrixError(
-                f"singular matrix: half {name} of the centrosymmetric split has a "
-                f"pivot below {SINGULAR_RTOL:g} of the matrix scale {scale:.3e}"
-            ) from err
-    return powers
-
-
 def _centro_join(p, q) -> np.ndarray:
     """[[X, Y J], [J Y, J X J]] for X = (p + q) / 2 and Y = (p - q) / 2.
 
@@ -493,6 +469,78 @@ def _centro_join(p, q) -> np.ndarray:
     np.subtract(p, q, out=out[:h, :h - 1:-1])
     out[h:] = out[h - 1::-1, ::-1]
     return out
+
+
+def _power(m, s: int, chain=None, scale: float | None = None) -> np.ndarray:
+    """m**s for s != 0 by the route that takes m whole.
+
+    s < 0 is _inverse_power, whose pivots are compared with SINGULAR_RTOL
+    times scale, max |m| unless given; s > 0 is _binary_power over chain,
+    _square_spans(m, s) unless given.
+    """
+    if s < 0:
+        return _inverse_power(m, -s, scale)
+    return _binary_power(m, _square_spans(m, s) if chain is None else chain, s)
+
+
+def oracle_power(matrix: np.ndarray, s: int) -> np.ndarray:
+    """The brute-force s-th power of a dense matrix.
+
+    Binary exponentiation for s >= 0, so a large s costs O(log s) products,
+    each skipping only the exact zeros outside its operands' row spans: a
+    tridiagonal or anti-tridiagonal input costs far less than n**3 per early
+    squaring, and the full squares of an exactly symmetric input go to BLAS
+    syrk.  For s < 0 one banded LU, over the band and row order read from
+    the entries, gives the inverse (SingularMatrixError when m has none)
+    and banded solves X <- m^-1 X.  The power is the chain that costs the
+    fewest multiplications: m^-q by q solves, then j squares of n**3, each
+    followed by a solve where the next lower bit of |s| is set, q = |s| >> j.
+    A solve costs about n**2 times the band of the factors, so small |s|
+    takes solves only and large |s| mostly squares; where a solve costs as
+    much as a product (a dense input, or n <= 17), the inverse is binary
+    powered.
+
+    Where the power is dense, an exactly centrosymmetric m of even n = 2h,
+    m = [[B, C], [J C J, J B J]] with J the h-by-h exchange, is powered as
+    two halves: m**s = K diag(P**s, Q**s) K^-1 for P = B + C J, Q = B - C J
+    and K = [[I, I], [J, -J]], so that m**s is
+    [[P**s + Q**s, (P**s - Q**s) J], [J (P**s - Q**s), J (P**s + Q**s) J]] / 2.
+    That is every s < 0, whose inverse is dense, and every s > 0 whose
+    squares come to span every column, by the row spans that binary
+    powering reads anyway; a full square then costs 2 (n/2)**3 instead of
+    n**3, and the LU and the solves run on the halves.  The halves are
+    taken only when the bottom half of the entries equals the top half
+    reversed exactly; every other input, and every power that stays banded,
+    keeps the routes above.  Nothing of the closed form (eigenvalues, nodes,
+    families) enters.
+    """
+    s = operator.index(s)
+    m = _as_square(matrix)
+    if s == 0:
+        return mat_identity(m.shape[0])
+    chain = _square_spans(m, s) if s > 0 else None
+    # The inverse is dense, and so is every square from the first whose
+    # rows span every column.
+    dense = s < 0 or (len(chain) > 1 and _full(chain[-1], m.shape[0]))
+    halves = _centro_split(m) if dense else None
+    if halves is None:
+        return _power(m, s, chain)
+    # Each half's pivots are compared with the scale of m, not of the half;
+    # the bottom half of m repeats the top half's entries.
+    scale = float(np.abs(m[:m.shape[0] // 2]).max()) if s < 0 else None
+    if scale == 0.0:
+        raise SingularMatrixError("cannot invert the zero matrix")
+    powers = []
+    for name, half in zip(("P = B + CJ", "Q = B - CJ"), halves):
+        try:
+            powers.append(_power(half, s, scale=scale))
+        except SingularMatrixError as err:
+            # The half's columns are not columns of m.
+            raise SingularMatrixError(
+                f"singular matrix: half {name} of the centrosymmetric split has a "
+                f"pivot below {SINGULAR_RTOL:g} of the matrix scale {scale:.3e}"
+            ) from err
+    return _centro_join(*powers)
 
 
 def mat_det(m) -> complex:

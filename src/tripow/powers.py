@@ -58,19 +58,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .families import FAMILY_A, FamilySpec, build_matrix
-from .linalg import (
-    SingularMatrixError,
-    _as_square,
-    _binary_power,
-    _centro_join,
-    _centro_split,
-    _full,
-    _half_powers,
-    _inverse_power,
-    _square_spans,
-    mat_identity,
-    mat_norm_maxabs,
-)
+from .linalg import SingularMatrixError, mat_identity, mat_norm_maxabs, oracle_power
 from .spectral import _RULES, _SIGN4, SpectralData, eigenvalues, power_generator
 
 __all__ = [
@@ -451,55 +439,10 @@ def power_matrix(spec: FamilySpec, s: int) -> PowerResult:
     return PowerResult(spec, s, matrix, rule.paths[parity])
 
 
-def oracle_power(matrix: np.ndarray, s: int) -> np.ndarray:
-    """The brute-force s-th power of a dense matrix.
-
-    Binary exponentiation for s >= 0, so a large s costs O(log s) products,
-    each skipping only the exact zeros outside its operands' row spans: a
-    tridiagonal or anti-tridiagonal input costs far less than n**3 per early
-    squaring, and the full squares of an exactly symmetric input go to BLAS
-    syrk.  For s < 0 one banded LU, over the band and row order read from
-    the entries, gives the inverse (SingularMatrixError when m has none)
-    and banded solves X <- m^-1 X.  The power is the chain that costs the
-    fewest multiplications: m^-q by q solves, then j squares of n**3, each
-    followed by a solve where the next lower bit of |s| is set, q = |s| >> j.
-    A solve costs about n**2 times the band of the factors, so small |s|
-    takes solves only and large |s| mostly squares; where a solve costs as
-    much as a product (a dense input, or n <= 17), the inverse is binary
-    powered.
-
-    Where the power is dense, an exactly centrosymmetric m of even n = 2h,
-    m = [[B, C], [J C J, J B J]] with J the h-by-h exchange, is powered as
-    two halves: m**s = K diag(P**s, Q**s) K^-1 for P = B + C J, Q = B - C J
-    and K = [[I, I], [J, -J]], so that m**s is
-    [[P**s + Q**s, (P**s - Q**s) J], [J (P**s - Q**s), J (P**s + Q**s) J]] / 2.
-    That is every s < 0, whose inverse is dense, and every s > 0 whose
-    squares come to span every column, by the row spans that binary
-    powering reads anyway; a full square then costs 2 (n/2)**3 instead of
-    n**3, and the LU and the solves run on the halves.  The halves are
-    taken only when the bottom half of the entries equals the top half
-    reversed exactly; every other input, and every power that stays banded,
-    keeps the routes above.  Nothing of the closed form (eigenvalues, nodes,
-    families) enters.
-    """
-    s = operator.index(s)
-    m = _as_square(matrix)
-    if s == 0:
-        return mat_identity(m.shape[0])
-    chain = _square_spans(m, s) if s > 0 else None
-    # The inverse is dense, and so is every square from the first whose
-    # rows span every column.
-    dense = s < 0 or (len(chain) > 1 and _full(chain[-1], m.shape[0]))
-    halves = _centro_split(m) if dense else None
-    if halves is not None:
-        return _centro_join(*_half_powers(m, halves, s))
-    return _inverse_power(m, -s) if s < 0 else _binary_power(m, chain, s)
-
-
 def power_verify(spec: FamilySpec, s: int, tol: float = 1e-8) -> PowerResult:
     """Compute the closed-form power and check it against the brute force.
 
-    The oracle is oracle_power of the dense matrix.  The residual is relative:
+    The oracle is linalg.oracle_power of the dense matrix.  The residual is relative:
     max|C - O| / max(1, max|O|) for closed form C and oracle O, which is the
     absolute residual whenever no oracle entry exceeds 1 in modulus.
     Raises VerificationError (carrying both matrices and the residual) when

@@ -28,10 +28,9 @@ from tripow.families import (
     build_matrix,
 )
 from tripow.fibpoly import fib_det_check, fib_factor_eval, fib_poly_eval
-from tripow.linalg import mat_identity, mat_norm_maxabs
+from tripow.linalg import mat_identity, mat_norm_maxabs, oracle_power
 from tripow.powers import (
     ExtendedDomainWarning,
-    oracle_power,
     power_entry_anti,
     power_matrix,
     power_verify,

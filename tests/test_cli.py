@@ -17,12 +17,11 @@ import tripow.cli
 import tripow.spectral
 from tripow.cli import BENCH_HEADER, format_complex, main, parse_complex
 from tripow.families import FAMILIES, FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI, FamilySpec, build_matrix
-from tripow.linalg import mat_norm_maxabs
+from tripow.linalg import mat_norm_maxabs, oracle_power
 from tripow.powers import (
     ExtendedDomainWarning,
     PowerResult,
     VerificationError,
-    oracle_power,
     power_matrix,
     power_verify,
 )
@@ -610,6 +609,47 @@ class TestVerifyCommand:
         assert code == 2
         assert "--suite" in err
 
+    @pytest.mark.parametrize("options,named", [
+        (("--family", "a", "--n", "5"), "--family, --n"),
+        (("--s", "3",), "--s"),
+        (("--family", "anti", "--n", "4", "--a", "1+0i", "--b", "1+0i", "--s", "2"),
+         "--family, --n, --a, --b, --s"),
+    ])
+    def test_suite_refuses_single_case_options(self, capsys, options, named):
+        code, out, err = run_cli(capsys, "verify", "--suite", *options)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --suite runs the seeded suite and takes no single-case options (got {named})\n"
+
+    @pytest.mark.parametrize("case", [
+        ("--family", "adagger", "--n", "7", "--a", "0+1i", "--b", "2+0i", "--s", "3"),
+        ("--suite", "--seed", "0"),
+    ])
+    def test_json_cases_match_the_csv_rows(self, capsys, case):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtendedDomainWarning)
+            code, out, err = run_cli(capsys, "verify", *case, "--format", "json")
+            csv_code, csv_out, _ = run_cli(capsys, "verify", *case, "--format", "csv")
+        assert code == 0 and csv_code == 0, err
+        payload = json.loads(out)
+        assert list(payload) == ["pass", "max_residual", "cases"]
+        assert payload["pass"] is True
+        cases = payload["cases"]
+        assert payload["max_residual"] == max(row["residual"] for row in cases)
+        keys = list(tripow.cli._row("power", FamilySpec("a", 2, 0j, 1j), 0, 0.0, 0.0, True))
+        rows = list(csv.DictReader(io.StringIO(csv_out)))
+        assert len(cases) == len(rows)
+        for got, row in zip(cases, rows):
+            assert list(got) == keys
+            for key in ("a", "b"):
+                assert list(got[key]) == ["re", "im"]
+                assert complex(got[key]["re"], got[key]["im"]) == parse_complex(row[key])
+            assert [got["check"], got["family"], str(got["n"]), str(got["s"])] == [
+                row["check"], row["family"], row["n"], row["s"],
+            ]
+            assert (got["residual"], got["tol"]) == (float(row["residual"]), float(row["tol"]))
+            assert got["pass"] is True and row["pass"] == "true"
+
     def test_suite_passes_and_is_deterministic(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ExtendedDomainWarning)
@@ -667,10 +707,40 @@ class TestFibCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: fib n=400") and "not finite" in err
 
-    def test_small_order_exits_two(self, capsys):
-        code, _, err = run_cli(capsys, "fib", "--n", "2", "--x", "1+0i")
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2])
+    def test_small_order_exits_two(self, capsys, n):
+        code, out, err = run_cli(capsys, "fib", f"--n={n}", "--x", "1+0i")
         assert code == 2
-        assert "at least 3" in err
+        assert out == ""
+        assert err == "error: n must be at least 3\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "pretty"])
+    def test_text_formats_carry_the_json_values(self, capsys, fmt):
+        argv = ("fib", "--n", "7", "--x", "0.5-1.5i")
+        _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert err == ""
+        fields = {
+            key: complex(value["re"], value["im"]) if isinstance(value, dict) else value
+            for key, value in json.loads(json_out).items()
+        }
+        if fmt == "csv":
+            header, values = list(csv.reader(io.StringIO(out)))
+            assert header == list(fields)
+            for key, text in zip(header, values):
+                value = fields[key]
+                assert (parse_complex(text) if isinstance(value, complex) else type(value)(text)) == value, key
+            return
+        assert out.splitlines() == [
+            "n=7 x=0.5-1.5i",
+            f"  value by recurrence:    {format_complex(fields['recurrence'])}",
+            f"  value by factorization: {format_complex(fields['factorization'])}  "
+            f"(residual {fields['factorization_residual']:.3e})",
+            f"  determinant:            {format_complex(fields['det_lhs'])}",
+            f"  identity right side:    {format_complex(fields['det_rhs'])}  "
+            f"(residual {fields['determinant_residual']:.3e})",
+        ]
 
 
 class TestBenchCommand:
@@ -703,6 +773,17 @@ class TestBenchCommand:
             return [row[:4] + row[5:] for row in rows]
 
         assert strip_timing(out1) == strip_timing(out2)
+
+    @pytest.mark.parametrize("text", ["", "4,", "4,x"])
+    def test_bad_integer_list_exits_two(self, capsys, text):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--family", "a", f"--n={text}", "--s", "2"])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"tripow bench: error: argument --n: expected comma-separated integers, got {text!r}"
+        )
 
     def test_bad_size_exits_two_before_any_output(self, capsys):
         code, out, err = run_cli(capsys, "bench", "--family", "a", "--n", "4,1", "--s", "2")

@@ -27,8 +27,9 @@ from tripow.linalg import (
     mat_inverse,
     mat_norm_maxabs,
     mat_pow_binary,
+    oracle_power,
 )
-from tripow.powers import ExtendedDomainWarning, oracle_power, power_matrix
+from tripow.powers import ExtendedDomainWarning, power_matrix
 from tripow.spectral import eigenvalues
 
 EPS = sys.float_info.epsilon

@@ -21,6 +21,7 @@ from tripow.linalg import (
     mat_identity,
     mat_norm_maxabs,
     mat_pow_binary,
+    oracle_power,
 )
 from tripow.powers import (
     ExtendedDomainWarning,
@@ -29,7 +30,6 @@ from tripow.powers import (
     _assemble,
     _binary_powers,
     _generator,
-    oracle_power,
     power_entry_a,
     power_entry_adagger,
     power_entry_anti,
@@ -750,6 +750,18 @@ class TestPowerVerify:
             warnings.simplefilter("error")
             with pytest.raises(PowerOverflowError, match="oracle power overflows"):
                 power_verify(spec, 64)
+
+    def test_oracle_is_called_through_the_powers_global(self, monkeypatch):
+        # A tracer that wraps tripow.powers.oracle_power sees every oracle call.
+        calls = []
+
+        def traced(matrix, s):
+            calls.append(s)
+            return oracle_power(matrix, s)
+
+        monkeypatch.setattr(tripow.powers, "oracle_power", traced)
+        power_verify(FamilySpec(FAMILY_ANTI, 6, 1.0, 1j), -3)
+        assert calls == [-3]
 
     def test_small_results_report_the_absolute_residual(self):
         spec = FamilySpec(FAMILY_ADAGGER, 9, 0.1 + 0.2j, 0.15 - 0.1j)

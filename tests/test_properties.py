@@ -22,11 +22,10 @@ from hypothesis import strategies as st
 
 from tripow.cli import format_complex, main
 from tripow.families import FAMILIES, FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI, FamilySpec, build_matrix
-from tripow.linalg import SingularMatrixError, mat_norm_maxabs
+from tripow.linalg import SingularMatrixError, mat_norm_maxabs, oracle_power
 from tripow.powers import (
     ExtendedDomainWarning,
     PowerOverflowError,
-    oracle_power,
     power_entry_a,
     power_entry_adagger,
     power_entry_anti,
