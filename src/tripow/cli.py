@@ -84,6 +84,17 @@ def _parse_int_list(text: str) -> list[int]:
     return values
 
 
+def _parse_seed(text: str) -> int:
+    # np.random.default_rng refuses a negative seed without naming --seed.
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _json_value(value):
     """A complex value as {"re", "im"}; any other value as it is."""
     return {"re": value.real, "im": value.imag} if isinstance(value, complex) else value
@@ -453,7 +464,7 @@ def _eigen_arguments(p):
 def _verify_arguments(p):
     _add_common(p, with_s=True, required=False)
     p.add_argument("--suite", action="store_true", help="run the randomized suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--tol", type=float, default=1e-8)
     _add_format(p)
 
@@ -468,7 +479,7 @@ def _bench_arguments(p):
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--n", type=_parse_int_list, required=True, metavar="N1,N2,...")
     p.add_argument("--s", type=_parse_int_list, required=True, metavar="S1,S2,...")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
 
 
 # The subcommands in help order: (name, help, add-arguments, handler).

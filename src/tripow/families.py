@@ -76,6 +76,16 @@ class FamilySpec:
             raise ValueError("anti-tridiagonal family requires even n")
 
 
+def _integer(value, name: str = "n") -> int:
+    """value as an int, from any integer type; a boolean or any other value raises ValueError."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _off_diagonals(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Writable views of the super- and subdiagonal of a C-contiguous square array."""
     flat = m.reshape(-1)
@@ -121,7 +131,12 @@ def build_matrix(spec: FamilySpec) -> np.ndarray:
 
 
 def build_exchange(n: int) -> np.ndarray:
-    """The exchange (anti-identity) matrix: ones on the anti-diagonal."""
+    """The exchange (anti-identity) matrix: ones on the anti-diagonal.
+
+    n must be an integer of any type, not a boolean, and at least 1
+    (ValueError otherwise).
+    """
+    n = _integer(n)
     if n < 1:
         raise ValueError("n must be at least 1")
     return np.eye(n, dtype=np.complex128)[::-1].copy()
@@ -145,8 +160,10 @@ def char_value_a(n: int, alpha: float) -> float:
     """Characteristic-determinant value of the normalized family-"a" matrix.
 
     Equals (alpha**2 - 4) * U_{n-2}(alpha / 2); its roots are
-    2*cos((k-1)*pi/(n-1)), the eigenvalue nodes.
+    2*cos((k-1)*pi/(n-1)), the eigenvalue nodes.  n must be an integer of
+    any type, not a boolean, and at least 3 (ValueError otherwise).
     """
+    n = _integer(n)
     if n < 3:
         raise ValueError("n must be at least 3")
     return (alpha * alpha - 4.0) * _second_kind(n - 2, alpha)
@@ -156,8 +173,11 @@ def char_value_adagger(n: int, theta: float) -> float:
     """Characteristic-determinant value of the normalized "adagger" matrix.
 
     The alternating off-diagonal signs cancel in the determinant recurrence,
-    leaving U_n(theta/2) exactly as in the constant-sign case.
+    leaving U_n(theta/2) exactly as in the constant-sign case.  n must be
+    an integer of any type, not a boolean, and at least 1 (ValueError
+    otherwise).
     """
+    n = _integer(n)
     if n < 1:
         raise ValueError("n must be at least 1")
     return _second_kind(n, theta)

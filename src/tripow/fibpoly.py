@@ -15,22 +15,30 @@ nodes are exactly antisymmetric with an exact zero for odd n, so the
 product vanishes exactly where F_{n-1} does at x = 0.
 """
 
+import cmath
 import math
 
-from .families import FAMILY_A, FamilySpec, build_matrix
+from .families import FAMILY_A, FamilySpec, _integer, build_matrix
 from .linalg import mat_det
 from .spectral import nodes_a
 
 __all__ = ["fib_poly_eval", "fib_det_check", "fib_factor_eval"]
 
 
-def _require_order(n: int):
+def _require_order(n: int) -> int:
+    n = _integer(n)
     if n < 3:
         raise ValueError("n must be at least 3")
+    return n
 
 
 def fib_poly_eval(n: int, x: complex) -> complex:
-    """F_n(x) by the forward recurrence; exact for integer arguments."""
+    """F_n(x) by the forward recurrence; exact for integer arguments.
+
+    n must be an integer of any type, not a boolean, and non-negative
+    (ValueError otherwise).
+    """
+    n = _integer(n)
     if n < 0:
         raise ValueError("order must be non-negative")
     prev, cur = 0.0 + 0.0j, 1.0 + 0.0j
@@ -47,10 +55,14 @@ def fib_det_check(n: int, x: complex) -> tuple[complex, complex]:
 
     Returns (determinant, (x**2 + 4) * F_{n-1}(x)); the determinant side is
     computed by elimination on the actual matrix, so the pair is an
-    independent cross-check, not one formula evaluated twice.
+    independent cross-check, not one formula evaluated twice.  n must be an
+    integer of any type, not a boolean, and at least 3, and x finite
+    (ValueError otherwise).
     """
-    _require_order(n)
+    n = _require_order(n)
     x = complex(x)
+    if not cmath.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     spec = FamilySpec(FAMILY_A, n, x, 1j)
     lhs = mat_det(build_matrix(spec))
     rhs = (x * x + 4.0) * fib_poly_eval(n - 1, x)
@@ -63,8 +75,9 @@ def fib_factor_eval(n: int, x: complex) -> complex:
     Multiplies x + i*node_k = x + 2i*cos((k-1)*pi/(n-1)) over the interior
     k = 2..n-1 of nodes_a(n) only; the k = 1 and k = n factors are
     (x + 2i)(x - 2i) = x**2 + 4 and are cancelled analytically against the
-    denominator of the printed identity.
+    denominator of the printed identity.  n must be an integer of any type,
+    not a boolean, and at least 3 (ValueError otherwise).
     """
-    _require_order(n)
+    n = _require_order(n)
     x = complex(x)
     return math.prod((x + 1j * node for node in nodes_a(n)[1:-1].tolist()), start=1.0 + 0.0j)

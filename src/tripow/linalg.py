@@ -12,11 +12,12 @@ square's rows span every column, an exactly symmetric input squares by
 a @ a.T, which BLAS runs as syrk at about half the work.  One blocked
 banded LU with partial pivoting (ibid., 4.3) takes I to L^-1 as it
 factors, over the columns left of each block only, and records each
-panel's row order and transforms: back-substitution gives the inverse, and
-the same factors solve m X = B for any B, in place where the rows need no
-initial order.  A negative power is the chain of solves and squares with
-the fewest multiplications, counted from the factors' band, and the
-determinant is the product of the pivots.
+panel's row order, transforms and back-substitution block [B^-1 | -B^-1 U],
+with the multiplications per column of one solve: back-substitution gives
+the inverse, and the same factors solve m X = B for any B, in place where
+the rows need no initial order.  A negative power is the chain of solves
+and squares with the fewest multiplications, counted from that cost, and
+the determinant is the product of the pivots.
 
 An exactly centrosymmetric m of even n = 2h, m = [[B, C], [J C J, J B J]]
 with J the h-by-h exchange, splits into two half-size matrices P = B + C J
@@ -271,12 +272,16 @@ def _banded_lu(m, rtol: float, scale: float | None = None):
     below the block diagonal and in the block's own columns, which are the
     transforms; its rows are zero right of their block, so the sweep
     carries Y only over the columns left of each block.  Returns (work,
-    rows, pivots, sort, panels): sort is the initial row order, None where
-    the rows are in order already, rows the final one, and each block gives
-    (start, block_end, end, right, order, transforms, neg_upper), order None
-    where the block swapped no rows, right one past the last column that its
-    rows span, and neg_upper minus U's rows start:block_end over the columns
-    block_end:right.
+    rows, pivots, sort, panels, cost): sort is the initial row order, None
+    where the rows are in order already, rows the final one, and each block
+    gives (start, block_end, end, right, order, transforms, back), order
+    None where the block swapped no rows, right one past the last column
+    that its rows span, and back its back-substitution block over the
+    columns start:right: B^-1, then minus U's rows start:block_end over the
+    columns block_end:right.  cost is the complex multiplications per column
+    of one _solve, n**2 for a dense input: each block's width times the rows
+    its sweep step touches plus the columns its back-substitution reads,
+    about n times the band.
     m must be a finite square complex128 matrix (_as_square).  Raises
     SingularMatrixError for the zero matrix and at a pivot that is zero or
     below rtol times scale, max |m| unless given.
@@ -293,58 +298,55 @@ def _banded_lu(m, rtol: float, scale: float | None = None):
     first = first[sort]
     # Rows up to r span no column at or past reach[r], even after fill-in.
     reach = np.maximum.accumulate(stop[sort])
-    panels, pivots = [], np.empty(n, dtype=np.complex128)
+    panels, pivots, cost = [], np.empty(n, dtype=np.complex128), 0
     for start in range(0, n, _PANEL):
         block_end = min(start + _PANEL, n)
+        width = block_end - start
         # Later rows start right of the block and are zero in its columns;
         # a panel shorter than the block would leave a column without pivot.
         end = max(int(np.searchsorted(first, block_end)), block_end)
         right = max(int(reach[end - 1]), block_end)
+        cost += width * (end - start + right - block_end)
         transforms = work[start:end, start:block_end].copy()
         order = _eliminate_panel(transforms, rtol, scale, start, pivots[start:block_end])
         if order is not None:
             rows[start:end] = rows[start:end][order]
             work[start:end, :right] = work[start:end, :right][order]
-        inv_b, neg_r_inv_b = transforms[:block_end - start], transforms[block_end - start:]
+        inv_b, neg_r_inv_b = transforms[:width], transforms[width:]
         y = work[start:block_end, :start]
         work[block_end:end, :start] += neg_r_inv_b @ y
         work[start:block_end, :start] = inv_b @ y
         top = work[start:block_end, block_end:right]
         work[block_end:end, block_end:right] += neg_r_inv_b @ top
-        neg_upper = -inv_b @ top
+        back = np.empty((width, right - start), dtype=np.complex128)
+        back[:, :width] = inv_b
+        np.matmul(-inv_b, top, out=back[:, width:])
         work[start:end, start:block_end] = transforms
         work[start:block_end, block_end:right] = 0.0
-        panels.append((start, block_end, end, right, order, transforms, neg_upper))
+        panels.append((start, block_end, end, right, order, transforms, back))
     if (sort == np.arange(n)).all():
         sort = None
-    return work, rows, pivots, sort, panels
+    return work, rows, pivots, sort, panels, cost
 
 
 def _invert(lu) -> np.ndarray:
     """m^-1 from lu = _banded_lu(m, ...), back-substituting in its work.
 
     X = U^-1 Y, last block first, each block from the at most p + q rows
-    of X right of it.  X inverts m[rows], so its columns are permuted back.
+    of X right of it, by the right part of its back.  X inverts m[rows], so
+    its columns are permuted back.
     """
-    work, rows, _, _, panels = lu
-    for start, block_end, _, right, _, _, neg_upper in reversed(panels):
-        work[start:block_end] += neg_upper @ work[block_end:right]
+    work, rows, _, _, panels, _ = lu
+    for start, block_end, _, right, _, _, back in reversed(panels):
+        work[start:block_end] += back[:, block_end - start:] @ work[block_end:right]
     # Column rows[k] of the inverse is column k of X.
     if (rows == np.arange(len(rows))).all():
         return work
     return work.take(np.argsort(rows), axis=1)
 
 
-def _backs(lu) -> list:
-    """[B^-1 | -upper] for each block of lu = _banded_lu(m, ...)."""
-    return [
-        np.hstack((transforms[:block_end - start], neg_upper))
-        for start, block_end, *_, transforms, neg_upper in lu[4]
-    ]
-
-
-def _solve(lu, backs, b) -> np.ndarray:
-    """X with m X = b, for lu = _banded_lu(m, ...), backs = _backs(lu) and any n-row b.
+def _solve(lu, b) -> np.ndarray:
+    """X with m X = b, for lu = _banded_lu(m, ...) and any n-row b.
 
     Replays the sweep on the rows of b: the initial row order, then each
     block's swaps and -R B^-1, which clear the rows below it.  B^-1 waits
@@ -353,13 +355,13 @@ def _solve(lu, backs, b) -> np.ndarray:
     them, one product for B^-1 and U.  Where the rows need no initial
     order the sweep works on b itself, which the caller must not use again.
     """
-    _, _, _, sort, panels = lu
+    _, _, _, sort, panels, _ = lu
     x = b if sort is None else b[sort]
     for start, block_end, end, _, order, transforms, _ in panels:
         if order is not None:
             x[start:end] = x[start:end][order]
         x[block_end:end] += transforms[block_end - start:] @ x[start:block_end]
-    for (start, block_end, _, right, *_), back in zip(reversed(panels), reversed(backs)):
+    for start, block_end, _, right, _, _, back in reversed(panels):
         x[start:block_end] = back @ x[start:right]
     return x
 
@@ -375,24 +377,13 @@ def mat_inverse(m) -> np.ndarray:
     return _invert(_banded_lu(_as_square(m), SINGULAR_RTOL))
 
 
-def _solve_cost(lu) -> int:
-    """Complex multiplications per column of one _solve: c = n**2 if dense.
-
-    Each block's width times the rows its sweep step touches plus the
-    columns its back-substitution reads, about n times the band.
-    """
-    return sum(
-        (block_end - start) * (end - start + right - block_end)
-        for start, block_end, end, right, *_ in lu[4]
-    )
-
-
 def _inverse_power(m, k: int, scale: float | None = None) -> np.ndarray:
     """m**-k for k >= 1 from one banded LU, by a chain of solves and squares.
 
-    A solve X <- m^-1 X costs n * c complex multiplications (_solve_cost),
-    exactly n**3 for a dense input.  Where it reaches n**3 it saves nothing
-    over a product by the inverse, and the inverse is binary powered.
+    A solve X <- m^-1 X costs n * c complex multiplications, c the cost
+    that _banded_lu returns, exactly n**3 for a dense input.  Where it
+    reaches n**3 it saves nothing over a product by the inverse, and the
+    inverse is binary powered.
     Otherwise the chain with j squarings takes X = m^-q, q = k >> j, by
     q - 1 solves from the inverse, then squares X j times, each square
     followed by one more solve where the next lower bit of k is set.  j = 0
@@ -404,7 +395,7 @@ def _inverse_power(m, k: int, scale: float | None = None) -> np.ndarray:
     """
     k = operator.index(k)
     lu = _banded_lu(m, SINGULAR_RTOL, scale)
-    n, c = len(lu[1]), _solve_cost(lu)
+    n, c = m.shape[0], lu[5]
     x = _invert(lu)
     if k == 1:
         return x
@@ -417,14 +408,13 @@ def _inverse_power(m, k: int, scale: float | None = None) -> np.ndarray:
         return solves * c + j * n * n, -j
 
     squares = min(range(k.bit_length()), key=cost)
-    backs = _backs(lu)
     for _ in range((k >> squares) - 1):
-        x = _solve(lu, backs, x)
+        x = _solve(lu, x)
     spans = _spans(x)
     for bit in reversed(range(squares)):
         x, spans = _product(x, spans, x, spans), _windows(spans, *spans, n)
         if k >> bit & 1:
-            x = _solve(lu, backs, x)
+            x = _solve(lu, x)
             spans = _spans(x)
     return x
 
@@ -551,7 +541,7 @@ def mat_det(m) -> complex:
     """
     m = _as_square(m)
     try:
-        _, rows, pivots, _, _ = _banded_lu(m, 0.0)
+        _, rows, pivots, *_ = _banded_lu(m, 0.0)
     except SingularMatrixError:
         return 0j
     # Each swap that puts a row in its place flips the sign; n swaps at most.

@@ -228,15 +228,20 @@ def _generator(spec: FamilySpec, lam: np.ndarray, s: int) -> np.ndarray:
     its largest entry is below the smallest normal float
     (sys.float_info.min), where the power has lost its digits to subnormals
     or flushed to zero.  A zero spectrum's power is exact and is served.
+    The verdict is taken on integers, so E may have any size: the FFT of
+    the mantissas peaks at f * 2**e, f in [1/2, 1), so h peaks at
+    f * 2**(e + E), which exceeds OVERFLOW_LIMIT exactly when
+    e + E >= sys.float_info.max_exp and is below sys.float_info.min exactly
+    when e + E < sys.float_info.min_exp.
     """
     _check_base(spec, lam, s)
     with np.errstate(over="ignore", invalid="ignore"):
         mantissas, exponent = _binary_powers(lam, s)
         h = power_generator(spec, mantissas)
         peak = float(np.abs(h).max())
-        scaled_peak = float(np.ldexp(peak, exponent))
-    underflow = scaled_peak < sys.float_info.min and lam.any()
-    if underflow or not scaled_peak <= OVERFLOW_LIMIT:
+    finite, shift = math.isfinite(peak), math.frexp(peak)[1] + exponent
+    underflow = finite and lam.any() and (peak == 0.0 or shift < sys.float_info.min_exp)
+    if underflow or not (finite and shift < sys.float_info.max_exp):
         fault = "underflows below" if underflow else "is not finite or exceeds"
         limit = sys.float_info.min if underflow else OVERFLOW_LIMIT
         raise PowerOverflowError(

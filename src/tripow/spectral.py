@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI, FamilySpec
+from .families import FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI, FamilySpec, _integer
 from .linalg import mat_identity, mat_norm_maxabs
 
 __all__ = [
@@ -105,19 +105,32 @@ class ClosureError(ArithmeticError):
 
 
 def sign_r(index: int) -> int:
-    """+1 when index mod 4 is 0 or 1, -1 when it is 2 or 3."""
-    return 1 if index % 4 in (0, 1) else -1
+    """+1 when index mod 4 is 0 or 1, -1 when it is 2 or 3.
+
+    index must be an integer of any type, not a boolean (ValueError otherwise).
+    """
+    return 1 if _integer(index, "index") % 4 in (0, 1) else -1
 
 
 def nodes_a(n: int) -> np.ndarray:
-    """Real eigenvalue nodes of family "a", 2*cos((k-1)*pi/(n-1)) on the angle grid, k=1..n."""
+    """Real eigenvalue nodes of family "a", 2*cos((k-1)*pi/(n-1)) on the angle grid, k=1..n.
+
+    n must be an integer of any type, not a boolean, and at least 2, as
+    FamilySpec requires of family "a" (ValueError otherwise).
+    """
+    n = _integer(n)
     if n < 2:
         raise ValueError("family 'a' requires n >= 2")
     return _nodes(FAMILY_A, n)
 
 
 def nodes_adagger(n: int) -> np.ndarray:
-    """Real eigenvalue nodes of family "adagger", -2*cos(k*pi/(n+1)) on the angle grid, k=1..n."""
+    """Real eigenvalue nodes of family "adagger", -2*cos(k*pi/(n+1)) on the angle grid, k=1..n.
+
+    n must be an integer of any type, not a boolean, and at least 1
+    (ValueError otherwise).
+    """
+    n = _integer(n)
     if n < 1:
         raise ValueError("n must be at least 1")
     return _nodes(FAMILY_ADAGGER, n)

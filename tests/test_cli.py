@@ -707,6 +707,15 @@ class TestFibCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: fib n=400") and "not finite" in err
 
+    @pytest.mark.parametrize("x", ["1e400+0i", "0-1e400i"])
+    def test_non_finite_x_is_named(self, capsys, x):
+        # The determinant side builds a family-"a" matrix with a = x, whose
+        # own refusal names a and b, options that fib does not have.
+        code, out, err = run_cli(capsys, "fib", "--n", "5", f"--x={x}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: x must be finite, got {parse_complex(x)}\n"
+
     @pytest.mark.parametrize("n", [-1, 0, 1, 2])
     def test_small_order_exits_two(self, capsys, n):
         code, out, err = run_cli(capsys, "fib", f"--n={n}", "--x", "1+0i")
@@ -783,6 +792,22 @@ class TestBenchCommand:
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == (
             f"tripow bench: error: argument --n: expected comma-separated integers, got {text!r}"
+        )
+
+    @pytest.mark.parametrize("command", [
+        ("bench", "--family", "a", "--n", "4", "--s", "2"),
+        ("verify", "--suite"),
+    ])
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_is_a_usage_error(self, capsys, command, seed):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, f"--seed={seed}"])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"tripow {command[0]}: error: argument --seed: expected a non-negative integer, "
+            f"got {seed!r}"
         )
 
     def test_bad_size_exits_two_before_any_output(self, capsys):

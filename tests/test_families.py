@@ -13,7 +13,9 @@ from tripow.families import (
     char_value_a,
     char_value_adagger,
 )
+from tripow.fibpoly import fib_det_check, fib_factor_eval, fib_poly_eval
 from tripow.linalg import mat_det, mat_identity, mat_norm_maxabs
+from tripow.spectral import nodes_a, nodes_adagger, sign_r
 
 from helpers import random_params
 
@@ -83,6 +85,38 @@ class TestFamilySpecValidation:
     def test_coerces_to_complex(self):
         spec = FamilySpec(FAMILY_A, 3, 1, 2)
         assert isinstance(spec.a, complex) and isinstance(spec.b, complex)
+
+
+# Every public function that takes a bare n (sign_r an index), with its
+# other arguments fixed.
+BARE_N_CALLS = {
+    "sign_r": sign_r,
+    "nodes_a": nodes_a,
+    "nodes_adagger": nodes_adagger,
+    "build_exchange": build_exchange,
+    "char_value_a": lambda n: char_value_a(n, 0.7),
+    "char_value_adagger": lambda n: char_value_adagger(n, 0.7),
+    "fib_poly_eval": lambda n: fib_poly_eval(n, 0.3 + 1j),
+    "fib_det_check": lambda n: fib_det_check(n, 0.3 + 1j),
+    "fib_factor_eval": lambda n: fib_factor_eval(n, 0.3 + 1j),
+}
+
+
+@pytest.mark.parametrize("name", BARE_N_CALLS)
+def test_bare_n_is_an_integer_of_any_type(name):
+    # Refused the way FamilySpec refuses n: a float, even an integral one,
+    # and a boolean, which is an int to Python, are ValueErrors.
+    call = BARE_N_CALLS[name]
+    label = "index" if name == "sign_r" else "n"
+    for n in (2.5, 4.5, 4.0, True, np.bool_(True), "4", None):
+        with pytest.raises(ValueError, match=rf"^{label} must be an integer, got "):
+            call(n)
+    # Every numpy integer type gives the int's result, bit for bit.
+    for n in (4, 5, 7):
+        want = np.asarray(call(n))
+        for kind in (np.int8, np.int32, np.int64, np.uint16, np.uint64):
+            got = np.asarray(call(kind(n)))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (kind, n)
 
 
 class TestBuildMatrix:

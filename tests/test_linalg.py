@@ -13,14 +13,12 @@ from tripow.linalg import (
     _PANEL,
     SINGULAR_RTOL,
     SingularMatrixError,
-    _backs,
     _banded_lu,
     _centro_join,
     _centro_split,
     _invert,
     _inverse_power,
     _solve,
-    _solve_cost,
     _spans,
     mat_det,
     mat_identity,
@@ -464,20 +462,20 @@ def _chain(m, k, squares):
     where the next lower bit of k is set.
     """
     lu = _banded_lu(m, SINGULAR_RTOL)
-    x, backs = _invert(lu), _backs(lu)
+    x = _invert(lu)
     for _ in range((k >> squares) - 1):
-        x = _solve(lu, backs, x)
+        x = _solve(lu, x)
     for bit in reversed(range(squares)):
         x = x @ x
         if k >> bit & 1:
-            x = _solve(lu, backs, x)
+            x = _solve(lu, x)
     return x
 
 
 def _counted_chain(m, k):
     """The squares of the cheapest chain, by counting every chain's steps."""
     lu = _banded_lu(m, SINGULAR_RTOL)
-    n, c = m.shape[0], _solve_cost(lu)
+    n, c = m.shape[0], lu[5]
     costs = []
     for squares in range(k.bit_length()):
         solves = (k >> squares) - 1 + sum(k >> bit & 1 for bit in range(squares))
@@ -487,7 +485,7 @@ def _counted_chain(m, k):
 
 def _counted_route(m, k):
     """m**-k by the route that the count picks, on m as a whole."""
-    if _solve_cost(_banded_lu(m, SINGULAR_RTOL)) >= m.shape[0] ** 2:
+    if _banded_lu(m, SINGULAR_RTOL)[5] >= m.shape[0] ** 2:
         return mat_pow_binary(mat_inverse(m), k)
     return _chain(m, k, _counted_chain(m, k))
 
@@ -542,7 +540,7 @@ class TestNegativePowers:
     @pytest.mark.parametrize("family, n", ROUTE_CASES)
     def test_route_follows_the_operation_count(self, family, n):
         m = build_matrix(FamilySpec(family, n, 3.0 + 1.0j, 0.8 - 0.9j))
-        c = _solve_cost(_banded_lu(m, SINGULAR_RTOL))
+        c = _banded_lu(m, SINGULAR_RTOL)[5]
         # Up to n = 17 the factors span one panel and a column, and a solve
         # costs n**2 per column, as a product by the inverse does.  At
         # n = 18 and past it a tridiagonal solve costs under 20 n.
@@ -575,7 +573,7 @@ class TestNegativePowers:
 
     def test_dense_input_powers_the_inverse(self):
         m = random_matrix(np.random.default_rng(7), 40)
-        assert _solve_cost(_banded_lu(m, SINGULAR_RTOL)) == 40 * 40
+        assert _banded_lu(m, SINGULAR_RTOL)[5] == 40 * 40
         for k in (2, 3, 64):
             assert _same_bits(oracle_power(m, -k), mat_pow_binary(mat_inverse(m), k)), k
         solves = _chain(m, 64, 0)
@@ -733,13 +731,13 @@ class TestSolveInPlace:
         # Rows already in order: the solve works on b itself.
         m = build_matrix(FamilySpec(family, n, 3.0 + 1.0j, 0.8 - 0.9j))
         lu = _banded_lu(m, SINGULAR_RTOL)
-        work, rows, pivots, sort, panels = lu
+        work, rows, pivots, sort, panels, cost = lu
         assert sort is None
         b = random_matrix(np.random.default_rng(n), n)
         kept = b.copy()
-        copying = _solve((work, rows, pivots, np.arange(n), panels), _backs(lu), b)
+        copying = _solve((work, rows, pivots, np.arange(n), panels, cost), b)
         assert _same_bits(b, kept)
-        in_place = _solve(lu, _backs(lu), b)
+        in_place = _solve(lu, b)
         assert in_place is b
         assert _same_bits(in_place, copying)
 
@@ -749,7 +747,7 @@ class TestSolveInPlace:
         assert lu[3] is not None
         b = random_matrix(np.random.default_rng(5), 130)
         kept = b.copy()
-        x = _solve(lu, _backs(lu), b)
+        x = _solve(lu, b)
         assert _same_bits(b, kept)
         assert relative_error(m @ x, kept) <= 1e-12
 

@@ -1,7 +1,13 @@
-"""The public names of the package."""
+"""The public names of the package, and the argument checks they make."""
+
+import re
+
+import numpy as np
+import pytest
 
 import tripow
 from tripow import families, fibpoly, linalg, powers, spectral
+from tripow.families import FamilySpec
 
 PUBLIC_NAMES = [
     "ClosureError",
@@ -59,3 +65,33 @@ def test_each_name_is_declared_by_one_submodule_and_exported():
     assert sorted(name for name, _ in declared) == PUBLIC_NAMES
     for name, module in declared:
         assert getattr(tripow, name) is getattr(module, name), name
+
+
+# Public argument checks, each with the exception type and message it gives.
+ARGUMENT_CHECKS = [
+    ("transform_k", lambda: spectral.transform_k(FamilySpec("adagger", 4, 1, 1)),
+     ValueError, "expected family 'a', got 'adagger'"),
+    ("inv_transform_k", lambda: spectral.inv_transform_k(FamilySpec("anti", 4, 1, 1)),
+     ValueError, "expected family 'a', got 'anti'"),
+    ("transform_t", lambda: spectral.transform_t(FamilySpec("a", 4, 1, 1)),
+     ValueError, "expected family 'adagger' or 'anti', got 'a'"),
+    ("inv_transform_t", lambda: spectral.inv_transform_t(FamilySpec("a", 4, 1, 1)),
+     ValueError, "expected family 'adagger' or 'anti', got 'a'"),
+    ("power_entry_anti",
+     lambda: powers.power_entry_anti(spectral.decompose(FamilySpec("a", 4, 1, 1)), 2, 1, 1),
+     ValueError, "expected family 'adagger' or 'anti' data, got 'a'"),
+    ("nodes_adagger", lambda: spectral.nodes_adagger(0), ValueError, "n must be at least 1"),
+    ("build_exchange", lambda: families.build_exchange(0), ValueError, "n must be at least 1"),
+    ("char_value_adagger", lambda: families.char_value_adagger(0, 1.0),
+     ValueError, "n must be at least 1"),
+    ("mat_pow_binary", lambda: linalg.mat_pow_binary(np.zeros((0, 0)), 1),
+     ValueError, "matrix dimension must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [case[1:] for case in ARGUMENT_CHECKS],
+                         ids=[case[0] for case in ARGUMENT_CHECKS])
+def test_argument_checks_name_the_fault(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is error

@@ -437,6 +437,23 @@ class TestPowerMatrix:
         with pytest.raises(PowerOverflowError, match="underflows below"):
             entry(decompose(spec), s, 1, 1)
 
+    @pytest.mark.parametrize("s", [10**20, -(10**20)])
+    @pytest.mark.parametrize("a, b", [(4.0, 1.0), (0.1, 0.01)])
+    def test_exponent_beyond_a_c_long_is_refused(self, a, b, s):
+        # The nodes are 2, 1, -1 and -2, so the eigenvalues a + b*node are 2
+        # to 6 for a = 4, a growing spectrum, and 0.08 to 0.12 for a = 0.1, a
+        # decaying one.  The exponent E of 2**E is about 10**20, past a C long.
+        spec = FamilySpec(FAMILY_A, 4, a, b)
+        fault = "is not finite or exceeds" if (a > 1) == (s > 0) else "underflows below"
+        pattern = rf"^power s={s} is not representable .* \* 2\*\*-?\d{{20,}} {fault}"
+        for call in (
+            lambda: power_matrix(spec, s),
+            lambda: power_entry_a(decompose(spec), s, 1, 1),
+            lambda: power_verify(spec, s),
+        ):
+            with pytest.raises(PowerOverflowError, match=pattern):
+                call()
+
     def test_smallest_powers_above_the_underflow_are_served(self):
         spec = FamilySpec(FAMILY_A, 4, 0.01, 0.001)
         got = power_matrix(spec, 150).matrix
@@ -676,6 +693,33 @@ class TestScaledPowers:
         except PowerOverflowError:
             pass
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "a, peak, fault",
+        [
+            # The 1x1 "adagger" matrix [a] has the one eigenvalue a.  At
+            # a = 1 the power's scale is 2**1 (mantissa 1/2), so these
+            # peaks scale to OVERFLOW_LIMIT, the float after it, the smallest
+            # normal float and the subnormal below it.
+            (1.0, tripow.powers.OVERFLOW_LIMIT / 2, None),
+            (1.0, np.nextafter(tripow.powers.OVERFLOW_LIMIT / 2, np.inf), "is not finite or exceeds"),
+            (1.0, 2.0**-1023, None),
+            (1.0, np.nextafter(2.0**-1023, 0.0), "underflows below"),
+            (1.0, 0.0, "underflows below"),
+            # At a = 2**-600 the scale is 2**-599, and this peak scales to
+            # (1 - 2**-53) * 2**-1022, below the smallest normal float,
+            # although ldexp would round it up to that float.
+            (2.0**-600, (1 - 2.0**-53) * 2.0**-423, "underflows below"),
+        ],
+    )
+    def test_refusal_boundaries_are_exact(self, monkeypatch, a, peak, fault):
+        spec = FamilySpec(FAMILY_ADAGGER, 1, a, 1.0)
+        monkeypatch.setattr(tripow.powers, "power_generator", lambda *_: np.array([peak + 0j]))
+        if fault is None:
+            assert _generator(spec, eigenvalues(spec), 1)[0] == 2 * peak
+        else:
+            with pytest.raises(PowerOverflowError, match=fault):
+                _generator(spec, eigenvalues(spec), 1)
 
     def test_refusal_gives_a_finite_magnitude(self):
         # The eigenvalues are 3e200, 2e200, 0 and -1e200, whose squares
