@@ -32,13 +32,7 @@ import warnings
 import numpy as np
 
 from .families import (
-    FAMILIES,
-    FAMILY_A,
-    FAMILY_ADAGGER,
-    FAMILY_ANTI,
-    FamilySpec,
-    build_exchange,
-    build_matrix,
+    _RULES, FAMILIES, FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI, FamilySpec, build_exchange, build_matrix,
 )
 from .fibpoly import fib_det_check, fib_factor_eval, fib_poly_eval
 from .linalg import SingularMatrixError, mat_norm_maxabs, oracle_power
@@ -199,6 +193,8 @@ def cmd_power(args, out) -> int:
 
 
 def cmd_eigen(args, out) -> int:
+    if args.vectors and args.format == "csv":
+        raise ValueError("--vectors has no CSV form; use --format json or pretty")
     spec = FamilySpec(args.family, args.n, args.a, args.b)
     # Eigenvalues and nodes are O(n); only the vectors need decompose, with
     # its transforms and O(n**3) closure check.
@@ -257,13 +253,11 @@ def _verify_case(spec, s, tol):
 
 
 def _draw_spec(rng, family, n=None):
+    """A spec with random a, b (|b| >= 0.25) and, unless given, n <= 12 in the family's domain."""
     if n is None:
-        if family == FAMILY_A:
-            n = int(rng.integers(2, 13))
-        elif family == FAMILY_ANTI:
-            n = int(rng.integers(1, 7)) * 2
-        else:
-            n = int(rng.integers(1, 13))
+        rule = _RULES[family]
+        step = 2 if rule.even_n else 1
+        n = int(rng.integers(-(-rule.min_n // step), 12 // step + 1)) * step
     while True:
         a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         b = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))

@@ -1,21 +1,32 @@
-"""The three structured matrix families and their characteristic values.
+"""The structured matrix families: one record each, and their characteristic values.
 
-The characteristic values evaluate the determinant recurrence of each
-normalized matrix, a second-kind Chebyshev recurrence.  They share no code
-with the spectral module, so the tests use them as an independent route to
-the eigenvalue nodes.
+The families are one tridiagonal Toeplitz operator, diagonal a and both
+off-diagonals b, with different boundary rows.  Each is one private _Rule
+record of _RULES, keyed by its name, and the record is all the code reads
+of a family: its n domain, its hand-written dense builder, and the few
+numbers in which its closed forms differ (the angle grid, the transform
+kind, the Hankel term and signs of the power's entries).  FAMILIES holds
+the keys of _RULES, so a new boundary rule is one record.
 
 Family "a":       tridiagonal, diagonal a, both off-diagonals b, with the
-                  (1,2) and (n-1,n) entries doubled to 2b.
+                  (1,2) and (n-1,n) entries doubled to 2b; n >= 2.
 Family "adagger": symmetric tridiagonal, diagonal a, off-diagonal pair k
                   (coupling rows k and k+1) equal to +b for odd k and -b
                   for even k.
 Family "anti":    the exchange flip of "adagger", an anti-tridiagonal matrix;
                   requires even dimension.
+
+A builder reads no closed-form field, so the dense matrix that the oracle
+powers stays independent of the closed form.  The characteristic values
+evaluate the determinant recurrence of each normalized matrix, a
+second-kind Chebyshev recurrence.  They share no code with the spectral
+module, so the tests use them as an independent route to the eigenvalue
+nodes.
 """
 
 import cmath
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +46,6 @@ __all__ = [
 FAMILY_A = "a"
 FAMILY_ADAGGER = "adagger"
 FAMILY_ANTI = "anti"
-FAMILIES = (FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI)
 
 
 @dataclass(frozen=True)
@@ -43,8 +53,9 @@ class FamilySpec:
     """Which family to build, its dimension, and the two complex parameters.
 
     Constraints are checked eagerly: n is any integer type (stored as int),
-    booleans are refused for n, a and b, b must be nonzero, family "a" needs
-    n >= 2, and family "anti" needs even n.
+    booleans are refused for n, a and b, b must be nonzero, and n must lie
+    in the domain that the family's record gives (n >= 2 for "a", even n
+    for "anti").
     """
 
     family: str
@@ -62,18 +73,16 @@ class FamilySpec:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        # Membership in a tuple, so that an unhashable name is unknown too.
+        if self.family not in tuple(_RULES):
+            raise ValueError(f"unknown family {self.family!r}; expected one of {tuple(_RULES)}")
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         if not (cmath.isfinite(self.a) and cmath.isfinite(self.b)):
             raise ValueError("a and b must be finite")
         if self.b == 0:
             raise ValueError("b must be nonzero")
-        if self.family == FAMILY_A and self.n < 2:
-            raise ValueError("family 'a' requires n >= 2")
-        if self.family == FAMILY_ANTI and self.n % 2 != 0:
-            raise ValueError("anti-tridiagonal family requires even n")
+        _check_domain(self.family, self.n)
 
 
 def _integer(value, name: str = "n") -> int:
@@ -116,18 +125,67 @@ def _build_adagger(n: int, a: complex, b: complex) -> np.ndarray:
     return m
 
 
+def _build_anti(n: int, a: complex, b: complex) -> np.ndarray:
+    return _build_adagger(n, a, b)[::-1].copy()
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """One family: its n domain, its dense builder, and the numbers of its closed forms."""
+
+    period_shift: int  # the grid's period L = n + period_shift
+    descending: bool  # eigenvalue k = 1..n at q = L - k, not at q = k - 1
+    hankel_shift: int  # entry (i, j), 0-based, is h[|i-j|] + hankel_sign * h[i+j+hankel_shift]
+    hankel_sign: int  # +1: a cosine-type transform, -1: a sine-type one
+    sign_period: int  # 4: times sign_r(i) * sign_r(j), which needs hankel_sign -1; 1: no signs
+    paths: tuple[str, str]  # PowerResult.path by parity; part of the JSON output
+    build: Callable[[int, complex, complex], np.ndarray]  # (n, a, b) -> the dense matrix
+    min_n: int = 1  # the smallest n of the domain
+    even_n: bool = False  # the domain holds even n only
+    halves_edges: bool = False  # the first column and the last row carry a factor 1/2
+    flips: bool = False  # the exchange flip of its twin; the parity of s, not n, picks the path
+
+
+_SINE = (1, True, 2, -1, 4)  # the numbers that "anti" shares with its twin
+_RULES = {
+    FAMILY_A: _Rule(-1, False, 0, 1, 1, ("closed-form-A", "closed-form-A"), _build_a,
+                    min_n=2, halves_edges=True),
+    FAMILY_ADAGGER: _Rule(*_SINE, ("closed-form-ADagger-even", "closed-form-ADagger-odd"),
+                          _build_adagger),
+    FAMILY_ANTI: _Rule(*_SINE, ("closed-form-anti-even-s", "closed-form-anti-odd-s"),
+                       _build_anti, even_n=True, flips=True),
+}
+FAMILIES = tuple(_RULES)
+
+
+def _check_domain(family: str, n: int):
+    """Raise ValueError, naming the family, unless n lies in its domain."""
+    rule = _RULES[family]
+    if n < rule.min_n:
+        raise ValueError(f"family {family!r} requires n >= {rule.min_n}")
+    if rule.even_n and n % 2:
+        raise ValueError(f"family {family!r} requires even n")
+
+
+def _check_kind(spec: FamilySpec, hankel_sign: int, what: str = ""):
+    """Raise ValueError unless spec's transform is of the kind of hankel_sign.
+
+    +1 is the cosine type and -1 the sine type; the message names every
+    family of that kind, with what after the names.
+    """
+    if _RULES[spec.family].hankel_sign != hankel_sign:
+        kind = " or ".join(repr(f) for f, rule in _RULES.items() if rule.hankel_sign == hankel_sign)
+        raise ValueError(f"expected family {kind}{what}, got {spec.family!r}")
+
+
 def build_matrix(spec: FamilySpec) -> np.ndarray:
-    """Construct the dense matrix described by spec.
+    """Construct the dense matrix described by spec, by its family's builder.
 
     The anti family is defined operationally as the exchange flip of its
     tridiagonal counterpart (row i of the result is row n-i+1 of the
     "adagger" matrix), so the flip identity holds exactly by construction.
     """
-    if spec.family == FAMILY_A:
-        return _build_a(spec.n, spec.a, spec.b)
-    if spec.family == FAMILY_ADAGGER:
-        return _build_adagger(spec.n, spec.a, spec.b)
-    return _build_adagger(spec.n, spec.a, spec.b)[::-1].copy()
+    return _RULES[spec.family].build(spec.n, spec.a, spec.b)
 
 
 def build_exchange(n: int) -> np.ndarray:

@@ -32,20 +32,26 @@ def _require_order(n: int) -> int:
     return n
 
 
+def _require_finite(x: complex) -> complex:
+    x = complex(x)
+    if not cmath.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
+    return x
+
+
 def fib_poly_eval(n: int, x: complex) -> complex:
     """F_n(x) by the forward recurrence; exact for integer arguments.
 
-    n must be an integer of any type, not a boolean, and non-negative
-    (ValueError otherwise).
+    n must be an integer of any type, not a boolean, and non-negative, and
+    x finite (ValueError otherwise).
     """
     n = _integer(n)
     if n < 0:
         raise ValueError("order must be non-negative")
-    prev, cur = 0.0 + 0.0j, 1.0 + 0.0j
-    if n == 0:
-        return prev
-    x = complex(x)
-    for _ in range(n - 1):
+    x = _require_finite(x)
+    # From F_-1 = 1 and F_0 = 0, so that n = 0 needs no case of its own.
+    prev, cur = 1.0 + 0.0j, 0.0 + 0.0j
+    for _ in range(n):
         prev, cur = cur, x * cur + prev
     return cur
 
@@ -60,9 +66,7 @@ def fib_det_check(n: int, x: complex) -> tuple[complex, complex]:
     (ValueError otherwise).
     """
     n = _require_order(n)
-    x = complex(x)
-    if not cmath.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
+    x = _require_finite(x)
     spec = FamilySpec(FAMILY_A, n, x, 1j)
     lhs = mat_det(build_matrix(spec))
     rhs = (x * x + 4.0) * fib_poly_eval(n - 1, x)
@@ -76,8 +80,8 @@ def fib_factor_eval(n: int, x: complex) -> complex:
     k = 2..n-1 of nodes_a(n) only; the k = 1 and k = n factors are
     (x + 2i)(x - 2i) = x**2 + 4 and are cancelled analytically against the
     denominator of the printed identity.  n must be an integer of any type,
-    not a boolean, and at least 3 (ValueError otherwise).
+    not a boolean, and at least 3, and x finite (ValueError otherwise).
     """
     n = _require_order(n)
-    x = complex(x)
+    x = _require_finite(x)
     return math.prod((x + 1j * node for node in nodes_a(n)[1:-1].tolist()), start=1.0 + 0.0j)

@@ -11,7 +11,7 @@ angle grid, one FFT (spectral.power_generator).  With 0-based i, j:
 A full power is therefore a Toeplitz view plus or minus a Hankel view of h
 with fixed edge factors: O(n**2) with no matrix product, and every single
 entry is O(n log n).  The numbers in which the families differ are their
-spectral._Rule, and one row writer reads them: it builds every power, full
+families._Rule, and one row writer reads them: it builds every power, full
 or band alone (below), and every single entry, as one column.  sign_r has
 period 4, so on the rows i = r (mod 4) sign_r(i) * sign_r(j) is a
 period-4 sign of the index into h: four signed copies of h, two window
@@ -57,9 +57,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .families import FAMILY_A, FamilySpec, build_matrix
+from .families import _RULES, FamilySpec, _check_kind, _integer, build_matrix
 from .linalg import SingularMatrixError, mat_identity, mat_norm_maxabs, oracle_power
-from .spectral import _RULES, _SIGN4, SpectralData, eigenvalues, power_generator
+from .spectral import _SIGN4, SpectralData, eigenvalues, power_generator
 
 __all__ = [
     "ExtendedDomainWarning",
@@ -257,15 +257,19 @@ def _entry(data: SpectralData, s: int, i: int, j: int, flip: bool = False) -> co
 
     Column j is written by the row writer of power_matrix, and its edge
     halving applied, so the entry equals the matrix's bit for bit, zero
-    signs included.  flip reads row n + 1 - i instead, after the index
-    check.  s = 0 gives the exact identity, and for s > 0 an entry outside
-    the band |i-j| <= s is 0j.
+    signs included.  With flip, an odd s reads row n + 1 - i instead, after
+    the index check.  s must be an integer (TypeError otherwise) and i, j
+    integers of any type, not booleans (ValueError otherwise), and all three
+    are checked before any work.  s = 0 gives the exact identity, and for
+    s > 0 an entry outside the band |i-j| <= s is 0j.
     """
+    s = operator.index(s)
+    i, j = _integer(i, "i"), _integer(j, "j")
     n, rule = data.spec.n, _RULES[data.spec.family]
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"indices must satisfy 1 <= i, j <= {n}, got ({i}, {j})")
     h = _generator(data.spec, data.eigenvalues, s)
-    if flip:
+    if flip and s % 2:
         i = n + 1 - i
     if s == 0 or 0 < s < abs(i - j):
         return complex(i == j)
@@ -287,9 +291,10 @@ def power_entry_a(data: SpectralData, s: int, i: int, j: int) -> complex:
     Reads h[|i-j|] + h[i+j-2] from the power's generator; the first column
     and the last row (i = n) each carry a factor 1/2.  s = 0 gives the exact
     identity, and for s > 0 an entry outside the band |i-j| <= s is 0j.
+    s must be an integer (TypeError otherwise) and i, j integers, not
+    booleans (ValueError otherwise).
     """
-    if data.spec.family != FAMILY_A:
-        raise ValueError(f"expected family 'a' data, got {data.spec.family!r}")
+    _check_kind(data.spec, 1, " data")
     return _entry(data, s, i, j)
 
 
@@ -300,9 +305,10 @@ def power_entry_adagger(data: SpectralData, s: int, i: int, j: int) -> complex:
     generator, bit for bit the entry of power_matrix.  s = 0 gives the
     exact identity, and for s > 0 an entry outside the band |i-j| <= s is
     0j.  Given "anti" data it returns the entry of the "adagger" twin.
+    s must be an integer (TypeError otherwise) and i, j integers, not
+    booleans (ValueError otherwise).
     """
-    if data.spec.family == FAMILY_A:
-        raise ValueError("expected family 'adagger' or 'anti' data, got 'a'")
+    _check_kind(data.spec, -1, " data")
     return _entry(data, s, i, j)
 
 
@@ -313,12 +319,13 @@ def power_entry_anti(data: SpectralData, s: int, i: int, j: int) -> complex:
     index through the exchange, which moves the band |i-j| <= s to
     |n+1-i-j| <= s.  s = 0 gives the exact identity, and for s > 0 an entry
     outside the band is 0j.  Only even n is supported.
+    s must be an integer (TypeError otherwise) and i, j integers, not
+    booleans (ValueError otherwise).
     """
     if data.spec.n % 2 != 0:
         raise ValueError("anti-tridiagonal powers require even n")
-    if data.spec.family == FAMILY_A:
-        raise ValueError("expected family 'adagger' or 'anti' data, got 'a'")
-    return _entry(data, s, i, j, flip=s % 2 == 1)
+    _check_kind(data.spec, -1, " data")
+    return _entry(data, s, i, j, flip=True)
 
 
 def _assemble(spec: FamilySpec, h: np.ndarray, s: int) -> np.ndarray:

@@ -29,7 +29,9 @@ eigenvalues times the exchange's signs (_own_eigenvalues).  decompose
 stores the twin's decomposition, which is what the power formulas consume.
 
 The families differ only in their boundary rows, so their closed forms
-differ only in the few numbers of their _Rule, which the code reads.
+differ only in the few numbers of their record, families._Rule, which the
+code reads; no code here names a family except to serve its public
+function (nodes_a, nodes_adagger).
 
 The nodes are always real, so V is real; only the eigenvalues themselves
 are complex.  Each decomposition is validated at construction time: if the
@@ -54,7 +56,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import FAMILY_A, FAMILY_ADAGGER, FAMILY_ANTI, FamilySpec, _integer
+from .families import (
+    _RULES, FAMILY_A, FAMILY_ADAGGER, FamilySpec, _check_domain, _check_kind, _integer,
+)
 from .linalg import mat_identity, mat_norm_maxabs
 
 __all__ = [
@@ -78,28 +82,6 @@ CLOSURE_TOL = 1e-9
 _SIGN4 = np.array([1.0, 1.0, -1.0, -1.0])
 
 
-@dataclass(frozen=True)
-class _Rule:
-    """The numbers by which one family's closed forms differ."""
-
-    period_shift: int  # the grid's period L = n + period_shift
-    descending: bool  # eigenvalue k = 1..n at q = L - k, not at q = k - 1
-    hankel_shift: int  # entry (i, j), 0-based, is h[|i-j|] + hankel_sign * h[i+j+hankel_shift]
-    hankel_sign: int  # +1: a cosine-type transform, -1: a sine-type one
-    sign_period: int  # 4: times sign_r(i) * sign_r(j), which needs hankel_sign -1; 1: no signs
-    paths: tuple[str, str]  # PowerResult.path by parity; part of the JSON output
-    halves_edges: bool = False  # the first column and the last row carry a factor 1/2
-    flips: bool = False  # the exchange flip of its twin; the parity of s, not n, picks the path
-
-
-_SINE = (1, True, 2, -1, 4)  # the numbers that "anti" shares with its twin
-_RULES = {
-    FAMILY_A: _Rule(-1, False, 0, 1, 1, ("closed-form-A", "closed-form-A"), halves_edges=True),
-    FAMILY_ADAGGER: _Rule(*_SINE, ("closed-form-ADagger-even", "closed-form-ADagger-odd")),
-    FAMILY_ANTI: _Rule(*_SINE, ("closed-form-anti-even-s", "closed-form-anti-odd-s"), flips=True),
-}
-
-
 class ClosureError(ArithmeticError):
     """An analytically built inverse failed to reproduce the identity."""
 
@@ -119,8 +101,7 @@ def nodes_a(n: int) -> np.ndarray:
     FamilySpec requires of family "a" (ValueError otherwise).
     """
     n = _integer(n)
-    if n < 2:
-        raise ValueError("family 'a' requires n >= 2")
+    _check_domain(FAMILY_A, n)
     return _nodes(FAMILY_A, n)
 
 
@@ -138,8 +119,7 @@ def nodes_adagger(n: int) -> np.ndarray:
 
 def eigenvalues_a(spec: FamilySpec) -> np.ndarray:
     """Eigenvalues a + b*node of family "a", ordered k=1..n."""
-    if spec.family != FAMILY_A:
-        raise ValueError(f"expected family 'a', got {spec.family!r}")
+    _check_kind(spec, 1)
     return eigenvalues(spec)
 
 
@@ -150,8 +130,7 @@ def eigenvalues_adagger(spec: FamilySpec) -> np.ndarray:
     which its power formulas are written in; the anti matrix's own
     eigenvalues are (-1)**(k + n/2 + 1) times them.
     """
-    if spec.family == FAMILY_A:
-        raise ValueError("expected family 'adagger' or 'anti', got 'a'")
+    _check_kind(spec, -1)
     return eigenvalues(spec)
 
 
@@ -265,8 +244,7 @@ def transform_k(spec: FamilySpec) -> np.ndarray:
     grid; the last row carries an extra factor 1/2.  Column k is an
     eigenvector for eigenvalue k, normalized to first component 1.
     """
-    if spec.family != FAMILY_A:
-        raise ValueError(f"expected family 'a', got {spec.family!r}")
+    _check_kind(spec, 1)
     return _eigenvector_tables(spec)[0]
 
 
@@ -276,8 +254,7 @@ def inv_transform_k(spec: FamilySpec) -> np.ndarray:
     Entry (k, j) is gamma_j * beta_k * cos((j-1) * theta_k) with
     gamma = (1, 2, ..., 2) and beta = (1, 2, ..., 2, 1) / (2n - 2).
     """
-    if spec.family != FAMILY_A:
-        raise ValueError(f"expected family 'a', got {spec.family!r}")
+    _check_kind(spec, 1)
     return _eigenvector_tables(spec)[1]
 
 
@@ -289,8 +266,7 @@ def transform_t(spec: FamilySpec) -> np.ndarray:
     Column k is an eigenvector for eigenvalue k, normalized to first
     component 1.  Family "anti" shares these eigenvectors.
     """
-    if spec.family == FAMILY_A:
-        raise ValueError("expected family 'adagger' or 'anti', got 'a'")
+    _check_kind(spec, -1)
     return _eigenvector_tables(spec)[0]
 
 
@@ -301,8 +277,7 @@ def inv_transform_t(spec: FamilySpec) -> np.ndarray:
     coefficients c_k = 2*sin(theta_k)**2/(n+1) (the paper's mu for odd n
     and eta for even n).
     """
-    if spec.family == FAMILY_A:
-        raise ValueError("expected family 'adagger' or 'anti', got 'a'")
+    _check_kind(spec, -1)
     return _eigenvector_tables(spec)[1]
 
 

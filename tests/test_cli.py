@@ -27,6 +27,21 @@ from tripow.powers import (
 )
 
 
+def reference_draw(rng, family):
+    """The suite's spec draw with one n branch per family, as first written."""
+    if family == FAMILY_A:
+        n = int(rng.integers(2, 13))
+    elif family == FAMILY_ANTI:
+        n = int(rng.integers(1, 7)) * 2
+    else:
+        n = int(rng.integers(1, 13))
+    while True:
+        a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        b = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        if abs(b) >= 0.25:
+            return FamilySpec(family, n, a, b)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -418,6 +433,18 @@ class TestEigenCommand:
         residual = mat_norm_maxabs(m @ vectors - vectors * mu)
         assert residual <= 1e-13 * mat_norm_maxabs(m) * mat_norm_maxabs(vectors)
 
+    def test_vectors_in_csv_is_a_usage_error_before_any_work(self, capsys, monkeypatch):
+        # The CSV rows hold eigenvalues and nodes only, so --vectors would be
+        # paid for by decompose's O(n**3) closure check and then dropped.
+        for name in ("FamilySpec", "eigenvalues", "decompose"):
+            monkeypatch.setattr(tripow.cli, name, _refuse)
+        code, out, err = run_cli(
+            capsys, "eigen", "--family", "a", "--n", "3", "--a", "1+0i",
+            "--b", "1+0i", "--vectors", "--format", "csv",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --vectors has no CSV form; use --format json or pretty\n"
+
     def test_values_skip_decompose_and_vectors_keep_the_closure_check(self, capsys, monkeypatch):
         argv = ("eigen", "--family", "a", "--n", "5", "--a", "1+0i", "--b", "1+0i", "--format", "json")
         expected = run_cli(capsys, *argv)
@@ -649,6 +676,15 @@ class TestVerifyCommand:
             ]
             assert (got["residual"], got["tol"]) == (float(row["residual"]), float(row["tol"]))
             assert got["pass"] is True and row["pass"] == "true"
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_suite_draws_equal_the_family_branches(self, family):
+        # The n domain is read from the family's rule; the suite's draws, and
+        # so its output, are those of one branch per family.
+        for seed in range(200):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert tripow.cli._draw_spec(rng, family) == reference_draw(reference, family)
+            assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_suite_passes_and_is_deterministic(self, capsys):
         with warnings.catch_warnings():

@@ -1,5 +1,7 @@
 """Fibonacci polynomial recurrence, determinant identity, and factorization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,21 @@ class TestEigenvalueProduct:
         product = complex(np.prod(lam))
         det, _ = fib_det_check(n, x)
         assert abs(product - det) < 1e-8 * (1 + abs(det))
+
+
+@pytest.mark.parametrize("evaluate", [fib_poly_eval, fib_factor_eval, fib_det_check])
+@pytest.mark.parametrize(
+    "x", [complex("inf"), complex("-inf"), complex("nan"), complex(0.5, float("inf"))]
+)
+def test_non_finite_x_is_refused(evaluate, x):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'x must be finite, got {x}')}$"):
+        evaluate(5, x)
+
+
+def test_the_order_is_checked_before_x():
+    with pytest.raises(ValueError, match="^order must be non-negative$"):
+        fib_poly_eval(-1, complex("inf"))
+    with pytest.raises(ValueError, match="^n must be at least 3$"):
+        fib_factor_eval(2, complex("nan"))
+    with pytest.raises(ValueError, match="^x must be finite, got"):
+        fib_poly_eval(0, complex("nan"))

@@ -67,6 +67,10 @@ def test_each_name_is_declared_by_one_submodule_and_exported():
         assert getattr(tripow, name) is getattr(module, name), name
 
 
+def data(family):
+    return spectral.decompose(FamilySpec(family, 4, 1, 1))
+
+
 # Public argument checks, each with the exception type and message it gives.
 ARGUMENT_CHECKS = [
     ("transform_k", lambda: spectral.transform_k(FamilySpec("adagger", 4, 1, 1)),
@@ -86,6 +90,21 @@ ARGUMENT_CHECKS = [
      ValueError, "n must be at least 1"),
     ("mat_pow_binary", lambda: linalg.mat_pow_binary(np.zeros((0, 0)), 1),
      ValueError, "matrix dimension must be at least 1"),
+    ("power_entry_a-float-s",
+     lambda: powers.power_entry_a(data("a"), 2.0, 1, 1),
+     TypeError, "'float' object cannot be interpreted as an integer"),
+    ("power_entry_a-boolean-i",
+     lambda: powers.power_entry_a(data("a"), 2, True, 1),
+     ValueError, "i must be an integer, got True"),
+    ("power_entry_adagger-float-i",
+     lambda: powers.power_entry_adagger(data("adagger"), 2, 1.0, 1),
+     ValueError, "i must be an integer, got 1.0"),
+    ("power_entry_anti-float-s",
+     lambda: powers.power_entry_anti(data("anti"), 3.0, 1, 1),
+     TypeError, "'float' object cannot be interpreted as an integer"),
+    ("power_entry_anti-boolean-j",
+     lambda: powers.power_entry_anti(data("anti"), 2, 1, True),
+     ValueError, "j must be an integer, got True"),
 ]
 
 
