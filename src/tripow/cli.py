@@ -124,7 +124,9 @@ def _distinct_texts(matrix):
     Raises ValueError, before anything is printed, when an entry is not
     finite.
     """
-    parts = np.ascontiguousarray(matrix, dtype=np.complex128).view(np.float64)
+    # An odd "anti" power is a row-reversed view; its rows are contiguous,
+    # which is all that the view as floats needs.
+    parts = np.asarray(matrix, dtype=np.complex128).view(np.float64)
     if not np.isfinite(parts).all():
         raise ValueError("matrix has a non-finite entry; refusing to print it")
     unique, index = np.unique(parts.view(np.uint64).ravel(), return_inverse=True)
@@ -294,6 +296,14 @@ def _suite_rows(seed, tol):
     return rows
 
 
+def _case_text(row) -> str:
+    """The family, n, a, b, s and residual of one verify row, as key=value text."""
+    return (
+        f"family={row['family']} n={row['n']} a={format_complex(row['a'])} "
+        f"b={format_complex(row['b'])} s={row['s']} residual={row['residual']:.3e}"
+    )
+
+
 def _emit_verify(rows, fmt, out):
     max_residual = max(row["residual"] for row in rows)
     ok = all(row["pass"] for row in rows)
@@ -310,12 +320,7 @@ def _emit_verify(rows, fmt, out):
     else:
         for row in rows:
             status = "ok" if row["pass"] else "FAIL"
-            print(
-                f"{status}  {row['check']:10s} family={row['family']} n={row['n']} "
-                f"a={format_complex(row['a'])} b={format_complex(row['b'])} "
-                f"s={row['s']} residual={row['residual']:.3e}",
-                file=out,
-            )
+            print(f"{status}  {row['check']:10s} {_case_text(row)}", file=out)
         print(f"max residual {max_residual:.3e}  ({len(rows)} checks)", file=out)
     return ok
 
@@ -343,12 +348,7 @@ def cmd_verify(args, out) -> int:
     if not ok:
         for row in rows:
             if not row["pass"]:
-                print(
-                    f"residual breach: family={row['family']} n={row['n']} "
-                    f"a={format_complex(row['a'])} b={format_complex(row['b'])} "
-                    f"s={row['s']} residual={row['residual']:.3e} tol={row['tol']:g}",
-                    file=sys.stderr,
-                )
+                print(f"residual breach: {_case_text(row)} tol={row['tol']:g}", file=sys.stderr)
         return 1
     return 0
 

@@ -85,13 +85,21 @@ class FamilySpec:
         _check_domain(self.family, self.n)
 
 
-def _integer(value, name: str = "n") -> int:
-    """value as an int, from any integer type; a boolean or any other value raises ValueError."""
+def _integer(value, name: str = "n", least: int | None = None) -> int:
+    """value as an int, from any integer type, and not below least where given.
+
+    A boolean or any other value raises ValueError naming name, and so does
+    an int below least.
+    """
     if not isinstance(value, (bool, np.bool_)):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             pass
+        else:
+            if least is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}")
+            return value
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -194,22 +202,19 @@ def build_exchange(n: int) -> np.ndarray:
     n must be an integer of any type, not a boolean, and at least 1
     (ValueError otherwise).
     """
-    n = _integer(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _integer(n, least=1)
     return np.eye(n, dtype=np.complex128)[::-1].copy()
 
 
 def _second_kind(order: int, alpha: float) -> float:
     """U_order(alpha / 2) by the recurrence p_k = alpha*p_{k-1} - p_{k-2}.
 
-    p_0 = 1 and p_1 = alpha.  The recurrence is exact polynomial
-    evaluation for every real alpha, not only inside [-2, 2].
+    From p_-1 = 0 and p_0 = 1, so that order 0 needs no case of its own.
+    The recurrence is exact polynomial evaluation for every real alpha, not
+    only inside [-2, 2].
     """
-    prev, cur = 1.0, float(alpha)
-    if order == 0:
-        return prev
-    for _ in range(order - 1):
+    prev, cur = 0.0, 1.0
+    for _ in range(order):
         prev, cur = cur, alpha * cur - prev
     return cur
 
@@ -221,9 +226,7 @@ def char_value_a(n: int, alpha: float) -> float:
     2*cos((k-1)*pi/(n-1)), the eigenvalue nodes.  n must be an integer of
     any type, not a boolean, and at least 3 (ValueError otherwise).
     """
-    n = _integer(n)
-    if n < 3:
-        raise ValueError("n must be at least 3")
+    n = _integer(n, least=3)
     return (alpha * alpha - 4.0) * _second_kind(n - 2, alpha)
 
 
@@ -235,7 +238,5 @@ def char_value_adagger(n: int, theta: float) -> float:
     an integer of any type, not a boolean, and at least 1 (ValueError
     otherwise).
     """
-    n = _integer(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _integer(n, least=1)
     return _second_kind(n, theta)

@@ -25,13 +25,6 @@ from .spectral import nodes_a
 __all__ = ["fib_poly_eval", "fib_det_check", "fib_factor_eval"]
 
 
-def _require_order(n: int) -> int:
-    n = _integer(n)
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    return n
-
-
 def _require_finite(x: complex) -> complex:
     x = complex(x)
     if not cmath.isfinite(x):
@@ -65,7 +58,7 @@ def fib_det_check(n: int, x: complex) -> tuple[complex, complex]:
     integer of any type, not a boolean, and at least 3, and x finite
     (ValueError otherwise).
     """
-    n = _require_order(n)
+    n = _integer(n, least=3)
     x = _require_finite(x)
     spec = FamilySpec(FAMILY_A, n, x, 1j)
     lhs = mat_det(build_matrix(spec))
@@ -82,6 +75,6 @@ def fib_factor_eval(n: int, x: complex) -> complex:
     denominator of the printed identity.  n must be an integer of any type,
     not a boolean, and at least 3, and x finite (ValueError otherwise).
     """
-    n = _require_order(n)
+    n = _integer(n, least=3)
     x = _require_finite(x)
     return math.prod((x + 1j * node for node in nodes_a(n)[1:-1].tolist()), start=1.0 + 0.0j)

@@ -15,9 +15,9 @@ factors, over the columns left of each block only, and records each
 panel's row order, transforms and back-substitution block [B^-1 | -B^-1 U],
 with the multiplications per column of one solve: back-substitution gives
 the inverse, and the same factors solve m X = B for any B, in place where
-the rows need no initial order.  A negative power is the chain of solves
-and squares with the fewest multiplications, counted from that cost, and
-the determinant is the product of the pivots.
+the rows need no initial order.  A negative power, the inverse included,
+is the chain of solves and squares with the fewest multiplications,
+counted from that cost, and the determinant is the product of the pivots.
 
 An exactly centrosymmetric m of even n = 2h, m = [[B, C], [J C J, J B J]]
 with J the h-by-h exchange, splits into two half-size matrices P = B + C J
@@ -369,38 +369,34 @@ def _solve(lu, b) -> np.ndarray:
 def mat_inverse(m) -> np.ndarray:
     """Inverse by blocked banded LU with partial pivoting on modulus.
 
-    The sweep of _banded_lu takes I to L^-1 over the columns left of each
-    block only, and back-substitution with U gives the inverse (_invert).
-    Raises SingularMatrixError when the best pivot has modulus below
-    SINGULAR_RTOL times the largest entry modulus.
+    The chain of _inverse_power at k = 1: the sweep of _banded_lu takes I to
+    L^-1 over the columns left of each block only, and back-substitution
+    with U gives the inverse (_invert).  Raises SingularMatrixError when the
+    best pivot has modulus below SINGULAR_RTOL times the largest entry
+    modulus.
     """
-    return _invert(_banded_lu(_as_square(m), SINGULAR_RTOL))
+    return _inverse_power(_as_square(m), 1)
 
 
 def _inverse_power(m, k: int, scale: float | None = None) -> np.ndarray:
     """m**-k for k >= 1 from one banded LU, by a chain of solves and squares.
 
     A solve X <- m^-1 X costs n * c complex multiplications, c the cost
-    that _banded_lu returns, exactly n**3 for a dense input.  Where it
-    reaches n**3 it saves nothing over a product by the inverse, and the
-    inverse is binary powered.
-    Otherwise the chain with j squarings takes X = m^-q, q = k >> j, by
-    q - 1 solves from the inverse, then squares X j times, each square
-    followed by one more solve where the next lower bit of k is set.  j = 0
-    is k solves, j = k.bit_length() - 1 binary powering of the inverse with
-    a solve in place of each product by it, and j is the one whose chain
-    costs least, the largest on a tie.  m must be a finite square complex128
-    matrix.  Raises SingularMatrixError as mat_inverse does, comparing the
-    pivots with SINGULAR_RTOL times scale, max |m| unless given.
+    that _banded_lu returns, exactly n**3 for a dense input.  The chain
+    with j squarings takes X = m^-q, q = k >> j, by q - 1 solves from the
+    inverse, then squares X j times, each square followed by one more solve
+    where the next lower bit of k is set.  j = 0 is k solves, j =
+    k.bit_length() - 1 binary powering of the inverse with a solve in place
+    of each product by it, and j is the one whose chain costs least, the
+    largest on a tie: where a solve costs a product, as for a dense input,
+    that is binary powering.  m must be a finite square complex128 matrix.
+    Raises SingularMatrixError as mat_inverse does, comparing the pivots
+    with SINGULAR_RTOL times scale, max |m| unless given.
     """
     k = operator.index(k)
     lu = _banded_lu(m, SINGULAR_RTOL, scale)
     n, c = m.shape[0], lu[5]
     x = _invert(lu)
-    if k == 1:
-        return x
-    if c >= n * n:
-        return mat_pow_binary(x, k)
 
     # Multiplications per column past the inverse, which every chain shares.
     def cost(j):
@@ -410,12 +406,10 @@ def _inverse_power(m, k: int, scale: float | None = None) -> np.ndarray:
     squares = min(range(k.bit_length()), key=cost)
     for _ in range((k >> squares) - 1):
         x = _solve(lu, x)
-    spans = _spans(x)
     for bit in reversed(range(squares)):
-        x, spans = _product(x, spans, x, spans), _windows(spans, *spans, n)
+        x = x @ x
         if k >> bit & 1:
             x = _solve(lu, x)
-            spans = _spans(x)
     return x
 
 
@@ -486,9 +480,7 @@ def oracle_power(matrix: np.ndarray, s: int) -> np.ndarray:
     fewest multiplications: m^-q by q solves, then j squares of n**3, each
     followed by a solve where the next lower bit of |s| is set, q = |s| >> j.
     A solve costs about n**2 times the band of the factors, so small |s|
-    takes solves only and large |s| mostly squares; where a solve costs as
-    much as a product (a dense input, or n <= 17), the inverse is binary
-    powered.
+    takes solves only and large |s| mostly squares.
 
     Where the power is dense, an exactly centrosymmetric m of even n = 2h,
     m = [[B, C], [J C J, J B J]] with J the h-by-h exchange, is powered as

@@ -111,9 +111,7 @@ def nodes_adagger(n: int) -> np.ndarray:
     n must be an integer of any type, not a boolean, and at least 1
     (ValueError otherwise).
     """
-    n = _integer(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _integer(n, least=1)
     return _nodes(FAMILY_ADAGGER, n)
 
 

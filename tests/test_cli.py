@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -510,6 +511,10 @@ class TestMatrixText:
             assert code == 0
             result = power_matrix(FamilySpec(family, n, a, b), s)
             assert out == reference_power_text(result, fmt)
+            # An odd "anti" power is its twin's rows reversed, a view that
+            # the writers read in place: the text of a contiguous copy.
+            copy = dataclasses.replace(result, matrix=np.ascontiguousarray(result.matrix))
+            assert out == emitted_power_text(copy, fmt)
 
     @pytest.mark.parametrize(
         "family,n",
@@ -597,6 +602,19 @@ class TestVerifyCommand:
         )
         assert code == 1
         assert float(out.splitlines()[1].split(",")[6]) == err.value.residual
+
+    def test_pretty_row_and_breach_line_name_the_case(self, capsys):
+        spec = FamilySpec("a", 4, 1.5, 0.5)
+        with pytest.raises(VerificationError) as refused:
+            power_verify(spec, 3, tol=0.0)
+        case = f"family=a n=4 a=1.5+0.0i b=0.5+0.0i s=3 residual={refused.value.residual:.3e}"
+        code, out, err = run_cli(
+            capsys, "verify", "--family", "a", "--n", "4", "--a", "1.5+0i",
+            "--b", "0.5+0i", "--s", "3", "--tol", "0",
+        )
+        assert code == 1
+        assert out.splitlines()[0] == f"FAIL  power      {case}"
+        assert err == f"residual breach: {case} tol=0\n"
 
     def test_singular_case_exits_one(self, capsys):
         with warnings.catch_warnings():

@@ -415,12 +415,18 @@ def _singular_columns(m):
     return columns
 
 
+def _check_inverse(m):
+    """mat_inverse(m) is the factors' back-substitution, bit for bit, near the reference."""
+    inverse = mat_inverse(m)
+    assert _same_bits(inverse, _invert(_banded_lu(m, SINGULAR_RTOL)))
+    assert relative_error(inverse, unblocked_inverse(m)) <= 1e-12
+
+
 class TestBlockedInverse:
     @pytest.mark.parametrize("n", INVERSE_SIZES)
     def test_matches_unblocked_reference_on_dense(self, n):
         # The full band.
-        m = random_matrix(np.random.default_rng(n), n)
-        assert relative_error(mat_inverse(m), unblocked_inverse(m)) <= 1e-12
+        _check_inverse(random_matrix(np.random.default_rng(n), n))
 
     @pytest.mark.parametrize(
         "family, n",
@@ -430,14 +436,12 @@ class TestBlockedInverse:
     )
     def test_matches_unblocked_reference_on_families(self, family, n):
         # |a| > 2|b| keeps every eigenvalue a + b*node away from zero.
-        m = build_matrix(FamilySpec(family, n, 3.0 + 1.0j, 0.8 - 0.9j))
-        assert relative_error(mat_inverse(m), unblocked_inverse(m)) <= 1e-12
+        _check_inverse(build_matrix(FamilySpec(family, n, 3.0 + 1.0j, 0.8 - 0.9j)))
 
     @pytest.mark.parametrize("n", INVERSE_SIZES)
     @pytest.mark.parametrize("kind", BAND_MATRICES)
     def test_matches_unblocked_reference_on_band_shapes(self, kind, n):
-        m = np.ascontiguousarray(BAND_MATRICES[kind](np.random.default_rng(n), n))
-        assert relative_error(mat_inverse(m), unblocked_inverse(m)) <= 1e-12
+        _check_inverse(np.ascontiguousarray(BAND_MATRICES[kind](np.random.default_rng(n), n)))
 
     def test_singular_tridiagonal_column_past_the_first_block(self):
         n, bad = 2 * _BLOCK + 1, _BLOCK + 13
@@ -484,9 +488,7 @@ def _counted_chain(m, k):
 
 
 def _counted_route(m, k):
-    """m**-k by the route that the count picks, on m as a whole."""
-    if _banded_lu(m, SINGULAR_RTOL)[5] >= m.shape[0] ** 2:
-        return mat_pow_binary(mat_inverse(m), k)
+    """m**-k by the chain that the count picks, on m as a whole."""
     return _chain(m, k, _counted_chain(m, k))
 
 
@@ -505,7 +507,7 @@ ROUTE_CASES = [
 
 
 class TestNegativePowers:
-    """oracle_power(m, s < 0): a chain of banded solves and squares, or the powered inverse."""
+    """oracle_power(m, s < 0): the counted chain of banded solves and squares."""
 
     @pytest.mark.parametrize("family, n", ROUTE_CASES)
     def test_routes_agree_with_each_other_and_the_closed_form(self, family, n):
@@ -525,12 +527,11 @@ class TestNegativePowers:
                     assert relative_error(route, closed) <= bound, (a, k)
                 oracle = oracle_power(m, -k)
                 if _centro_split(m) is None:
-                    routes = (powered, *chains)
+                    routes = chains
                 else:
                     # Even-n "adagger" and "anti" are centrosymmetric: the
-                    # oracle joins the same routes run on the two halves.
-                    routes = [_joined(lambda half, k: mat_pow_binary(mat_inverse(half), k), m, k)]
-                    routes += [
+                    # oracle joins the same chains run on the two halves.
+                    routes = [
                         _joined(lambda half, k: _chain(half, k, squares), m, k)
                         for squares in range(k.bit_length())
                     ]
@@ -546,6 +547,9 @@ class TestNegativePowers:
         # n = 18 and past it a tridiagonal solve costs under 20 n.
         assert c == n * n if n <= 17 else c < 20 * n
         for k in (2, 3, 4, 5, 16, 64):
+            if c == n * n:
+                # A solve costs a square, and ties go to more squares.
+                assert _counted_chain(m, k) == k.bit_length() - 1, k
             if _centro_split(m) is None:
                 expected = _counted_route(m, k)
             else:
@@ -564,18 +568,39 @@ class TestNegativePowers:
         + [(FAMILY_ADAGGER, n) for n in range(1, 9)]
         + [(FAMILY_ANTI, n) for n in range(2, 9, 2)],
     )
-    def test_small_n_large_exponents_power_the_inverse(self, family, n):
-        # The route of the n <= 8, |s| >= 2**10 property tests.
-        m = build_matrix(FamilySpec(family, n, 3.0 + 1.0j, 0.8 - 0.9j))
-        m /= np.abs(np.linalg.eigvals(m)).min()
+    def test_small_n_large_exponents_take_every_square(self, family, n):
+        # The route of the n <= 8, |s| >= 2**10 property tests.  A solve
+        # costs n**2 per column, so the count takes bit_length - 1 squares:
+        # the operations of binary powering the inverse.
+        spec = FamilySpec(family, n, 3.0 + 1.0j, 0.8 - 0.9j)
+        radius = float(np.abs(eigenvalues(spec)).min())
+        spec = FamilySpec(family, n, spec.a / radius, spec.b / radius)
+        m = build_matrix(spec)
+        assert _banded_lu(m, SINGULAR_RTOL)[5] == n * n
         for k in (1, 2**10, 2**20 - 1, 2**20):
-            assert _same_bits(_inverse_power(m, k), mat_pow_binary(mat_inverse(m), k)), k
+            assert _counted_chain(m, k) == k.bit_length() - 1, k
+            chain = _counted_route(m, k)
+            assert _same_bits(_inverse_power(m, k), chain), k
+            oracle = oracle_power(m, -k)
+            if _centro_split(m) is not None:
+                chain = _joined(_counted_route, m, k)
+            assert _same_bits(oracle, chain), k
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ExtendedDomainWarning)
+                closed = power_matrix(spec, -k).matrix
+            bound = 1e-13 + 8 * k * EPS
+            assert relative_error(oracle, closed) <= bound, k
+            assert relative_error(oracle, mat_pow_binary(mat_inverse(m), k)) <= bound, k
 
-    def test_dense_input_powers_the_inverse(self):
+    def test_dense_input_takes_every_square(self):
         m = random_matrix(np.random.default_rng(7), 40)
         assert _banded_lu(m, SINGULAR_RTOL)[5] == 40 * 40
         for k in (2, 3, 64):
-            assert _same_bits(oracle_power(m, -k), mat_pow_binary(mat_inverse(m), k)), k
+            assert _counted_chain(m, k) == k.bit_length() - 1, k
+            oracle = oracle_power(m, -k)
+            assert _same_bits(oracle, _chain(m, k, k.bit_length() - 1)), k
+            bound = 1e-13 + 8 * k * EPS
+            assert relative_error(oracle, mat_pow_binary(mat_inverse(m), k)) <= bound, k
         solves = _chain(m, 64, 0)
         assert relative_error(solves, oracle_power(m, -64)) <= 1e-10
 

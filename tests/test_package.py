@@ -88,6 +88,7 @@ ARGUMENT_CHECKS = [
     ("build_exchange", lambda: families.build_exchange(0), ValueError, "n must be at least 1"),
     ("char_value_adagger", lambda: families.char_value_adagger(0, 1.0),
      ValueError, "n must be at least 1"),
+    ("char_value_a", lambda: families.char_value_a(2, 1.0), ValueError, "n must be at least 3"),
     ("mat_pow_binary", lambda: linalg.mat_pow_binary(np.zeros((0, 0)), 1),
      ValueError, "matrix dimension must be at least 1"),
     ("power_entry_a-float-s",
