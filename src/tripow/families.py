@@ -52,10 +52,11 @@ FAMILY_ANTI = "anti"
 class FamilySpec:
     """Which family to build, its dimension, and the two complex parameters.
 
-    Constraints are checked eagerly: n is any integer type (stored as int),
-    booleans are refused for n, a and b, b must be nonzero, and n must lie
-    in the domain that the family's record gives (n >= 2 for "a", even n
-    for "anti").
+    Constraints are checked eagerly: n is any integer type (stored as int)
+    and at least 1, refused with the texts of every other bare n
+    (_integer), booleans are refused for n, a and b, b must be nonzero, and
+    n must lie in the domain that the family's record gives (n >= 2 for
+    "a", even n for "anti").
     """
 
     family: str
@@ -66,18 +67,12 @@ class FamilySpec:
     def __post_init__(self):
         if any(isinstance(v, (bool, np.bool_)) for v in (self.n, self.a, self.b)):
             raise ValueError("n, a and b must be numbers, not booleans")
-        try:
-            n = operator.index(self.n)
-        except TypeError:
-            raise ValueError("n must be a positive integer") from None
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", _integer(self.n, least=1))
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
         # Membership in a tuple, so that an unhashable name is unknown too.
         if self.family not in tuple(_RULES):
             raise ValueError(f"unknown family {self.family!r}; expected one of {tuple(_RULES)}")
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
         if not (cmath.isfinite(self.a) and cmath.isfinite(self.b)):
             raise ValueError("a and b must be finite")
         if self.b == 0:

@@ -17,7 +17,8 @@ with the multiplications per column of one solve: back-substitution gives
 the inverse, and the same factors solve m X = B for any B, in place where
 the rows need no initial order.  A negative power, the inverse included,
 is the chain of solves and squares with the fewest multiplications,
-counted from that cost, and the determinant is the product of the pivots.
+counted from that cost.  The determinant is the product of the pivots of
+the same LU without the sweep of I and the back-substitution blocks.
 
 An exactly centrosymmetric m of even n = 2h, m = [[B, C], [J C J, J B J]]
 with J the h-by-h exchange, splits into two half-size matrices P = B + C J
@@ -28,10 +29,17 @@ halves only when the bottom half of the entries equals the top half
 reversed, and _centro_join writes each entry of the power once.
 oracle_power, the reference that powers.power_verify checks the closed
 forms against, takes that route where the power is dense, and powers each
-half by the route it takes for a whole matrix (_power).  The band
-and the symmetries are read from the entries alone, so nothing here knows
-the families or their closed forms, and only terms with an exact zero
-factor are dropped.  Nothing here calls numpy.linalg.
+half by the route it takes for a whole matrix (_power).  A tridiagonal m
+that is centrosymmetric only after a diagonal similarity D m D^-1 by
+powers of two, which rescales each off-diagonal pair and nothing else
+(Wilkinson, The Algebraic Eigenvalue Problem, 1965), takes the split too
+for s > 0: _centro_scaling reads D from the off-diagonals, where each
+ratio of mirrored entries must be an exact power of two, and m**s =
+D^-1 (D m D^-1)**s D.  The scaling is exact unless an entry is
+subnormal, and _rescale touches only the rows and columns that D moves.
+The band, the symmetries and the scaling are read from the entries alone,
+so nothing here knows the families or their closed forms, and only terms
+with an exact zero factor are dropped.  Nothing here calls numpy.linalg.
 """
 
 import operator
@@ -254,7 +262,7 @@ def _eliminate_panel(panel, rtol: float, scale: float, first: int, pivots) -> np
     return order if swapped else None
 
 
-def _banded_lu(m, rtol: float, scale: float | None = None):
+def _banded_lu(m, rtol: float, scale: float | None = None, solves: bool = True):
     """Blocked banded LU with partial pivoting on modulus, and its sweep of I.
 
     The rows are first ordered by their first nonzero column (a stable
@@ -281,7 +289,10 @@ def _banded_lu(m, rtol: float, scale: float | None = None):
     columns block_end:right.  cost is the complex multiplications per column
     of one _solve, n**2 for a dense input: each block's width times the rows
     its sweep step touches plus the columns its back-substitution reads,
-    about n times the band.
+    about n times the band.  solves=False, for the determinant, which reads
+    only the pivots and the row order, stops each block at its elimination
+    below it: no sweep of I, no back blocks, and no panels.  The pivots
+    and the row order are the same either way.
     m must be a finite square complex128 matrix (_as_square).  Raises
     SingularMatrixError for the zero matrix and at a pivot that is zero or
     below rtol times scale, max |m| unless given.
@@ -313,11 +324,13 @@ def _banded_lu(m, rtol: float, scale: float | None = None):
             rows[start:end] = rows[start:end][order]
             work[start:end, :right] = work[start:end, :right][order]
         inv_b, neg_r_inv_b = transforms[:width], transforms[width:]
+        top = work[start:block_end, block_end:right]
+        work[block_end:end, block_end:right] += neg_r_inv_b @ top
+        if not solves:
+            continue
         y = work[start:block_end, :start]
         work[block_end:end, :start] += neg_r_inv_b @ y
         work[start:block_end, :start] = inv_b @ y
-        top = work[start:block_end, block_end:right]
-        work[block_end:end, block_end:right] += neg_r_inv_b @ top
         back = np.empty((width, right - start), dtype=np.complex128)
         back[:, :width] = inv_b
         np.matmul(-inv_b, top, out=back[:, width:])
@@ -455,6 +468,67 @@ def _centro_join(p, q) -> np.ndarray:
     return out
 
 
+def _binary_exponents(z) -> np.ndarray:
+    """The binary exponent of the larger of each entry's real and imaginary parts."""
+    return np.frexp(np.maximum(np.abs(z.real), np.abs(z.imag)))[1]
+
+
+def _centro_scaling(m, spans):
+    """Exponents e, not all zero, with 2**e_i m_ij 2**-e_j exactly centrosymmetric, else None.
+
+    Read from a tridiagonal m of even n with nonzero off-diagonals u
+    (above) and l (below): its row spans, spans, run from column i - 1 to
+    i + 1 on every row i.  A diagonal similarity only rescales each
+    off-diagonal pair: with g_i = e_(i+1) - e_i, entry u_i becomes
+    u_i 2**-g_i and l_i becomes l_i 2**g_i.  The scaled m is
+    centrosymmetric when its diagonal reads the same reversed and, for
+    each i and j = n - 2 - i, u_i 2**-g_i = l_j 2**g_j, that is u_i =
+    2**k l_j with k = g_i + g_j, the same k seen from j, and an even k
+    where i = j.  The later index of each pair takes all of k, and e_0 =
+    0, so family "a" gets e = (0, ..., 0, 1).  Any other input, a ratio
+    that is not an exact power of two and a factor 2**e_i that is not a
+    normal float give None, and so does e = 0, an m that is
+    centrosymmetric already.
+    """
+    n = m.shape[0]
+    index = np.arange(n)
+    if n % 2 or not (
+        np.array_equal(spans[0], np.maximum(index - 1, 0))
+        and np.array_equal(spans[1], np.minimum(index + 2, n))
+    ):
+        return None
+    # mirror[i] is l_j, which u_i faces in the reversed matrix.
+    diagonal, upper, mirror = np.diagonal(m), np.diagonal(m, 1), np.diagonal(m, -1)[::-1]
+    k = _binary_exponents(upper) - _binary_exponents(mirror)
+    middle = n // 2 - 1
+    if not (
+        np.array_equal(diagonal, diagonal[::-1])
+        and np.array_equal(k, k[::-1])
+        and k[middle] % 2 == 0
+        and np.array_equal(np.ldexp(mirror.real, k), upper.real)
+        and np.array_equal(np.ldexp(mirror.imag, k), upper.imag)
+    ):
+        return None
+    steps = np.where(index[:-1] > middle, k, 0)
+    steps[middle] = k[middle] // 2
+    e = np.concatenate(([0], np.cumsum(steps)))
+    if not e.any() or np.abs(e).max() > -np.finfo(np.float64).minexp:
+        return None
+    return e
+
+
+def _rescale(m, e) -> np.ndarray:
+    """m[i, j] * 2**(e_i - e_j) in place, over the rows and columns where e is nonzero.
+
+    Exact unless an entry overflows or is subnormal.
+    """
+    lines = np.flatnonzero(e)
+    factors = np.ldexp(1.0, e[lines])
+    m[lines] *= factors[:, None]
+    m[:, lines] /= factors
+    return m
+
+
 def _power(m, s: int, chain=None, scale: float | None = None) -> np.ndarray:
     """m**s for s != 0 by the route that takes m whole.
 
@@ -493,8 +567,21 @@ def oracle_power(matrix: np.ndarray, s: int) -> np.ndarray:
     n**3, and the LU and the solves run on the halves.  The halves are
     taken only when the bottom half of the entries equals the top half
     reversed exactly; every other input, and every power that stays banded,
-    keeps the routes above.  Nothing of the closed form (eigenvalues, nodes,
-    families) enters.
+    keeps the routes above.
+
+    A dense s > 0 also splits a tridiagonal m with nonzero off-diagonals
+    that a diagonal similarity D = diag(2**e) makes exactly
+    centrosymmetric, family "a" among them: D = diag(1, ..., 1, 2) doubles
+    its last row and halves its last column.  The exponents come from the
+    entries (_centro_scaling), each mirrored pair's ratio an exact power of
+    two, and m**s = D^-1 S**s D for S = D m D^-1, split as above.  Scaling
+    a copy of m to S and the power back touches only the rows and columns
+    whose exponent is nonzero, one of each for "a", and is exact unless an
+    entry is subnormal.  s < 0 takes no scaled split and keeps its bits:
+    where banded solves dominate the chain, two halves cost more than the
+    whole (n = 256, s = -3: 4.5 against 4.2 ms).  The test is exactness,
+    so there is no tolerance and no size threshold.  Nothing of the closed
+    form (eigenvalues, nodes, families) enters.
     """
     s = operator.index(s)
     m = _as_square(matrix)
@@ -505,6 +592,9 @@ def oracle_power(matrix: np.ndarray, s: int) -> np.ndarray:
     # rows span every column.
     dense = s < 0 or (len(chain) > 1 and _full(chain[-1], m.shape[0]))
     halves = _centro_split(m) if dense else None
+    e = _centro_scaling(m, chain[0]) if halves is None and dense and s > 0 else None
+    if e is not None:
+        halves = _centro_split(_rescale(m.copy(), e))
     if halves is None:
         return _power(m, s, chain)
     # Each half's pivots are compared with the scale of m, not of the half;
@@ -522,18 +612,21 @@ def oracle_power(matrix: np.ndarray, s: int) -> np.ndarray:
                 f"singular matrix: half {name} of the centrosymmetric split has a "
                 f"pivot below {SINGULAR_RTOL:g} of the matrix scale {scale:.3e}"
             ) from err
-    return _centro_join(*powers)
+    power = _centro_join(*powers)
+    return power if e is None else _rescale(power, -e)
 
 
 def mat_det(m) -> complex:
     """Determinant by the banded LU of mat_inverse, with a pivot floor of zero.
 
     The product of the pivots times the sign of the row order; a zero pivot
-    gives exactly 0j, and a tiny one never raises SingularMatrixError.
+    gives exactly 0j, and a tiny one never raises SingularMatrixError.  The
+    factorization builds neither the sweep of I nor the back-substitution
+    blocks, which only the inverse and the solves read.
     """
     m = _as_square(m)
     try:
-        _, rows, pivots, *_ = _banded_lu(m, 0.0)
+        _, rows, pivots, *_ = _banded_lu(m, 0.0, solves=False)
     except SingularMatrixError:
         return 0j
     # Each swap that puts a row in its place flips the sign; n swaps at most.

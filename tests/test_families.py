@@ -50,7 +50,7 @@ class TestFamilySpecValidation:
             FamilySpec("bogus", 3, 1.0, 1.0)
 
     def test_non_positive_n(self):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
             FamilySpec(FAMILY_ADAGGER, 0, 1.0, 1.0)
 
     def test_family_a_needs_two(self):
@@ -71,8 +71,8 @@ class TestFamilySpecValidation:
         assert spec == FamilySpec(FAMILY_ADAGGER, 4, 1, 1)
 
     def test_non_integral_n_rejected(self):
-        for n in (4.0, "4", None):
-            with pytest.raises(ValueError, match="positive integer"):
+        for n in (1.5, 4.0, "4", None):
+            with pytest.raises(ValueError, match="^n must be an integer, got "):
                 FamilySpec(FAMILY_ADAGGER, n, 1.0, 1.0)
 
     @pytest.mark.parametrize("field", ["n", "a", "b"])

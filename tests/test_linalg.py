@@ -15,6 +15,7 @@ from tripow.linalg import (
     SingularMatrixError,
     _banded_lu,
     _centro_join,
+    _centro_scaling,
     _centro_split,
     _invert,
     _inverse_power,
@@ -682,9 +683,11 @@ class TestCentrosymmetricSplit:
             # Odd n: "adagger" is not centrosymmetric.
             (FAMILY_ADAGGER, 17, (64, 4096, -1, -64)),
             (FAMILY_ADAGGER, 257, (4096, -3, -64)),
-            # Family "a" at even n: its corners are not.
-            (FAMILY_A, 16, (64, 4096, -1, -64)),
-            (FAMILY_A, 130, (4096, -3)),
+            # Family "a" at even n is centrosymmetric only after a diagonal
+            # scaling, which negative powers do not take; its dense positive
+            # powers are in TestScaledCentrosymmetricSplit.
+            (FAMILY_A, 16, (-1, -3, -64)),
+            (FAMILY_A, 130, (-3, -64)),
             # Powers that stay banded: no square spans every column.
             (FAMILY_ADAGGER, 258, (1, 2, 3, 64, 255, 256)),
             (FAMILY_ANTI, 258, (1, 2, 3, 63, 64, 255)),
@@ -750,6 +753,116 @@ class TestCentrosymmetricSplit:
         assert mat_norm_maxabs(mat_inverse(halves[1]) @ halves[1] - mat_identity(h)) <= 1e-12
 
 
+def _doubled_last_row(m):
+    """D m D^-1 for D = diag(1, ..., 1, 2): the last row doubled, the last column halved."""
+    scaled = m.copy()
+    scaled[-1] *= 2.0
+    scaled[:, -1] /= 2.0
+    return scaled
+
+
+def _scaled_route(m, s):
+    """m**s as D^-1 S**s D with S = D m D^-1 joined from its halves, D as in _doubled_last_row."""
+    power = _joined(_plain_power, _doubled_last_row(m), s)
+    power[-1] /= 2.0
+    power[:, -1] *= 2.0
+    return power
+
+
+def _plain_route_kept(m, exponents):
+    """Assert that oracle_power(m, s) is the whole-matrix power, bit for bit, for each s."""
+    for s in exponents:
+        assert _same_bits(oracle_power(m, s), _plain_power(m, s)), s
+
+
+# Even-n family "a": halves of 8, 9, 65 and 129 rows, as in SPLIT_CASES.
+SCALED_SIZES = (16, 18, 130, 258)
+
+
+class TestScaledCentrosymmetricSplit:
+    """A tridiagonal m that a power-of-two diagonal scaling makes centrosymmetric splits for dense s > 0."""
+
+    @pytest.mark.parametrize("n", SCALED_SIZES)
+    def test_family_a_scales_its_last_row(self, n):
+        m = build_matrix(FamilySpec(FAMILY_A, n, 0.6j, 0.4))
+        assert _centro_split(m) is None
+        assert _centro_scaling(m, _spans(m)).tolist() == [0] * (n - 1) + [1]
+        assert _centro_split(_doubled_last_row(m)) is not None
+
+    @pytest.mark.parametrize("n", SCALED_SIZES)
+    def test_dense_powers_join_the_scaled_halves(self, n):
+        for a, b in ((0.6j, 0.4), (0.3 - 0.5j, 0.25 + 0.1j)):
+            m = build_matrix(FamilySpec(FAMILY_A, n, a, b))
+            for s in (64, 4096) if n <= 64 else (4096,):
+                assert _same_bits(oracle_power(m, s), _scaled_route(m, s)), (a, s)
+
+    @pytest.mark.parametrize("n", SCALED_SIZES)
+    def test_agrees_with_the_plain_route_and_the_closed_form(self, n):
+        for a, b in ((0.6j, 0.4), (0.3 - 0.5j, 0.25 + 0.1j)):
+            spec = FamilySpec(FAMILY_A, n, a, b)
+            m = build_matrix(spec)
+            for s in (64, n - 1, 1000, 4096):
+                oracle = oracle_power(m, s)
+                bound = 1e-13 + 8 * s * EPS
+                assert relative_error(oracle, _plain_power(m, s)) <= bound, (a, s)
+                assert relative_error(oracle, power_matrix(spec, s).matrix) <= bound, (a, s)
+
+    @pytest.mark.parametrize(
+        "n, exponents",
+        [
+            # Odd n: no centrosymmetric split, scaled or not.
+            (17, (64, 4096)),
+            (129, (4096,)),
+            # Powers that stay banded: no square spans every column.
+            (258, (1, 2, 3, 64, 255, 256)),
+        ],
+    )
+    def test_other_powers_of_a_keep_the_plain_route(self, n, exponents):
+        m = build_matrix(FamilySpec(FAMILY_A, n, 0.6j, 0.4))
+        _plain_route_kept(m, exponents)
+
+    @pytest.mark.parametrize("edit", ["ratio of 3", "zero off-diagonal", "off the band", "one ulp"])
+    def test_inputs_without_an_exact_scaling_keep_the_plain_route(self, edit):
+        m = build_matrix(FamilySpec(FAMILY_A, 130, 0.6j, 0.4))
+        if edit == "ratio of 3":
+            # 3b over b: a scaling by 3 would do, but it is not exact.
+            m[0, 1] *= 1.5
+        elif edit == "zero off-diagonal":
+            # Mirrored, so that the scaled m stays centrosymmetric.
+            m[60, 61] = m[69, 68] = 0.0
+        elif edit == "off the band":
+            m[0, 2] = m[129, 127] = 0.1  # mirrored too
+        else:
+            m[0, 1] = complex(np.nextafter(m[0, 1].real, np.inf), m[0, 1].imag)
+        assert _centro_split(m) is None
+        assert _centro_scaling(m, _spans(m)) is None
+        _plain_route_kept(m, (4096,))
+
+    def test_centrosymmetric_input_needs_no_scaling(self):
+        m = build_matrix(FamilySpec(FAMILY_ADAGGER, 130, 0.6j, 0.4))
+        assert _centro_scaling(m, _spans(m)) is None
+
+    def test_exponents_are_read_from_every_pair(self):
+        # Mirrored pairs with ratios 2**3, 2**-2 and, in the middle, 2**4.
+        n = 8
+        upper = np.ones(n - 1)
+        upper[0], upper[6], upper[2], upper[4], upper[3] = 8.0, 8.0, 0.25, 0.25, 16.0
+        m = (np.diag(upper, 1) + np.diag(np.ones(n - 1), -1) + np.eye(n)).astype(np.complex128)
+        e = _centro_scaling(m, _spans(m))
+        # g = e[1:] - e[:-1] puts each pair's exponent on its later index.
+        assert np.diff(e).tolist() == [0, 0, 0, 2, -2, 0, 3]
+        scaled = m * np.ldexp(1.0, e)[:, None] / np.ldexp(1.0, e)
+        assert _same_bits(scaled, np.ascontiguousarray(scaled[::-1, ::-1]))
+        for s in (8, 64):
+            expected = _centro_join(*(_plain_power(half, s) for half in _centro_split(scaled)))
+            expected *= np.ldexp(1.0, -e)[:, None] * np.ldexp(1.0, e)
+            assert _same_bits(oracle_power(m, s), expected), s
+        # An odd exponent in the middle pair needs a factor 2**(1/2).
+        m[3, 4] = 8.0
+        assert _centro_scaling(m, _spans(m)) is None
+        _plain_route_kept(m, (8, 64))
+
+
 class TestSolveInPlace:
     @pytest.mark.parametrize("family, n", [(FAMILY_A, 17), (FAMILY_ADAGGER, 130), (FAMILY_A, 257)])
     def test_matches_the_copying_solve(self, family, n):
@@ -793,6 +906,22 @@ class TestMatDet:
             m = random_matrix(rng, n)
             expected = np.linalg.det(m)
             assert abs(mat_det(m) - expected) <= 1e-9 * (1 + abs(expected))
+
+    @pytest.mark.parametrize(
+        "family, n", [(FAMILY_A, 17), (FAMILY_ADAGGER, 130), (FAMILY_ANTI, 130), ("dense", 40)]
+    )
+    def test_factorization_without_solves_has_the_same_pivots(self, family, n):
+        # The determinant skips the sweep of I and the back blocks, which
+        # feed no pivot.
+        if family == "dense":
+            m = random_matrix(np.random.default_rng(8), n)
+        else:
+            m = build_matrix(FamilySpec(family, n, 3.0 + 1.0j, 0.8 - 0.9j))
+        _, rows, pivots, sort, panels, cost = _banded_lu(m, 0.0, solves=False)
+        full = _banded_lu(m, 0.0)
+        assert _same_bits(pivots, full[2]) and (rows == full[1]).all()
+        assert panels == [] and cost == full[5]
+        assert (sort is None) == (full[3] is None)
 
     @pytest.mark.parametrize("a, b", [(0.6j, 0.4), (0.3 + 0.1j, -0.5 + 0.7j)])
     def test_anti_is_the_row_reversed_twin(self, a, b):

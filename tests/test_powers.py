@@ -795,6 +795,16 @@ class TestPowerVerify:
             with pytest.raises(PowerOverflowError, match="oracle power overflows"):
                 power_verify(spec, 64)
 
+    def test_scaled_split_oracle_that_overflows_is_refused(self):
+        # Even-n family "a" at a dense s > 0 takes the scaled centrosymmetric
+        # split, whose halves overflow although the closed form fits.
+        spec = FamilySpec(FAMILY_A, 4, 21984.718602842782, 21984.718602842782)
+        assert np.isfinite(power_matrix(spec, 64).matrix).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PowerOverflowError, match="oracle power overflows"):
+                power_verify(spec, 64)
+
     def test_oracle_is_called_through_the_powers_global(self, monkeypatch):
         # A tracer that wraps tripow.powers.oracle_power sees every oracle call.
         calls = []
