@@ -20,25 +20,24 @@ is the chain of solves and squares with the fewest multiplications,
 counted from that cost.  The determinant is the product of the pivots of
 the same LU without the sweep of I and the back-substitution blocks.
 
-An exactly centrosymmetric m of even n = 2h, m = [[B, C], [J C J, J B J]]
-with J the h-by-h exchange, splits into two half-size matrices P = B + C J
-and Q = B - C J: m = K diag(P, Q) K^-1 for K = [[I, I], [J, -J]], so m**s
-joins P**s and Q**s for every integer s (Cantoni and Butler, Linear Algebra
-Appl. 13, 1976; Good, Technometrics 12, 1970).  _centro_split takes the
-halves only when the bottom half of the entries equals the top half
-reversed, and _centro_join writes each entry of the power once.
+An m of even n = 2h that a diagonal similarity D = diag(2**e) makes
+exactly centrosymmetric, D m D^-1 = [[B, C], [J C J, J B J]] with J the
+h-by-h exchange, splits into two half-size matrices P = B + C J and Q =
+B - C J: D m D^-1 = K diag(P, Q) K^-1 for K = [[I, I], [J, -J]], so m**s =
+D^-1 K diag(P**s, Q**s) K^-1 D for every integer s (Cantoni and Butler,
+Linear Algebra Appl. 13, 1976; Good, Technometrics 12, 1970).  A diagonal
+similarity of a tridiagonal m rescales only its off-diagonal entries
+(Wilkinson, The Algebraic Eigenvalue Problem, 1965), so _centro_split
+proposes e from the binary exponents of the mirrored off-diagonal pairs,
+e = 0 for an exactly centrosymmetric m, and takes the halves only when the
+bottom half of the scaled entries equals the top half reversed; _rescale
+touches only the rows and columns that D moves, exactly unless an entry
+is subnormal, and _centro_join writes each entry of the power once.
 oracle_power, the reference that powers.power_verify checks the closed
-forms against, takes that route where the power is dense, and powers each
-half by the route it takes for a whole matrix (_power).  A tridiagonal m
-that is centrosymmetric only after a diagonal similarity D m D^-1 by
-powers of two, which rescales each off-diagonal pair and nothing else
-(Wilkinson, The Algebraic Eigenvalue Problem, 1965), takes the split too
-for s > 0: _centro_scaling reads D from the off-diagonals, where each
-ratio of mirrored entries must be an exact power of two, and m**s =
-D^-1 (D m D^-1)**s D.  The scaling is exact unless an entry is
-subnormal, and _rescale touches only the rows and columns that D moves.
-The band, the symmetries and the scaling are read from the entries alone,
-so nothing here knows the families or their closed forms, and only terms
+forms against, takes that route wherever the power is dense, and powers
+each half by the route it takes for a whole matrix (_power).  The band,
+the symmetries and the scaling are read from the entries alone, so
+nothing here knows the families or their closed forms, and only terms
 with an exact zero factor are dropped.  Nothing here calls numpy.linalg.
 """
 
@@ -426,35 +425,70 @@ def _inverse_power(m, k: int, scale: float | None = None) -> np.ndarray:
     return x
 
 
-def _centro_split(m):
-    """(P, Q) = (B + C J, B - C J) when m = [[B, C], [J C J, J B J]], else None.
+def _rescale(m, e) -> np.ndarray:
+    """m[i, j] * 2**(e_i - e_j) in place, over the rows and columns where e is nonzero.
 
-    m is exactly centrosymmetric when its bottom half equals its top half
+    Exact unless an entry overflows or is subnormal; e = 0 leaves m as it is.
+    """
+    lines = np.flatnonzero(e)
+    factors = np.ldexp(1.0, e[lines])
+    m[lines] *= factors[:, None]
+    m[:, lines] /= factors
+    return m
+
+
+def _centro_split(m):
+    """(P, Q, e) with D m D^-1 = [[B, C], [J C J, J B J]], D = diag(2**e), else None.
+
+    D scales entry (i, j) by 2**(e_i - e_j), so with g_i = e_(i+1) - e_i
+    the upper entry u_i becomes u_i 2**-g_i and its mirror, the lower entry
+    l_j with j = n - 2 - i, becomes l_j 2**g_j: they agree when u_i = 2**k
+    l_j, k = g_i + g_j.  e is proposed from the off-diagonals alone: k is
+    the difference of the binary exponents of u_i and l_j, the later index
+    of each pair takes all of it and the middle pair half, and e_0 = 0, so
+    family "a" gets e = (0, ..., 0, 1) and a centrosymmetric m gets e = 0.
+    A copy of m is scaled where e is not zero (_rescale), and the one test
+    is exact: the bottom half of the scaled entries must equal the top half
     with rows and columns reversed, entry for entry, compared as the
     symmetry check of _binary_power compares m with its transpose.  With J
-    the h-by-h exchange, n = 2h and K = [[I, I], [J, -J]], such an m equals
-    K diag(P, Q) K^-1, so m**s = K diag(P**s, Q**s) K^-1 for every integer
-    s (_centro_join), and m is invertible exactly when P and Q are.  Odd n,
-    any other input and halves with an entry that overflows give None.
+    the h-by-h exchange, n = 2h and K = [[I, I], [J, -J]], the scaled m
+    equals K diag(P, Q) K^-1 for P = B + C J and Q = B - C J, so m**s =
+    D^-1 K diag(P**s, Q**s) K^-1 D for every integer s (_centro_join), and
+    m is invertible exactly when P and Q are.  Odd n, a factor 2**e_i that
+    is not a normal float, any other input, and a scaled copy or halves
+    with an entry that overflows give None.
     """
     n = m.shape[0]
     h = n // 2
+    if n % 2:
+        return None
+    # mirror[i] is l_j, which u_i faces in the reversed matrix.
+    upper, mirror = np.diagonal(m, 1), np.diagonal(m, -1)[::-1]
+    k = np.frexp(np.abs(upper))[1] - np.frexp(np.abs(mirror))[1]
+    steps = np.where(np.arange(n - 1) >= h, k, 0)
+    steps[h - 1] = k[h - 1] // 2
+    e = np.concatenate(([0], np.cumsum(steps)))
+    if np.abs(e).max() > -np.finfo(np.float64).minexp:
+        return None
+    if e.any():
+        with np.errstate(over="ignore", under="ignore"):
+            m = _rescale(m.copy(), e)
     # The first row settles most other inputs in O(n).
-    if n % 2 or not (
+    if not (
         np.array_equal(m[0], m[-1, ::-1]) and np.array_equal(m[h:], m[h - 1::-1, ::-1])
     ):
         return None
     b, cj = m[:h, :h], m[:h, :h - 1:-1]
     with np.errstate(over="ignore"):
         halves = b + cj, b - cj
-    return halves if all(np.isfinite(half).all() for half in halves) else None
+    return (*halves, e) if all(np.isfinite(half).all() for half in halves) else None
 
 
 def _centro_join(p, q) -> np.ndarray:
     """[[X, Y J], [J Y, J X J]] for X = (p + q) / 2 and Y = (p - q) / 2.
 
-    With p = P**s and q = Q**s from _centro_split(m), this is m**s, exactly
-    centrosymmetric.  p and q are halved in place, exactly unless an entry
+    With p = P**s and q = Q**s from _centro_split(m), this is (D m D^-1)**s,
+    exactly centrosymmetric.  p and q are halved in place, exactly unless an entry
     is subnormal; the top half takes one addition and one subtraction, and
     the bottom half is the top half read with its rows and columns reversed.
     """
@@ -466,67 +500,6 @@ def _centro_join(p, q) -> np.ndarray:
     np.subtract(p, q, out=out[:h, :h - 1:-1])
     out[h:] = out[h - 1::-1, ::-1]
     return out
-
-
-def _binary_exponents(z) -> np.ndarray:
-    """The binary exponent of the larger of each entry's real and imaginary parts."""
-    return np.frexp(np.maximum(np.abs(z.real), np.abs(z.imag)))[1]
-
-
-def _centro_scaling(m, spans):
-    """Exponents e, not all zero, with 2**e_i m_ij 2**-e_j exactly centrosymmetric, else None.
-
-    Read from a tridiagonal m of even n with nonzero off-diagonals u
-    (above) and l (below): its row spans, spans, run from column i - 1 to
-    i + 1 on every row i.  A diagonal similarity only rescales each
-    off-diagonal pair: with g_i = e_(i+1) - e_i, entry u_i becomes
-    u_i 2**-g_i and l_i becomes l_i 2**g_i.  The scaled m is
-    centrosymmetric when its diagonal reads the same reversed and, for
-    each i and j = n - 2 - i, u_i 2**-g_i = l_j 2**g_j, that is u_i =
-    2**k l_j with k = g_i + g_j, the same k seen from j, and an even k
-    where i = j.  The later index of each pair takes all of k, and e_0 =
-    0, so family "a" gets e = (0, ..., 0, 1).  Any other input, a ratio
-    that is not an exact power of two and a factor 2**e_i that is not a
-    normal float give None, and so does e = 0, an m that is
-    centrosymmetric already.
-    """
-    n = m.shape[0]
-    index = np.arange(n)
-    if n % 2 or not (
-        np.array_equal(spans[0], np.maximum(index - 1, 0))
-        and np.array_equal(spans[1], np.minimum(index + 2, n))
-    ):
-        return None
-    # mirror[i] is l_j, which u_i faces in the reversed matrix.
-    diagonal, upper, mirror = np.diagonal(m), np.diagonal(m, 1), np.diagonal(m, -1)[::-1]
-    k = _binary_exponents(upper) - _binary_exponents(mirror)
-    middle = n // 2 - 1
-    if not (
-        np.array_equal(diagonal, diagonal[::-1])
-        and np.array_equal(k, k[::-1])
-        and k[middle] % 2 == 0
-        and np.array_equal(np.ldexp(mirror.real, k), upper.real)
-        and np.array_equal(np.ldexp(mirror.imag, k), upper.imag)
-    ):
-        return None
-    steps = np.where(index[:-1] > middle, k, 0)
-    steps[middle] = k[middle] // 2
-    e = np.concatenate(([0], np.cumsum(steps)))
-    if not e.any() or np.abs(e).max() > -np.finfo(np.float64).minexp:
-        return None
-    return e
-
-
-def _rescale(m, e) -> np.ndarray:
-    """m[i, j] * 2**(e_i - e_j) in place, over the rows and columns where e is nonzero.
-
-    Exact unless an entry overflows or is subnormal.
-    """
-    lines = np.flatnonzero(e)
-    factors = np.ldexp(1.0, e[lines])
-    m[lines] *= factors[:, None]
-    m[:, lines] /= factors
-    return m
 
 
 def _power(m, s: int, chain=None, scale: float | None = None) -> np.ndarray:
@@ -556,32 +529,29 @@ def oracle_power(matrix: np.ndarray, s: int) -> np.ndarray:
     A solve costs about n**2 times the band of the factors, so small |s|
     takes solves only and large |s| mostly squares.
 
-    Where the power is dense, an exactly centrosymmetric m of even n = 2h,
-    m = [[B, C], [J C J, J B J]] with J the h-by-h exchange, is powered as
-    two halves: m**s = K diag(P**s, Q**s) K^-1 for P = B + C J, Q = B - C J
-    and K = [[I, I], [J, -J]], so that m**s is
+    Where the power is dense, an m of even n = 2h that a diagonal
+    similarity D = diag(2**e) makes exactly centrosymmetric, S = D m D^-1 =
+    [[B, C], [J C J, J B J]] with J the h-by-h exchange, is powered as two
+    halves: S**s = K diag(P**s, Q**s) K^-1 for P = B + C J, Q = B - C J and
+    K = [[I, I], [J, -J]], so that m**s is D^-1 S**s D with S**s =
     [[P**s + Q**s, (P**s - Q**s) J], [J (P**s - Q**s), J (P**s + Q**s) J]] / 2.
     That is every s < 0, whose inverse is dense, and every s > 0 whose
     squares come to span every column, by the row spans that binary
     powering reads anyway; a full square then costs 2 (n/2)**3 instead of
-    n**3, and the LU and the solves run on the halves.  The halves are
-    taken only when the bottom half of the entries equals the top half
-    reversed exactly; every other input, and every power that stays banded,
-    keeps the routes above.
-
-    A dense s > 0 also splits a tridiagonal m with nonzero off-diagonals
-    that a diagonal similarity D = diag(2**e) makes exactly
-    centrosymmetric, family "a" among them: D = diag(1, ..., 1, 2) doubles
-    its last row and halves its last column.  The exponents come from the
-    entries (_centro_scaling), each mirrored pair's ratio an exact power of
-    two, and m**s = D^-1 S**s D for S = D m D^-1, split as above.  Scaling
-    a copy of m to S and the power back touches only the rows and columns
-    whose exponent is nonzero, one of each for "a", and is exact unless an
-    entry is subnormal.  s < 0 takes no scaled split and keeps its bits:
-    where banded solves dominate the chain, two halves cost more than the
-    whole (n = 256, s = -3: 4.5 against 4.2 ms).  The test is exactness,
-    so there is no tolerance and no size threshold.  Nothing of the closed
-    form (eigenvalues, nodes, families) enters.
+    n**3, and the LU and the solves run on the halves, whose pivots are
+    compared with the scale of m.  _centro_split proposes e from the
+    mirrored off-diagonal pairs, e = 0 for even-n "adagger" and "anti" and
+    D = diag(1, ..., 1, 2) for family "a", which doubles its last row and
+    halves its last column, and takes the halves only when the bottom half
+    of the scaled entries equals the top half reversed exactly; every other
+    input, and every power that stays banded, keeps the routes above.
+    Scaling touches only the rows and columns whose exponent is nonzero,
+    one of each for "a", and is exact unless an entry is subnormal.  Where
+    banded solves dominate a short chain, the split costs more than the
+    whole (n = 256, s = -3: 4.5 against 3.9 ms), and where squares
+    dominate about half (s = -64: 6.5 against 12.3 ms).  The test is
+    exactness, so there is no tolerance and no size threshold.  Nothing of
+    the closed form (eigenvalues, nodes, families) enters.
     """
     s = operator.index(s)
     m = _as_square(matrix)
@@ -591,15 +561,12 @@ def oracle_power(matrix: np.ndarray, s: int) -> np.ndarray:
     # The inverse is dense, and so is every square from the first whose
     # rows span every column.
     dense = s < 0 or (len(chain) > 1 and _full(chain[-1], m.shape[0]))
-    halves = _centro_split(m) if dense else None
-    e = _centro_scaling(m, chain[0]) if halves is None and dense and s > 0 else None
-    if e is not None:
-        halves = _centro_split(_rescale(m.copy(), e))
-    if halves is None:
+    split = _centro_split(m) if dense else None
+    if split is None:
         return _power(m, s, chain)
-    # Each half's pivots are compared with the scale of m, not of the half;
-    # the bottom half of m repeats the top half's entries.
-    scale = float(np.abs(m[:m.shape[0] // 2]).max()) if s < 0 else None
+    *halves, e = split
+    # Each half's pivots are compared with the scale of m, not of the half.
+    scale = float(np.abs(m).max()) if s < 0 else None
     if scale == 0.0:
         raise SingularMatrixError("cannot invert the zero matrix")
     powers = []
@@ -612,8 +579,7 @@ def oracle_power(matrix: np.ndarray, s: int) -> np.ndarray:
                 f"singular matrix: half {name} of the centrosymmetric split has a "
                 f"pivot below {SINGULAR_RTOL:g} of the matrix scale {scale:.3e}"
             ) from err
-    power = _centro_join(*powers)
-    return power if e is None else _rescale(power, -e)
+    return _rescale(_centro_join(*powers), -e)
 
 
 def mat_det(m) -> complex:

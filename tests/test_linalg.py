@@ -15,7 +15,6 @@ from tripow.linalg import (
     SingularMatrixError,
     _banded_lu,
     _centro_join,
-    _centro_scaling,
     _centro_split,
     _invert,
     _inverse_power,
@@ -493,9 +492,15 @@ def _counted_route(m, k):
     return _chain(m, k, _counted_chain(m, k))
 
 
+def _unscaled(power, e):
+    """D^-1 power D for D = diag(2**e): entry (i, j) times 2**(e_j - e_i)."""
+    return power * np.ldexp(1.0, -e)[:, None] * np.ldexp(1.0, e)
+
+
 def _joined(route, m, k):
-    """The join of route(half, k) run on both halves of a centrosymmetric m."""
-    return _centro_join(*(route(half, k) for half in _centro_split(m)))
+    """The join of route(half, k) run on both halves of m's split, scaled back."""
+    p, q, e = _centro_split(m)
+    return _unscaled(_centro_join(route(p, k), route(q, k)), e)
 
 
 # n on both sides of the first and the sixteenth panel edge.
@@ -530,8 +535,9 @@ class TestNegativePowers:
                 if _centro_split(m) is None:
                     routes = chains
                 else:
-                    # Even-n "adagger" and "anti" are centrosymmetric: the
-                    # oracle joins the same chains run on the two halves.
+                    # Even-n "adagger" and "anti" are centrosymmetric, and
+                    # "a" is after a scaling: the oracle joins the same
+                    # chains run on the two halves.
                     routes = [
                         _joined(lambda half, k: _chain(half, k, squares), m, k)
                         for squares in range(k.bit_length())
@@ -645,7 +651,7 @@ class TestCentrosymmetricSplit:
     def test_hand_values(self):
         # Eigenvalues 3 and 1: m**s = [[3**s + 1, 3**s - 1], [3**s - 1, 3**s + 1]] / 2.
         m = np.array([[2, 1], [1, 2]], dtype=np.complex128)
-        assert [half.tolist() for half in _centro_split(m)] == [[[3]], [[1]]]
+        assert [part.tolist() for part in _centro_split(m)] == [[[3]], [[1]], [0, 0]]
         assert oracle_power(m, 4).tolist() == [[41, 40], [40, 41]]
         assert relative_error(oracle_power(m, -1), np.array([[2, -1], [-1, 2]]) / 3) <= EPS
 
@@ -683,11 +689,6 @@ class TestCentrosymmetricSplit:
             # Odd n: "adagger" is not centrosymmetric.
             (FAMILY_ADAGGER, 17, (64, 4096, -1, -64)),
             (FAMILY_ADAGGER, 257, (4096, -3, -64)),
-            # Family "a" at even n is centrosymmetric only after a diagonal
-            # scaling, which negative powers do not take; its dense positive
-            # powers are in TestScaledCentrosymmetricSplit.
-            (FAMILY_A, 16, (-1, -3, -64)),
-            (FAMILY_A, 130, (-3, -64)),
             # Powers that stay banded: no square spans every column.
             (FAMILY_ADAGGER, 258, (1, 2, 3, 64, 255, 256)),
             (FAMILY_ANTI, 258, (1, 2, 3, 63, 64, 255)),
@@ -780,20 +781,23 @@ SCALED_SIZES = (16, 18, 130, 258)
 
 
 class TestScaledCentrosymmetricSplit:
-    """A tridiagonal m that a power-of-two diagonal scaling makes centrosymmetric splits for dense s > 0."""
+    """An m that a power-of-two diagonal scaling makes centrosymmetric splits where the power is dense."""
 
     @pytest.mark.parametrize("n", SCALED_SIZES)
     def test_family_a_scales_its_last_row(self, n):
         m = build_matrix(FamilySpec(FAMILY_A, n, 0.6j, 0.4))
-        assert _centro_split(m) is None
-        assert _centro_scaling(m, _spans(m)).tolist() == [0] * (n - 1) + [1]
-        assert _centro_split(_doubled_last_row(m)) is not None
+        p, q, e = _centro_split(m)
+        assert e.tolist() == [0] * (n - 1) + [1]
+        # The halves of the scaled m, which needs no further scaling.
+        *halves, e = _centro_split(_doubled_last_row(m))
+        assert not e.any()
+        assert _same_bits(p, halves[0]) and _same_bits(q, halves[1])
 
     @pytest.mark.parametrize("n", SCALED_SIZES)
     def test_dense_powers_join_the_scaled_halves(self, n):
         for a, b in ((0.6j, 0.4), (0.3 - 0.5j, 0.25 + 0.1j)):
             m = build_matrix(FamilySpec(FAMILY_A, n, a, b))
-            for s in (64, 4096) if n <= 64 else (4096,):
+            for s in ((64, 4096) if n <= 64 else (4096,)) + (-1, -3, -64):
                 assert _same_bits(oracle_power(m, s), _scaled_route(m, s)), (a, s)
 
     @pytest.mark.parametrize("n", SCALED_SIZES)
@@ -801,9 +805,9 @@ class TestScaledCentrosymmetricSplit:
         for a, b in ((0.6j, 0.4), (0.3 - 0.5j, 0.25 + 0.1j)):
             spec = FamilySpec(FAMILY_A, n, a, b)
             m = build_matrix(spec)
-            for s in (64, n - 1, 1000, 4096):
+            for s in (64, n - 1, 1000, 4096, -1, -3, -64):
                 oracle = oracle_power(m, s)
-                bound = 1e-13 + 8 * s * EPS
+                bound = 1e-13 + 8 * abs(s) * EPS
                 assert relative_error(oracle, _plain_power(m, s)) <= bound, (a, s)
                 assert relative_error(oracle, power_matrix(spec, s).matrix) <= bound, (a, s)
 
@@ -821,26 +825,53 @@ class TestScaledCentrosymmetricSplit:
         m = build_matrix(FamilySpec(FAMILY_A, n, 0.6j, 0.4))
         _plain_route_kept(m, exponents)
 
-    @pytest.mark.parametrize("edit", ["ratio of 3", "zero off-diagonal", "off the band", "one ulp"])
+    @pytest.mark.parametrize("edit", ["zero off-diagonal", "pentadiagonal"])
+    def test_inputs_with_an_exact_scaling_split(self, edit):
+        m = build_matrix(FamilySpec(FAMILY_A, 130, 0.6j, 0.4))
+        if edit == "zero off-diagonal":
+            # Mirrored, so that the scaled m stays centrosymmetric.
+            m[60, 61] = m[69, 68] = 0.0
+            exponents = (4096, -3)
+        else:
+            # D^-1 S D for S the scaled "a" with 0.1 added two places off
+            # the diagonal, which keeps S centrosymmetric.
+            scaled = _doubled_last_row(m) + 0.1 * (np.eye(130, k=2) + np.eye(130, k=-2))
+            m = _unscaled(scaled, np.array([0] * 129 + [1]))
+            # The spectral radius is above 1, so s = 4096 would overflow.
+            exponents = (-3, -64)
+        assert _centro_split(m)[2].tolist() == [0] * 129 + [1]
+        for s in exponents:
+            bound = 1e-13 + 8 * abs(s) * EPS
+            assert relative_error(oracle_power(m, s), _plain_power(m, s)) <= bound, s
+
+    @pytest.mark.parametrize("edit", ["ratio of 3", "off the band", "one ulp"])
     def test_inputs_without_an_exact_scaling_keep_the_plain_route(self, edit):
         m = build_matrix(FamilySpec(FAMILY_A, 130, 0.6j, 0.4))
         if edit == "ratio of 3":
             # 3b over b: a scaling by 3 would do, but it is not exact.
             m[0, 1] *= 1.5
-        elif edit == "zero off-diagonal":
-            # Mirrored, so that the scaled m stays centrosymmetric.
-            m[60, 61] = m[69, 68] = 0.0
         elif edit == "off the band":
-            m[0, 2] = m[129, 127] = 0.1  # mirrored too
+            # Mirrored, but the scaling that the off-diagonals propose
+            # doubles only the lower one.
+            m[0, 2] = m[129, 127] = 0.1
         else:
             m[0, 1] = complex(np.nextafter(m[0, 1].real, np.inf), m[0, 1].imag)
         assert _centro_split(m) is None
-        assert _centro_scaling(m, _spans(m)) is None
-        _plain_route_kept(m, (4096,))
+        _plain_route_kept(m, (4096, -3))
+
+    def test_scaled_copy_that_overflows_is_refused(self):
+        # 4 above the diagonal and 1 below it propose k = 2 for every pair,
+        # e = (0, 0, 0, 0, 1, 3, 5, 7), which takes entry (7, 0) past the
+        # float maximum.
+        m = np.triu(np.full((8, 8), 4.0 + 0j), 1) + np.tril(np.ones((8, 8)))
+        m[7, 0] = 1.5e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _centro_split(m) is None
 
     def test_centrosymmetric_input_needs_no_scaling(self):
         m = build_matrix(FamilySpec(FAMILY_ADAGGER, 130, 0.6j, 0.4))
-        assert _centro_scaling(m, _spans(m)) is None
+        assert not _centro_split(m)[2].any()
 
     def test_exponents_are_read_from_every_pair(self):
         # Mirrored pairs with ratios 2**3, 2**-2 and, in the middle, 2**4.
@@ -848,19 +879,18 @@ class TestScaledCentrosymmetricSplit:
         upper = np.ones(n - 1)
         upper[0], upper[6], upper[2], upper[4], upper[3] = 8.0, 8.0, 0.25, 0.25, 16.0
         m = (np.diag(upper, 1) + np.diag(np.ones(n - 1), -1) + np.eye(n)).astype(np.complex128)
-        e = _centro_scaling(m, _spans(m))
+        e = _centro_split(m)[2]
         # g = e[1:] - e[:-1] puts each pair's exponent on its later index.
         assert np.diff(e).tolist() == [0, 0, 0, 2, -2, 0, 3]
         scaled = m * np.ldexp(1.0, e)[:, None] / np.ldexp(1.0, e)
         assert _same_bits(scaled, np.ascontiguousarray(scaled[::-1, ::-1]))
-        for s in (8, 64):
-            expected = _centro_join(*(_plain_power(half, s) for half in _centro_split(scaled)))
-            expected *= np.ldexp(1.0, -e)[:, None] * np.ldexp(1.0, e)
+        for s in (8, 64, -1, -3):
+            expected = _unscaled(_joined(_plain_power, scaled, s), e)
             assert _same_bits(oracle_power(m, s), expected), s
         # An odd exponent in the middle pair needs a factor 2**(1/2).
         m[3, 4] = 8.0
-        assert _centro_scaling(m, _spans(m)) is None
-        _plain_route_kept(m, (8, 64))
+        assert _centro_split(m) is None
+        _plain_route_kept(m, (8, 64, -1, -3))
 
 
 class TestSolveInPlace:
