@@ -10,15 +10,14 @@ do (Golub and Van Loan, Matrix Computations, 1.2), and each product's row
 spans, and every block's windows, follow from its operands' spans.  Once a
 square's rows span every column, an exactly symmetric input squares by
 a @ a.T, which BLAS runs as syrk at about half the work.  One blocked
-banded LU with partial pivoting (ibid., 4.3) takes I to L^-1 as it
-factors, over the columns left of each block only, and records each
-panel's row order, transforms and back-substitution block [B^-1 | -B^-1 U],
-with the multiplications per column of one solve: back-substitution gives
-the inverse, and the same factors solve m X = B for any B, in place where
-the rows need no initial order.  A negative power, the inverse included,
-is the chain of solves and squares with the fewest multiplications,
-counted from that cost.  The determinant is the product of the pivots of
-the same LU without the sweep of I and the back-substitution blocks.
+banded LU with partial pivoting (ibid., 4.3) factors m and nothing more:
+it records each panel's row order, transforms and back-substitution block
+[B^-1 | -B^-1 U], with the multiplications per column of one solve.  The
+same factors solve m X = B for any B, in place where the rows need no
+initial order, and the inverse is the solve of I (ibid., 3.1).  A negative
+power, the inverse included, is the chain of solves from I and squares
+with the fewest multiplications, counted from that cost.  The determinant
+is the product of the pivots of that one factorization.
 
 An m of even n = 2h that a diagonal similarity D = diag(2**e) makes
 exactly centrosymmetric, D m D^-1 = [[B, C], [J C J, J B J]] with J the
@@ -261,8 +260,8 @@ def _eliminate_panel(panel, rtol: float, scale: float, first: int, pivots) -> np
     return order if swapped else None
 
 
-def _banded_lu(m, rtol: float, scale: float | None = None, solves: bool = True):
-    """Blocked banded LU with partial pivoting on modulus, and its sweep of I.
+def _banded_lu(m, rtol: float, scale: float | None = None):
+    """Blocked banded LU with partial pivoting on modulus.
 
     The rows are first ordered by their first nonzero column (a stable
     sort), which makes an anti-tridiagonal matrix, or any row permutation
@@ -275,23 +274,18 @@ def _banded_lu(m, rtol: float, scale: float | None = None, solves: bool = True):
     clear the rows below the block over the columns that the panel's rows
     span, at most p + q past the block for lower and upper bandwidths p and
     q, which leaves U block upper triangular with identity diagonal blocks,
-    and take the identity to Y = L^-1, where L U = m[rows].  Y sits in work
-    below the block diagonal and in the block's own columns, which are the
-    transforms; its rows are zero right of their block, so the sweep
-    carries Y only over the columns left of each block.  Returns (work,
-    rows, pivots, sort, panels, cost): sort is the initial row order, None
-    where the rows are in order already, rows the final one, and each block
-    gives (start, block_end, end, right, order, transforms, back), order
-    None where the block swapped no rows, right one past the last column
-    that its rows span, and back its back-substitution block over the
-    columns start:right: B^-1, then minus U's rows start:block_end over the
-    columns block_end:right.  cost is the complex multiplications per column
-    of one _solve, n**2 for a dense input: each block's width times the rows
-    its sweep step touches plus the columns its back-substitution reads,
-    about n times the band.  solves=False, for the determinant, which reads
-    only the pivots and the row order, stops each block at its elimination
-    below it: no sweep of I, no back blocks, and no panels.  The pivots
-    and the row order are the same either way.
+    where L U = m[rows].  Nothing left of a block is read again, so the
+    swaps and the updates touch only the columns from the block's start to
+    right.  Returns (rows, pivots, sort, panels, cost): sort is the initial
+    row order, None where the rows are in order already, rows the final
+    one, and each block gives (start, block_end, end, right, order,
+    transforms, back), order None where the block swapped no rows, right
+    one past the last column that its rows span, and back its
+    back-substitution block over the columns start:right: B^-1, then minus
+    U's rows start:block_end over the columns block_end:right.  cost is the
+    complex multiplications per column of one _solve, n**2 for a dense
+    input: each block's width times the rows its forward step touches plus
+    the columns its back-substitution reads, about n times the band.
     m must be a finite square complex128 matrix (_as_square).  Raises
     SingularMatrixError for the zero matrix and at a pivot that is zero or
     below rtol times scale, max |m| unless given.
@@ -321,53 +315,31 @@ def _banded_lu(m, rtol: float, scale: float | None = None, solves: bool = True):
         order = _eliminate_panel(transforms, rtol, scale, start, pivots[start:block_end])
         if order is not None:
             rows[start:end] = rows[start:end][order]
-            work[start:end, :right] = work[start:end, :right][order]
-        inv_b, neg_r_inv_b = transforms[:width], transforms[width:]
+            work[start:end, start:right] = work[start:end, start:right][order]
+        inv_b = transforms[:width]
         top = work[start:block_end, block_end:right]
-        work[block_end:end, block_end:right] += neg_r_inv_b @ top
-        if not solves:
-            continue
-        y = work[start:block_end, :start]
-        work[block_end:end, :start] += neg_r_inv_b @ y
-        work[start:block_end, :start] = inv_b @ y
+        work[block_end:end, block_end:right] += transforms[width:] @ top
         back = np.empty((width, right - start), dtype=np.complex128)
         back[:, :width] = inv_b
         np.matmul(-inv_b, top, out=back[:, width:])
-        work[start:end, start:block_end] = transforms
-        work[start:block_end, block_end:right] = 0.0
         panels.append((start, block_end, end, right, order, transforms, back))
     if (sort == np.arange(n)).all():
         sort = None
-    return work, rows, pivots, sort, panels, cost
-
-
-def _invert(lu) -> np.ndarray:
-    """m^-1 from lu = _banded_lu(m, ...), back-substituting in its work.
-
-    X = U^-1 Y, last block first, each block from the at most p + q rows
-    of X right of it, by the right part of its back.  X inverts m[rows], so
-    its columns are permuted back.
-    """
-    work, rows, _, _, panels, _ = lu
-    for start, block_end, _, right, _, _, back in reversed(panels):
-        work[start:block_end] += back[:, block_end - start:] @ work[block_end:right]
-    # Column rows[k] of the inverse is column k of X.
-    if (rows == np.arange(len(rows))).all():
-        return work
-    return work.take(np.argsort(rows), axis=1)
+    return rows, pivots, sort, panels, cost
 
 
 def _solve(lu, b) -> np.ndarray:
     """X with m X = b, for lu = _banded_lu(m, ...) and any n-row b.
 
-    Replays the sweep on the rows of b: the initial row order, then each
-    block's swaps and -R B^-1, which clear the rows below it.  B^-1 waits
-    for back-substitution, last block first, where each block's rows
-    become its back times themselves over the at most p + q rows right of
-    them, one product for B^-1 and U.  Where the rows need no initial
-    order the sweep works on b itself, which the caller must not use again.
+    The forward sweep replays the factorization on the rows of b: the
+    initial row order, then each block's swaps and -R B^-1, which clear
+    the rows below it.  B^-1 waits for back-substitution, last block first,
+    where each block's rows become its back times themselves over the at
+    most p + q rows right of them, one product for B^-1 and U.  b = I gives
+    m^-1.  Where the rows need no initial order the sweep works on b
+    itself, which the caller must not use again.
     """
-    _, _, _, sort, panels, _ = lu
+    _, _, sort, panels, _ = lu
     x = b if sort is None else b[sort]
     for start, block_end, end, _, order, transforms, _ in panels:
         if order is not None:
@@ -381,11 +353,9 @@ def _solve(lu, b) -> np.ndarray:
 def mat_inverse(m) -> np.ndarray:
     """Inverse by blocked banded LU with partial pivoting on modulus.
 
-    The chain of _inverse_power at k = 1: the sweep of _banded_lu takes I to
-    L^-1 over the columns left of each block only, and back-substitution
-    with U gives the inverse (_invert).  Raises SingularMatrixError when the
-    best pivot has modulus below SINGULAR_RTOL times the largest entry
-    modulus.
+    The chain of _inverse_power at k = 1: one _solve of I on the factors of
+    _banded_lu.  Raises SingularMatrixError when the best pivot has modulus
+    below SINGULAR_RTOL times the largest entry modulus.
     """
     return _inverse_power(_as_square(m), 1)
 
@@ -395,28 +365,28 @@ def _inverse_power(m, k: int, scale: float | None = None) -> np.ndarray:
 
     A solve X <- m^-1 X costs n * c complex multiplications, c the cost
     that _banded_lu returns, exactly n**3 for a dense input.  The chain
-    with j squarings takes X = m^-q, q = k >> j, by q - 1 solves from the
-    inverse, then squares X j times, each square followed by one more solve
-    where the next lower bit of k is set.  j = 0 is k solves, j =
-    k.bit_length() - 1 binary powering of the inverse with a solve in place
-    of each product by it, and j is the one whose chain costs least, the
-    largest on a tie: where a solve costs a product, as for a dense input,
-    that is binary powering.  m must be a finite square complex128 matrix.
-    Raises SingularMatrixError as mat_inverse does, comparing the pivots
-    with SINGULAR_RTOL times scale, max |m| unless given.
+    with j squarings takes X = m^-q, q = k >> j, by q solves from I, then
+    squares X j times, each square followed by one more solve where the
+    next lower bit of k is set.  j = 0 is k solves, j = k.bit_length() - 1
+    binary powering of the inverse with a solve in place of each product by
+    it, and j is the one whose chain costs least, the largest on a tie:
+    where a solve costs a product, as for a dense input, that is binary
+    powering.  m must be a finite square complex128 matrix.  Raises
+    SingularMatrixError as mat_inverse does, comparing the pivots with
+    SINGULAR_RTOL times scale, max |m| unless given.
     """
     k = operator.index(k)
     lu = _banded_lu(m, SINGULAR_RTOL, scale)
-    n, c = m.shape[0], lu[5]
-    x = _invert(lu)
+    n, c = m.shape[0], lu[4]
 
-    # Multiplications per column past the inverse, which every chain shares.
+    # Multiplications per column of the chain with j squares.
     def cost(j):
-        solves = (k >> j) - 1 + (k & ((1 << j) - 1)).bit_count()
+        solves = (k >> j) + (k & ((1 << j) - 1)).bit_count()
         return solves * c + j * n * n, -j
 
     squares = min(range(k.bit_length()), key=cost)
-    for _ in range((k >> squares) - 1):
+    x = mat_identity(n)
+    for _ in range(k >> squares):
         x = _solve(lu, x)
     for bit in reversed(range(squares)):
         x = x @ x
@@ -522,9 +492,9 @@ def oracle_power(matrix: np.ndarray, s: int) -> np.ndarray:
     tridiagonal or anti-tridiagonal input costs far less than n**3 per early
     squaring, and the full squares of an exactly symmetric input go to BLAS
     syrk.  For s < 0 one banded LU, over the band and row order read from
-    the entries, gives the inverse (SingularMatrixError when m has none)
-    and banded solves X <- m^-1 X.  The power is the chain that costs the
-    fewest multiplications: m^-q by q solves, then j squares of n**3, each
+    the entries, gives banded solves X <- m^-1 X (SingularMatrixError when
+    m has no inverse).  The power is the chain that costs the fewest
+    multiplications: m^-q by q solves from I, then j squares of n**3, each
     followed by a solve where the next lower bit of |s| is set, q = |s| >> j.
     A solve costs about n**2 times the band of the factors, so small |s|
     takes solves only and large |s| mostly squares.
@@ -585,14 +555,14 @@ def oracle_power(matrix: np.ndarray, s: int) -> np.ndarray:
 def mat_det(m) -> complex:
     """Determinant by the banded LU of mat_inverse, with a pivot floor of zero.
 
-    The product of the pivots times the sign of the row order; a zero pivot
-    gives exactly 0j, and a tiny one never raises SingularMatrixError.  The
-    factorization builds neither the sweep of I nor the back-substitution
-    blocks, which only the inverse and the solves read.
+    The product of the pivots times the sign of the row order, both read
+    from the one factorization that the inverse and the solves use; a zero
+    pivot gives exactly 0j, and a tiny one never raises SingularMatrixError.
+    The back-substitution blocks are built and go unread.
     """
     m = _as_square(m)
     try:
-        _, rows, pivots, *_ = _banded_lu(m, 0.0, solves=False)
+        rows, pivots, *_ = _banded_lu(m, 0.0)
     except SingularMatrixError:
         return 0j
     # Each swap that puts a row in its place flips the sign; n swaps at most.
