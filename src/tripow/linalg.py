@@ -34,10 +34,15 @@ touches only the rows and columns that D moves, exactly unless an entry
 is subnormal, and _centro_join writes each entry of the power once.
 oracle_power, the reference that powers.power_verify checks the closed
 forms against, takes that route wherever the power is dense, and powers
-each half by the route it takes for a whole matrix (_power).  The band,
-the symmetries and the scaling are read from the entries alone, so
-nothing here knows the families or their closed forms, and only terms
-with an exact zero factor are dropped.  Nothing here calls numpy.linalg.
+each half by the route it takes for a whole matrix (_power).  A full
+square of the halves costs 2 (n/2)**3 instead of n**3, so a chain of
+squares takes about half the time; the banded solves of a short chain
+cost as much on two halves as on the whole, so there the split's O(n**2)
+prelude makes it a little slower.  The test is exactness, so there is no
+tolerance and no size threshold.  The band, the symmetries and the
+scaling are read from the entries alone, so nothing here knows the
+families or their closed forms, and only terms with an exact zero factor
+are dropped.  Nothing here calls numpy.linalg.
 """
 
 import operator
@@ -80,6 +85,13 @@ def _as_square(m):
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def _exponent(s) -> int:
+    """s as an int, from any integer type; a boolean or a non-integer raises TypeError."""
+    if isinstance(s, (bool, np.bool_)):
+        raise TypeError(f"exponent must be an integer, not a boolean, got {s}")
+    return operator.index(s)
 
 
 def mat_identity(n: int) -> np.ndarray:
@@ -196,22 +208,22 @@ def _binary_power(m, chain, s: int) -> np.ndarray:
 def mat_pow_binary(m, s: int) -> np.ndarray:
     """m raised to a non-negative integer power by squaring; s=0 gives identity.
 
-    s must be an integer (TypeError otherwise).  The result starts as the
-    base at the lowest set bit of s and squaring stops after the top bit,
-    so no product goes unused.  Every product skips the exact zeros outside
-    its operands' row spans (the first and last nonzero column of each row):
-    the square of a tridiagonal or anti-tridiagonal matrix stays narrow for
-    many squarings, and two dense operands cost one plain product.  The input
-    is scanned once; each product's spans follow from its operands' spans.
-    At the first square whose rows all span every column, the input's
-    entries are compared with its transpose once.  If m is exactly symmetric
-    every power is symmetric, and each such square a is taken as a @ a.T,
-    which numpy hands to BLAS syrk: it computes one triangle, about half the
-    work, and its result is exactly symmetric.  Any other input keeps the
-    plain products.
+    s must be an integer, not a boolean (TypeError otherwise).  The result
+    starts as the base at the lowest set bit of s and squaring stops after
+    the top bit, so no product goes unused.  Every product skips the exact
+    zeros outside its operands' row spans (the first and last nonzero column
+    of each row): the square of a tridiagonal or anti-tridiagonal matrix
+    stays narrow for many squarings, and two dense operands cost one plain
+    product.  The input is scanned once; each product's spans follow from
+    its operands' spans.  At the first square whose rows all span every
+    column, the input's entries are compared with its transpose once.  If m
+    is exactly symmetric every power is symmetric, and each such square a is
+    taken as a @ a.T, which numpy hands to BLAS syrk: it computes one
+    triangle, about half the work, and its result is exactly symmetric.  Any
+    other input keeps the plain products.
     """
     m = _as_square(m)
-    s = operator.index(s)
+    s = _exponent(s)
     if s < 0:
         raise ValueError("exponent must be non-negative; invert first for s < 0")
     if s == 0:
@@ -375,7 +387,6 @@ def _inverse_power(m, k: int, scale: float | None = None) -> np.ndarray:
     SingularMatrixError as mat_inverse does, comparing the pivots with
     SINGULAR_RTOL times scale, max |m| unless given.
     """
-    k = operator.index(k)
     lu = _banded_lu(m, SINGULAR_RTOL, scale)
     n, c = m.shape[0], lu[4]
 
@@ -499,31 +510,16 @@ def oracle_power(matrix: np.ndarray, s: int) -> np.ndarray:
     A solve costs about n**2 times the band of the factors, so small |s|
     takes solves only and large |s| mostly squares.
 
-    Where the power is dense, an m of even n = 2h that a diagonal
-    similarity D = diag(2**e) makes exactly centrosymmetric, S = D m D^-1 =
-    [[B, C], [J C J, J B J]] with J the h-by-h exchange, is powered as two
-    halves: S**s = K diag(P**s, Q**s) K^-1 for P = B + C J, Q = B - C J and
-    K = [[I, I], [J, -J]], so that m**s is D^-1 S**s D with S**s =
-    [[P**s + Q**s, (P**s - Q**s) J], [J (P**s - Q**s), J (P**s + Q**s) J]] / 2.
-    That is every s < 0, whose inverse is dense, and every s > 0 whose
-    squares come to span every column, by the row spans that binary
-    powering reads anyway; a full square then costs 2 (n/2)**3 instead of
-    n**3, and the LU and the solves run on the halves, whose pivots are
-    compared with the scale of m.  _centro_split proposes e from the
-    mirrored off-diagonal pairs, e = 0 for even-n "adagger" and "anti" and
-    D = diag(1, ..., 1, 2) for family "a", which doubles its last row and
-    halves its last column, and takes the halves only when the bottom half
-    of the scaled entries equals the top half reversed exactly; every other
-    input, and every power that stays banded, keeps the routes above.
-    Scaling touches only the rows and columns whose exponent is nonzero,
-    one of each for "a", and is exact unless an entry is subnormal.  Where
-    banded solves dominate a short chain, the split costs more than the
-    whole (n = 256, s = -3: 4.5 against 3.9 ms), and where squares
-    dominate about half (s = -64: 6.5 against 12.3 ms).  The test is
-    exactness, so there is no tolerance and no size threshold.  Nothing of
-    the closed form (eigenvalues, nodes, families) enters.
+    Where the power is dense, an m that _centro_split splits is powered as
+    its two halves P and Q, each by the routes above, joined and scaled
+    back, as the module docstring derives.  That is every s < 0, whose
+    inverse is dense, and every s > 0 whose squares come to span every
+    column, by the row spans that binary powering reads anyway.  Each half's
+    pivots are compared with the scale of m.  Every other input, and every
+    power that stays banded, keeps the routes above.  Nothing of the closed
+    form (eigenvalues, nodes, families) enters.
     """
-    s = operator.index(s)
+    s = _exponent(s)
     m = _as_square(matrix)
     if s == 0:
         return mat_identity(m.shape[0])

@@ -48,7 +48,6 @@ and one with an eigenvalue that is not finite.
 """
 
 import math
-import operator
 import os
 import sys
 import warnings
@@ -58,7 +57,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .families import _RULES, FamilySpec, _check_kind, _integer, build_matrix
-from .linalg import SingularMatrixError, mat_identity, mat_norm_maxabs, oracle_power
+from .linalg import SingularMatrixError, _exponent, mat_identity, mat_norm_maxabs, oracle_power
 from .spectral import _SIGN4, SpectralData, eigenvalues, power_generator
 
 __all__ = [
@@ -258,12 +257,13 @@ def _entry(data: SpectralData, s: int, i: int, j: int, flip: bool = False) -> co
     Column j is written by the row writer of power_matrix, and its edge
     halving applied, so the entry equals the matrix's bit for bit, zero
     signs included.  With flip, an odd s reads row n + 1 - i instead, after
-    the index check.  s must be an integer (TypeError otherwise) and i, j
-    integers of any type, not booleans (ValueError otherwise), and all three
-    are checked before any work.  s = 0 gives the exact identity, and for
-    s > 0 an entry outside the band |i-j| <= s is 0j.
+    the index check.  s must be an integer, not a boolean (TypeError
+    otherwise), and i, j integers of any type, not booleans (ValueError
+    otherwise), and all three are checked before any work.  s = 0 gives the
+    exact identity, and for s > 0 an entry outside the band |i-j| <= s is
+    0j.
     """
-    s = operator.index(s)
+    s = _exponent(s)
     i, j = _integer(i, "i"), _integer(j, "j")
     n, rule = data.spec.n, _RULES[data.spec.family]
     if not (1 <= i <= n and 1 <= j <= n):
@@ -291,8 +291,8 @@ def power_entry_a(data: SpectralData, s: int, i: int, j: int) -> complex:
     Reads h[|i-j|] + h[i+j-2] from the power's generator; the first column
     and the last row (i = n) each carry a factor 1/2.  s = 0 gives the exact
     identity, and for s > 0 an entry outside the band |i-j| <= s is 0j.
-    s must be an integer (TypeError otherwise) and i, j integers, not
-    booleans (ValueError otherwise).
+    s must be an integer, not a boolean (TypeError otherwise), and i, j
+    integers, not booleans (ValueError otherwise).
     """
     _check_kind(data.spec, 1, " data")
     return _entry(data, s, i, j)
@@ -305,8 +305,8 @@ def power_entry_adagger(data: SpectralData, s: int, i: int, j: int) -> complex:
     generator, bit for bit the entry of power_matrix.  s = 0 gives the
     exact identity, and for s > 0 an entry outside the band |i-j| <= s is
     0j.  Given "anti" data it returns the entry of the "adagger" twin.
-    s must be an integer (TypeError otherwise) and i, j integers, not
-    booleans (ValueError otherwise).
+    s must be an integer, not a boolean (TypeError otherwise), and i, j
+    integers, not booleans (ValueError otherwise).
     """
     _check_kind(data.spec, -1, " data")
     return _entry(data, s, i, j)
@@ -319,8 +319,8 @@ def power_entry_anti(data: SpectralData, s: int, i: int, j: int) -> complex:
     index through the exchange, which moves the band |i-j| <= s to
     |n+1-i-j| <= s.  s = 0 gives the exact identity, and for s > 0 an entry
     outside the band is 0j.  Only even n is supported.
-    s must be an integer (TypeError otherwise) and i, j integers, not
-    booleans (ValueError otherwise).
+    s must be an integer, not a boolean (TypeError otherwise), and i, j
+    integers, not booleans (ValueError otherwise).
     """
     if data.spec.n % 2 != 0:
         raise ValueError("anti-tridiagonal powers require even n")
@@ -431,18 +431,18 @@ def _window_rows(windows: np.ndarray, start: int, step: int, r: int, cycle: int,
 def power_matrix(spec: FamilySpec, s: int) -> PowerResult:
     """Assemble the full s-th power of the matrix described by spec.
 
-    s must be an integer (TypeError otherwise).  The power is built from
-    its generator in O(n**2) with no matrix product.  s = 0 gives the exact
-    identity; for 0 < s < n - 1 only the band |i-j| <= s (rows flipped for
-    odd anti powers) is computed and every other entry is +0.0.  An odd
-    anti power is the "adagger" twin's power as a row-reversed view: the
-    same values and bits as a reversed copy, with a negative row stride.
-    For every s the entries equal those of the power_entry functions.  Raises
-    ClosureError when the generator weights fail their closure check,
+    s must be an integer, not a boolean (TypeError otherwise).  The power is
+    built from its generator in O(n**2) with no matrix product.  s = 0 gives
+    the exact identity; for 0 < s < n - 1 only the band |i-j| <= s (rows
+    flipped for odd anti powers) is computed and every other entry is +0.0.
+    An odd anti power is the "adagger" twin's power as a row-reversed view:
+    the same values and bits as a reversed copy, with a negative row stride.
+    For every s the entries equal those of the power_entry functions.
+    Raises ClosureError when the generator weights fail their closure check,
     SingularMatrixError for a negative power of a zero eigenvalue, and
     PowerOverflowError when the result cannot be represented.
     """
-    s = operator.index(s)
+    s = _exponent(s)
     h = _generator(spec, eigenvalues(spec), s)
     # The identity is returned exactly rather than assembled with rounding.
     matrix = mat_identity(spec.n) if s == 0 else _assemble(spec, h, s)
@@ -462,7 +462,7 @@ def power_verify(spec: FamilySpec, s: int, tol: float = 1e-8) -> PowerResult:
     PowerOverflowError when the oracle's products overflow although the
     closed form fits: its residual would be NaN, which no tol fails.
     """
-    s = operator.index(s)
+    s = _exponent(s)
     if not tol >= 0:
         raise ValueError(f"tol must be a non-negative number, got {tol!r}")
     result = power_matrix(spec, s)

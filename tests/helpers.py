@@ -36,3 +36,9 @@ def assert_positive_zeros_outside_band(matrix, family, s):
     outside = matrix[outside_band(family, matrix.shape[0], s)]
     assert np.all(outside == 0), s
     assert not np.signbit(outside.view(np.float64)).any(), s
+
+
+def same_bits(x, y):
+    """Whether x and y have one shape and the same float bits, zero signs included."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))

@@ -27,6 +27,8 @@ from tripow.powers import (
     power_verify,
 )
 
+from helpers import same_bits
+
 
 def reference_draw(rng, family):
     """The suite's spec draw with one n branch per family, as first written."""
@@ -108,7 +110,7 @@ def assert_loads_bit_identical(rows, matrix):
     """rows, json.loads of a matrix's text, hold the matrix's float bits."""
     got = np.array([[complex(c["re"], c["im"]) for c in row] for row in rows])
     expected = np.asarray(matrix, dtype=np.complex128)
-    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert same_bits(got, expected)
 
 
 def emitted_power_text(result, fmt):
@@ -298,23 +300,40 @@ class TestPowerCommand:
         assert code == 0
         assert "family=a n=3 s=3 path=closed-form-A" in out
 
-    def test_anti_odd_dimension_is_usage_error(self, capsys):
+    @pytest.mark.parametrize(
+        "family, n, message",
+        [("anti", "3", "family 'anti' requires even n"), ("a", "1", "family 'a' requires n >= 2")],
+        ids=["anti-odd-n", "a-n-1"],
+    )
+    def test_n_outside_the_family_domain_is_a_usage_error(self, capsys, family, n, message):
         code, out, err = run_cli(
-            capsys, "power", "--family", "anti", "--n", "3", "--a", "1+0i",
+            capsys, "power", "--family", family, "--n", n, "--a", "1+0i",
             "--b", "1+0i", "--s", "2",
         )
         assert code == 2
         assert out == ""
-        assert "even n" in err
+        assert err == f"error: {message}\n"
 
-    def test_overflow_exits_one_with_empty_stdout(self, capsys):
-        code, out, err = run_cli(
-            capsys, "power", "--family", "a", "--n", "3", "--a", "2+0i",
-            "--b", "1+0i", "--s", "2000", "--format", "json",
-        )
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (("--n", "3", "--a", "2+0i", "--s", "2000"), "error: "),
+            # The verdict is taken on integers, past a C long too.
+            (("--n", "4", "--a", "1+0i", "--s", "100000000000000000000"),
+             "error: power s=100000000000000000000 is not representable"),
+        ],
+        ids=["large-base", "exponent-past-a-c-long"],
+    )
+    def test_overflow_exits_one_with_empty_stdout(self, capsys, params, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "power", "--family", "a", "--b", "1+0i", *params, "--format", "json"
+            )
         assert code == 1
         assert out == ""
-        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(message)
 
     @pytest.mark.parametrize(
         "params",
@@ -324,7 +343,9 @@ class TestPowerCommand:
         ],
     )
     def test_underflow_exits_one_with_empty_stdout(self, capsys, params):
-        code, out, err = run_cli(capsys, "power", *params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "power", *params)
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "underflows below" in err
@@ -400,13 +421,26 @@ class TestEigenCommand:
         root2 = np.sqrt(2.0)
         np.testing.assert_allclose(values, [-root2, 0.0, root2], atol=1e-12)
 
-    def test_csv_header(self, capsys):
+    @pytest.mark.parametrize(
+        "family, n, a, rows",
+        [
+            ("a", "3", "1+0i", {}),
+            # The middle node of odd n is exactly zero, and so is its
+            # eigenvalue at a = 0.
+            ("adagger", "7", "0+0i", {4: "4,0.0+0.0i,0.0"}),
+        ],
+        ids=["a-3", "adagger-7-zero-node"],
+    )
+    def test_csv_header(self, capsys, family, n, a, rows):
         code, out, _ = run_cli(
-            capsys, "eigen", "--family", "a", "--n", "3", "--a", "1+0i",
+            capsys, "eigen", "--family", family, "--n", n, "--a", a,
             "--b", "1+0i", "--format", "csv",
         )
         assert code == 0
-        assert out.splitlines()[0] == "k,eigenvalue,node"
+        lines = out.splitlines()
+        assert lines[0] == "k,eigenvalue,node"
+        for index, row in rows.items():
+            assert lines[index] == row
 
     def test_vectors_flag(self, capsys):
         code, out, _ = run_cli(
@@ -498,12 +532,26 @@ class TestMatrixText:
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
     @pytest.mark.parametrize(
-        "family,n",
-        [(f, n) for f in FAMILIES for n in (2, 3, 16, 64) if not (f == FAMILY_ANTI and n % 2)],
+        "family, n, a, b, exponents",
+        [
+            pytest.param(f, n, 0.3 + 0.7j, -1.25 + 0.5j, (0, 5), id=f"{f}-{n}")
+            for f in FAMILIES
+            for n in (2, 3, 16, 64)
+            if not (f == FAMILY_ANTI and n % 2)
+        ]
+        + [
+            # Each family's rule at its smallest n, an odd "anti" power,
+            # which reads the "adagger" twin's band with its rows reversed,
+            # and a large power at unit spectral radius.
+            pytest.param(f, n, 0.6j, 0.4, (s,), id=f"{f}-{n}-s{s}")
+            for f, n, s in (
+                (FAMILY_A, 2, 2), (FAMILY_ADAGGER, 1, 2), (FAMILY_ANTI, 2, 2),
+                (FAMILY_ANTI, 8, 3), (FAMILY_ADAGGER, 96, 4096),
+            )
+        ],
     )
-    def test_powers_match_the_reference_writers(self, capsys, fmt, family, n):
-        a, b = 0.3 + 0.7j, -1.25 + 0.5j
-        for s in (0, 5):
+    def test_powers_match_the_reference_writers(self, capsys, fmt, family, n, a, b, exponents):
+        for s in exponents:
             code, out, _ = run_cli(
                 capsys, "power", "--family", family, "--n", str(n), f"--a={format_complex(a)}",
                 f"--b={format_complex(b)}", f"--s={s}", "--format", fmt,
@@ -517,24 +565,35 @@ class TestMatrixText:
             assert out == emitted_power_text(copy, fmt)
 
     @pytest.mark.parametrize(
-        "family,n",
+        "family, n, a, b",
         [
-            pytest.param(f, n, id=f if n == 6 else f"{f}-{n}")
+            pytest.param(f, n, "0.3+0.7i", "1-0.5i", id=f if n == 6 else f"{f}-{n}")
             for f in FAMILIES
             for n in (6, 2, 1)
             if n % 2 == 0 or f == FAMILY_ADAGGER
+        ]
+        + [
+            # The cosine rule at its smallest n, the sine rule at an odd n
+            # with a zero node, and "anti" at a = b = 1.
+            pytest.param(f, n, "1+0i", "1+0i", id=f"{f}-{n}-ones")
+            for f, n in ((FAMILY_A, 2), (FAMILY_ADAGGER, 7), (FAMILY_ANTI, 6))
         ],
     )
-    def test_eigen_vectors_match_the_reference_writers(self, capsys, family, n):
-        argv = ("eigen", "--family", family, "--n", str(n), "--a", "0.3+0.7i", "--b", "1-0.5i")
-        vectors = tripow.spectral.decompose(FamilySpec(family, n, 0.3 + 0.7j, 1 - 0.5j)).vec_matrix
-        _, values_json, _ = run_cli(capsys, *argv, "--format", "json")
-        _, vectors_json, _ = run_cli(capsys, *argv, "--format", "json", "--vectors")
+    def test_eigen_vectors_match_the_reference_writers(self, capsys, family, n, a, b):
+        argv = ("eigen", "--family", family, "--n", str(n), "--a", a, "--b", b)
+        spec = FamilySpec(family, n, parse_complex(a), parse_complex(b))
+        vectors = tripow.spectral.decompose(spec).vec_matrix
+        code, values_json, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        code, vectors_json, _ = run_cli(capsys, *argv, "--format", "json", "--vectors")
+        assert code == 0
         expected = {**json.loads(values_json), "vectors": reference_entries(vectors)}
         assert vectors_json == json.dumps(expected) + "\n"
         assert_loads_bit_identical(json.loads(vectors_json)["vectors"], vectors)
-        _, values_pretty, _ = run_cli(capsys, *argv)
-        _, vectors_pretty, _ = run_cli(capsys, *argv, "--vectors")
+        code, values_pretty, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, vectors_pretty, _ = run_cli(capsys, *argv, "--vectors")
+        assert code == 0
         expected = "eigenvector matrix (columns are eigenvectors):\n" + reference_pretty(vectors)
         assert vectors_pretty == values_pretty + expected
 
@@ -778,9 +837,15 @@ class TestFibCommand:
         assert err == "error: n must be at least 3\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "pretty"])
-    def test_text_formats_carry_the_json_values(self, capsys, fmt):
-        argv = ("fib", "--n", "7", "--x", "0.5-1.5i")
-        _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+    @pytest.mark.parametrize(
+        "n, x",
+        # n = 130 factors the determinant side across nine panels.
+        [("7", "0.5-1.5i"), ("130", "0.5+0.5i")],
+    )
+    def test_text_formats_carry_the_json_values(self, capsys, fmt, n, x):
+        argv = ("fib", "--n", n, "--x", x)
+        code, json_out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
         code, out, err = run_cli(capsys, *argv, "--format", fmt)
         assert code == 0
         assert err == ""
@@ -796,7 +861,7 @@ class TestFibCommand:
                 assert (parse_complex(text) if isinstance(value, complex) else type(value)(text)) == value, key
             return
         assert out.splitlines() == [
-            "n=7 x=0.5-1.5i",
+            f"n={n} x={x}",
             f"  value by recurrence:    {format_complex(fields['recurrence'])}",
             f"  value by factorization: {format_complex(fields['factorization'])}  "
             f"(residual {fields['factorization_residual']:.3e})",
@@ -870,14 +935,40 @@ class TestBenchCommand:
         assert out == ""
         assert err == "error: family 'a' requires n >= 2\n"
 
-    def test_negative_exponent_uses_the_inverse_oracle(self, capsys):
-        code, out, err = run_cli(capsys, "bench", "--family", "a", "--n", "8", "--s", "3,-2")
+    @pytest.mark.parametrize(
+        "family, sizes, exponents, seed, bound",
+        [
+            pytest.param("a", "8", "3,-2", "0", 1e-6, id="a-8"),
+            pytest.param("anti", "8", "3,-2", "0", 1e-6, id="anti-8"),
+            # The first spec's draw has |b| = 0.150, below 0.25, so b is moved.
+            *(pytest.param(family, "4,8", "3,-2,64", "24", 1e-13, id=f"{family}-seed-24")
+              for family in FAMILIES),
+            # Every oracle route against the closed form: even n = 130 splits
+            # at s < 0 and at s = 4096, whose squares span every column, "a"
+            # after its scaling, and s = 63 and 64 stay banded and take the
+            # whole matrix, as odd n = 129 does at every s.
+            pytest.param("anti", "130", "-1,-3,63,4096", "0", 1e-10, id="anti-130"),
+            pytest.param("adagger", "130,129", "-1,-3,64,4096", "0", 1e-10, id="adagger-130-129"),
+            pytest.param("a", "130,129", "-1,-3,64,4096", "0", 1e-10, id="a-130-129"),
+        ],
+    )
+    def test_rows_follow_the_grid_within_the_bound(self, capsys, family, sizes, exponents, seed, bound):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtendedDomainWarning)
+            code, out, err = run_cli(
+                capsys, "bench", "--family", family, "--n", sizes, f"--s={exponents}", "--seed", seed
+            )
         assert code == 0, err
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-        assert [(row[2], row[3]) for row in rows] == [
-            ("3", "closed_form"), ("3", "binary_pow"), ("-2", "closed_form"), ("-2", "binary_pow"),
+        assert [tuple(row[:4]) for row in rows] == [
+            (family, n, s, method)
+            for n in sizes.split(",")
+            for s in exponents.split(",")
+            for method in ("closed_form", "binary_pow")
         ]
-        assert all(float(row[5]) < 1e-6 for row in rows)
+        # The residual column is max|C - O| for the closed form C and the
+        # oracle O, at unit spectral radius; 0.0 on the oracle's rows.
+        assert all(float(row[5]) < bound for row in rows), rows
 
 
 def module_command(*argv):

@@ -17,7 +17,7 @@ from tripow.fibpoly import fib_det_check, fib_factor_eval, fib_poly_eval
 from tripow.linalg import mat_det, mat_identity, mat_norm_maxabs
 from tripow.spectral import nodes_a, nodes_adagger, sign_r
 
-from helpers import random_params
+from helpers import random_params, same_bits
 
 
 def loop_build(family, n, a, b):
@@ -32,12 +32,6 @@ def loop_build(family, n, a, b):
         m[0, 1] *= 2.0
         m[n - 2, n - 1] *= 2.0
     return m[::-1].copy() if family == FAMILY_ANTI else m
-
-
-def same_bits(x, y):
-    return x.shape == y.shape and np.array_equal(
-        np.ascontiguousarray(x).view(np.uint64), np.ascontiguousarray(y).view(np.uint64)
-    )
 
 
 class TestFamilySpecValidation:

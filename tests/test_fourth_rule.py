@@ -25,6 +25,8 @@ from tripow.powers import (
 )
 from tripow.spectral import decompose
 
+from helpers import same_bits
+
 DIRICHLET = "dirichlet"
 ORDERS = (1, 2, 3, 5, 16, 17, 64, 130)
 PARAMS = ((0.6j, 0.4), (0.3 - 0.5j, 0.25 + 0.1j), (3 + 1j, 0.8 - 0.9j))
@@ -92,9 +94,7 @@ def test_entries_equal_the_power_bit_for_bit(dirichlet, n):
                 [power_entry_adagger(data, s, i, j) for j in range(1, n + 1)]
                 for i in range(1, n + 1)
             ])
-        np.testing.assert_array_equal(
-            entries.view(np.uint64), np.ascontiguousarray(matrix).view(np.uint64)
-        )
+        assert same_bits(entries, matrix)
 
 
 def test_kind_checks_read_the_record(dirichlet):

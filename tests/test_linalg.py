@@ -29,6 +29,8 @@ from tripow.linalg import (
 from tripow.powers import ExtendedDomainWarning, power_matrix
 from tripow.spectral import eigenvalues
 
+from helpers import same_bits
+
 EPS = sys.float_info.epsilon
 
 
@@ -277,10 +279,6 @@ def _symmetric(rng, n):
     return m / np.abs(np.linalg.eigvals(m)).max()
 
 
-def _same_bits(x, y):
-    return np.array_equal(x.view(np.uint64), y.view(np.uint64))
-
-
 # (family, n, s) with 2**k = s and 2**(k-1) >= n - 1, so the last product
 # is the square of a power whose rows span every column.
 FULL_SQUARES = [
@@ -298,7 +296,7 @@ class TestSymmetricSquares:
         m = build_matrix(FamilySpec(family, n, 0.6j, 0.4))
         power = mat_pow_binary(m, s)
         assert np.array_equal(power, power.T)
-        assert _same_bits(power, reference_pow_binary(m, s, syrk=True))
+        assert same_bits(power, reference_pow_binary(m, s, syrk=True))
 
     @pytest.mark.parametrize("n", [3, 33, 70])
     def test_symmetric_dense_power_is_exactly_symmetric(self, n):
@@ -306,14 +304,14 @@ class TestSymmetricSquares:
         for s in (2, 4, 64):
             power = mat_pow_binary(m, s)
             assert np.array_equal(power, power.T), s
-            assert _same_bits(power, reference_pow_binary(m, s, syrk=True)), s
+            assert same_bits(power, reference_pow_binary(m, s, syrk=True)), s
 
     @pytest.mark.parametrize("n", [2, 17, 32, 33, 130])
     def test_family_a_keeps_the_plain_products(self, n):
         m = build_matrix(FamilySpec(FAMILY_A, n, 0.6j, 0.4))
         assert not np.array_equal(m, m.T)
         for s in (1, 2, 3, 64, 4096, 4097):
-            assert _same_bits(mat_pow_binary(m, s), reference_pow_binary(m, s)), s
+            assert same_bits(mat_pow_binary(m, s), reference_pow_binary(m, s)), s
 
     @pytest.mark.parametrize("n", [1, 3, 33, 70])
     @pytest.mark.parametrize("kind", ["dense", "permuted-tridiagonal", "lower-bidiagonal"])
@@ -321,7 +319,7 @@ class TestSymmetricSquares:
         m = np.ascontiguousarray(ENVELOPE_MATRICES[kind](np.random.default_rng(n), n))
         m /= max(1.0, np.abs(np.linalg.eigvals(m)).max())
         for s in (1, 2, 3, 7, 64, 65):
-            assert _same_bits(mat_pow_binary(m, s), reference_pow_binary(m, s)), s
+            assert same_bits(mat_pow_binary(m, s), reference_pow_binary(m, s)), s
 
     @pytest.mark.parametrize("n", [3, 33, 70])
     def test_one_ulp_from_symmetric_keeps_the_plain_products(self, n):
@@ -329,15 +327,15 @@ class TestSymmetricSquares:
         m[0, -1] = complex(np.nextafter(m[0, -1].real, np.inf), m[0, -1].imag)
         for s in (2, 64):
             power = mat_pow_binary(m, s)
-            assert _same_bits(power, reference_pow_binary(m, s)), s
-            assert not _same_bits(power, reference_pow_binary(m, s, syrk=True)), s
+            assert same_bits(power, reference_pow_binary(m, s)), s
+            assert not same_bits(power, reference_pow_binary(m, s, syrk=True)), s
 
     def test_one_ulp_from_symmetric_family_keeps_the_plain_products(self):
         m = build_matrix(FamilySpec(FAMILY_ADAGGER, 17, 0.6j, 0.4))
         m[3, 4] = complex(m[3, 4].real, np.nextafter(m[3, 4].imag, np.inf))
         power = mat_pow_binary(m, 64)
-        assert _same_bits(power, reference_pow_binary(m, 64))
-        assert not _same_bits(power, reference_pow_binary(m, 64, syrk=True))
+        assert same_bits(power, reference_pow_binary(m, 64))
+        assert not same_bits(power, reference_pow_binary(m, 64, syrk=True))
 
 
 def _band(rng, n, lower, upper):
@@ -417,7 +415,7 @@ def _singular_columns(m):
 def _check_inverse(m):
     """mat_inverse(m) is the factors' solve of I, bit for bit, near the reference."""
     inverse = mat_inverse(m)
-    assert _same_bits(inverse, _solve(_banded_lu(m, SINGULAR_RTOL), mat_identity(len(m))))
+    assert same_bits(inverse, _solve(_banded_lu(m, SINGULAR_RTOL), mat_identity(len(m))))
     assert relative_error(inverse, unblocked_inverse(m)) <= 1e-12
 
 
@@ -542,7 +540,7 @@ class TestNegativePowers:
                         for squares in range(k.bit_length())
                     ]
                     assert relative_error(oracle, closed) <= bound, (a, k)
-                assert any(_same_bits(oracle, route) for route in routes), (a, k)
+                assert any(same_bits(oracle, route) for route in routes), (a, k)
 
     @pytest.mark.parametrize("family, n", ROUTE_CASES)
     def test_route_follows_the_operation_count(self, family, n):
@@ -561,7 +559,7 @@ class TestNegativePowers:
             else:
                 # Each half of a centrosymmetric m takes its own count.
                 expected = _joined(_counted_route, m, k)
-            assert _same_bits(oracle_power(m, -k), expected), k
+            assert same_bits(oracle_power(m, -k), expected), k
         if n >= 257:
             # 64 solves cost 1200 n**2 or more against 6 n**3 for the
             # powered inverse; the count takes 16 solves from I and 2 squares.
@@ -586,11 +584,11 @@ class TestNegativePowers:
         for k in (1, 2**10, 2**20 - 1, 2**20):
             assert _counted_chain(m, k) == k.bit_length() - 1, k
             chain = _counted_route(m, k)
-            assert _same_bits(_inverse_power(m, k), chain), k
+            assert same_bits(_inverse_power(m, k), chain), k
             oracle = oracle_power(m, -k)
             if _centro_split(m) is not None:
                 chain = _joined(_counted_route, m, k)
-            assert _same_bits(oracle, chain), k
+            assert same_bits(oracle, chain), k
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ExtendedDomainWarning)
                 closed = power_matrix(spec, -k).matrix
@@ -604,7 +602,7 @@ class TestNegativePowers:
         for k in (2, 3, 64):
             assert _counted_chain(m, k) == k.bit_length() - 1, k
             oracle = oracle_power(m, -k)
-            assert _same_bits(oracle, _chain(m, k, k.bit_length() - 1)), k
+            assert same_bits(oracle, _chain(m, k, k.bit_length() - 1)), k
             bound = 1e-13 + 8 * k * EPS
             assert relative_error(oracle, mat_pow_binary(mat_inverse(m), k)) <= bound, k
         solves = _chain(m, 64, 0)
@@ -613,7 +611,7 @@ class TestNegativePowers:
     def test_exponent_is_an_index(self):
         m = build_matrix(FamilySpec(FAMILY_A, 40, 3.0 + 1.0j, 0.8 - 0.9j))
         for s in (-3, -64):
-            assert _same_bits(oracle_power(m, np.int64(s)), oracle_power(m, s)), s
+            assert same_bits(oracle_power(m, np.int64(s)), oracle_power(m, s)), s
         with pytest.raises(TypeError):
             oracle_power(m, -3.0)
 
@@ -621,6 +619,22 @@ class TestNegativePowers:
 def _plain_power(m, s):
     """The route of oracle_power on m as a whole, without the split."""
     return mat_pow_binary(m, s) if s >= 0 else _inverse_power(m, -s)
+
+
+def _plain_route_kept(m, exponents, spec=None):
+    """Assert that oracle_power(m, s) is the whole-matrix power, bit for bit, for each s.
+
+    Given the spec that m is built from, also assert that it is the closed
+    form within 1e-13 + 8|s| EPS, relative.
+    """
+    for s in exponents:
+        oracle = oracle_power(m, s)
+        assert same_bits(oracle, _plain_power(m, s)), s
+        if spec is not None:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ExtendedDomainWarning)
+                closed = power_matrix(spec, s).matrix
+            assert relative_error(oracle, closed) <= 1e-13 + 8 * abs(s) * EPS, s
 
 
 def _centrosymmetric(p, q):
@@ -643,6 +657,31 @@ def _diagonally_dominant(h):
 # panel and a block edge.
 SPLIT_CASES = [(family, n) for family in (FAMILY_ADAGGER, FAMILY_ANTI) for n in (16, 18, 130, 258)]
 
+# (family, n, a, b, exponents) whose dense powers join the halves: each of
+# SPLIT_CASES, where 2**k >= n squares past the first full square (n = 16
+# at s = 64), and chains that only their own inputs take.
+JOIN_CASES = [
+    pytest.param(
+        family, n, 0.6j, 0.4, (64, 4096, -1, -3, -64) if n <= 64 else (4096, -1, -3, -64),
+        id=f"{family}-{n}",
+    )
+    for family, n in SPLIT_CASES
+] + [
+    # Halves of 257 rows, one past a block edge: each takes 16 solves from
+    # I and 2 squares.
+    pytest.param(FAMILY_ANTI, 514, 0.6j, 0.4, (-64,), id="anti-514"),
+    # Halves of 8 and 17, where a solve costs as much as a square, so the
+    # count takes every square: 12 and no solve past each half's inverse
+    # at s = -4096, and 9 squares and 5 solves past it at s = -1000.  A
+    # square and a solve tie at both, and the tie goes to the square; only
+    # the halves of 17 tell the two apart by their bits, since on one panel
+    # without row swaps a solve is the product by B^-1.  Every |lambda|
+    # lies in [1, 1.0002], so lambda**s stays near 1.
+    pytest.param(FAMILY_ANTI, 16, 1j, 0.01, (-4096,), id="anti-16-near-unit"),
+    pytest.param(FAMILY_ADAGGER, 34, 1j, 0.01, (-1000,), id="adagger-34-near-unit"),
+    pytest.param(FAMILY_ANTI, 34, 1j, 0.01, (-1000,), id="anti-34-near-unit"),
+]
+
 
 class TestCentrosymmetricSplit:
     """An exactly centrosymmetric m of even n is powered as two halves where the power is dense."""
@@ -658,29 +697,36 @@ class TestCentrosymmetricSplit:
         rng = np.random.default_rng(21)
         p, q = (rng.integers(-8, 9, (5, 5)).astype(np.complex128) for _ in range(2))
         halves = _centro_split(_centrosymmetric(p, q))
-        assert _same_bits(halves[0], p) and _same_bits(halves[1], q)
-        assert _same_bits(_centro_join(p.copy(), q.copy()), _centrosymmetric(p, q))
+        assert same_bits(halves[0], p) and same_bits(halves[1], q)
+        assert same_bits(_centro_join(p.copy(), q.copy()), _centrosymmetric(p, q))
 
     @pytest.mark.parametrize("family, n", SPLIT_CASES)
-    def test_agrees_with_the_plain_route(self, family, n):
+    def test_agrees_with_the_plain_route_and_the_closed_form(self, family, n):
         # Spectral radii 1 and 0.85, every eigenvalue at least 0.57 in modulus.
         for a, b in ((0.6j, 0.4), (0.3 - 0.5j, 0.25 + 0.1j)):
-            m = build_matrix(FamilySpec(family, n, a, b))
+            spec = FamilySpec(family, n, a, b)
+            m = build_matrix(spec)
             assert _centro_split(m) is not None
             for s in (1, 2, 3, 64, n - 1, 4096, -1, -3, -64):
                 oracle = oracle_power(m, s)
                 bound = 1e-13 + 8 * abs(s) * EPS
                 assert relative_error(oracle, _plain_power(m, s)) <= bound, (a, s)
+                assert relative_error(oracle, power_matrix(spec, s).matrix) <= bound, (a, s)
 
-    @pytest.mark.parametrize("family, n", SPLIT_CASES)
-    def test_dense_powers_join_the_halves(self, family, n):
-        m = build_matrix(FamilySpec(family, n, 0.6j, 0.4))
-        # 2**k >= n squares past the first full square: n = 16 at s = 64.
-        for s in (64, 4096, -1, -3, -64) if n <= 64 else (4096, -1, -3, -64):
+    @pytest.mark.parametrize("family, n, a, b, exponents", JOIN_CASES)
+    def test_dense_powers_join_the_halves(self, family, n, a, b, exponents):
+        spec = FamilySpec(family, n, a, b)
+        m = build_matrix(spec)
+        for s in exponents:
             oracle = oracle_power(m, s)
-            assert _same_bits(oracle, _joined(_plain_power, m, s)), s
+            assert same_bits(oracle, _joined(_plain_power, m, s)), s
+            if s < 0:
+                # Each half takes the chain that the count picks.
+                assert same_bits(oracle, _joined(_counted_route, m, -s)), s
             # Exactly centrosymmetric, signed zeros included.
-            assert _same_bits(oracle, np.ascontiguousarray(oracle[::-1, ::-1])), s
+            assert same_bits(oracle, oracle[::-1, ::-1]), s
+            bound = 1e-13 + 8 * abs(s) * EPS
+            assert relative_error(oracle, power_matrix(spec, s).matrix) <= bound, s
 
     @pytest.mark.parametrize(
         "family, n, exponents",
@@ -688,22 +734,23 @@ class TestCentrosymmetricSplit:
             # Odd n: "adagger" is not centrosymmetric.
             (FAMILY_ADAGGER, 17, (64, 4096, -1, -64)),
             (FAMILY_ADAGGER, 257, (4096, -3, -64)),
-            # Powers that stay banded: no square spans every column.
+            # Powers that stay banded: no square spans every column.  The
+            # closed form of an odd "anti" power with 2s + 2 <= n is its
+            # twin's band read with the rows reversed.
             (FAMILY_ADAGGER, 258, (1, 2, 3, 64, 255, 256)),
+            (FAMILY_ANTI, 130, (63, 64)),
             (FAMILY_ANTI, 258, (1, 2, 3, 63, 64, 255)),
         ],
     )
     def test_other_inputs_keep_the_plain_route(self, family, n, exponents):
-        m = build_matrix(FamilySpec(family, n, 0.6j, 0.4))
-        for s in exponents:
-            assert _same_bits(oracle_power(m, s), _plain_power(m, s)), s
+        spec = FamilySpec(family, n, 0.6j, 0.4)
+        _plain_route_kept(build_matrix(spec), exponents, spec)
 
     def test_one_ulp_from_centrosymmetric_keeps_the_plain_route(self):
         m = build_matrix(FamilySpec(FAMILY_ADAGGER, 130, 0.6j, 0.4))
         m[127, 126] = complex(np.nextafter(m[127, 126].real, np.inf), m[127, 126].imag)
         assert _centro_split(m) is None
-        for s in (64, 4096, -3):
-            assert _same_bits(oracle_power(m, s), _plain_power(m, s)), s
+        _plain_route_kept(m, (64, 4096, -3))
 
     def test_halves_that_overflow_keep_the_plain_route(self):
         # B + C J overflows where m does not; the inverse is representable.
@@ -711,13 +758,12 @@ class TestCentrosymmetricSplit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _centro_split(m) is None
-            for s in (-1, -3):
-                assert _same_bits(oracle_power(m, s), _plain_power(m, s)), s
+            _plain_route_kept(m, (-1, -3))
 
     @pytest.mark.parametrize("family, n", SPLIT_CASES)
     def test_zeroth_power_is_the_exact_identity(self, family, n):
         m = build_matrix(FamilySpec(family, n, 0.6j, 0.4))
-        assert _same_bits(oracle_power(m, 0), mat_identity(n))
+        assert same_bits(oracle_power(m, 0), mat_identity(n))
 
     @pytest.mark.parametrize("singular", ["P", "Q"])
     def test_a_singular_half_is_named(self, singular):
@@ -769,12 +815,6 @@ def _scaled_route(m, s):
     return power
 
 
-def _plain_route_kept(m, exponents):
-    """Assert that oracle_power(m, s) is the whole-matrix power, bit for bit, for each s."""
-    for s in exponents:
-        assert _same_bits(oracle_power(m, s), _plain_power(m, s)), s
-
-
 # Even-n family "a": halves of 8, 9, 65 and 129 rows, as in SPLIT_CASES.
 SCALED_SIZES = (16, 18, 130, 258)
 
@@ -790,14 +830,14 @@ class TestScaledCentrosymmetricSplit:
         # The halves of the scaled m, which needs no further scaling.
         *halves, e = _centro_split(_doubled_last_row(m))
         assert not e.any()
-        assert _same_bits(p, halves[0]) and _same_bits(q, halves[1])
+        assert same_bits(p, halves[0]) and same_bits(q, halves[1])
 
     @pytest.mark.parametrize("n", SCALED_SIZES)
     def test_dense_powers_join_the_scaled_halves(self, n):
         for a, b in ((0.6j, 0.4), (0.3 - 0.5j, 0.25 + 0.1j)):
             m = build_matrix(FamilySpec(FAMILY_A, n, a, b))
             for s in ((64, 4096) if n <= 64 else (4096,)) + (-1, -3, -64):
-                assert _same_bits(oracle_power(m, s), _scaled_route(m, s)), (a, s)
+                assert same_bits(oracle_power(m, s), _scaled_route(m, s)), (a, s)
 
     @pytest.mark.parametrize("n", SCALED_SIZES)
     def test_agrees_with_the_plain_route_and_the_closed_form(self, n):
@@ -821,8 +861,8 @@ class TestScaledCentrosymmetricSplit:
         ],
     )
     def test_other_powers_of_a_keep_the_plain_route(self, n, exponents):
-        m = build_matrix(FamilySpec(FAMILY_A, n, 0.6j, 0.4))
-        _plain_route_kept(m, exponents)
+        spec = FamilySpec(FAMILY_A, n, 0.6j, 0.4)
+        _plain_route_kept(build_matrix(spec), exponents, spec)
 
     @pytest.mark.parametrize("edit", ["zero off-diagonal", "pentadiagonal"])
     def test_inputs_with_an_exact_scaling_split(self, edit):
@@ -858,15 +898,25 @@ class TestScaledCentrosymmetricSplit:
         assert _centro_split(m) is None
         _plain_route_kept(m, (4096, -3))
 
-    def test_scaled_copy_that_overflows_is_refused(self):
-        # 4 above the diagonal and 1 below it propose k = 2 for every pair,
-        # e = (0, 0, 0, 0, 1, 3, 5, 7), which takes entry (7, 0) past the
-        # float maximum.
-        m = np.triu(np.full((8, 8), 4.0 + 0j), 1) + np.tril(np.ones((8, 8)))
-        m[7, 0] = 1.5e308
+    @pytest.mark.parametrize("fault", ["scaled entry overflows", "factor not a normal float"])
+    def test_scaling_beyond_the_float_range_is_refused(self, fault):
+        if fault == "scaled entry overflows":
+            # 4 above the diagonal and 1 below it propose k = 2 for every
+            # pair, e = (0, 0, 0, 0, 1, 3, 5, 7), which takes entry (7, 0)
+            # past the float maximum.
+            m = np.triu(np.full((8, 8), 4.0 + 0j), 1) + np.tril(np.ones((8, 8)))
+            m[7, 0] = 1.5e308
+            exponents = ()
+        else:
+            # The pair (m[2, 3], m[1, 0]) proposes e_3 = 1200, and 2**1200
+            # is no float; the power itself is representable.
+            m = np.ones((4, 4), dtype=np.complex128)
+            m[2, 3], m[1, 0] = 2.0**600, 2.0**-600
+            exponents = (2,)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _centro_split(m) is None
+            _plain_route_kept(m, exponents)
 
     def test_centrosymmetric_input_needs_no_scaling(self):
         m = build_matrix(FamilySpec(FAMILY_ADAGGER, 130, 0.6j, 0.4))
@@ -882,10 +932,10 @@ class TestScaledCentrosymmetricSplit:
         # g = e[1:] - e[:-1] puts each pair's exponent on its later index.
         assert np.diff(e).tolist() == [0, 0, 0, 2, -2, 0, 3]
         scaled = m * np.ldexp(1.0, e)[:, None] / np.ldexp(1.0, e)
-        assert _same_bits(scaled, np.ascontiguousarray(scaled[::-1, ::-1]))
+        assert same_bits(scaled, scaled[::-1, ::-1])
         for s in (8, 64, -1, -3):
             expected = _unscaled(_joined(_plain_power, scaled, s), e)
-            assert _same_bits(oracle_power(m, s), expected), s
+            assert same_bits(oracle_power(m, s), expected), s
         # An odd exponent in the middle pair needs a factor 2**(1/2).
         m[3, 4] = 8.0
         assert _centro_split(m) is None
@@ -903,10 +953,10 @@ class TestSolveInPlace:
         b = random_matrix(np.random.default_rng(n), n)
         kept = b.copy()
         copying = _solve((rows, pivots, np.arange(n), panels, cost), b)
-        assert _same_bits(b, kept)
+        assert same_bits(b, kept)
         in_place = _solve(lu, b)
         assert in_place is b
-        assert _same_bits(in_place, copying)
+        assert same_bits(in_place, copying)
 
     def test_rows_out_of_order_are_copied(self):
         m = build_matrix(FamilySpec(FAMILY_ANTI, 130, 3.0 + 1.0j, 0.8 - 0.9j))
@@ -915,7 +965,7 @@ class TestSolveInPlace:
         b = random_matrix(np.random.default_rng(5), 130)
         kept = b.copy()
         x = _solve(lu, b)
-        assert _same_bits(b, kept)
+        assert same_bits(b, kept)
         assert relative_error(m @ x, kept) <= 1e-12
 
 
@@ -938,13 +988,13 @@ class TestReadOnlyInputs:
         m = build_matrix(FamilySpec(family, n, 0.6j, 0.4))
         frozen = m.copy()
         frozen.flags.writeable = False
-        assert _same_bits(mat_inverse(frozen), mat_inverse(m))
-        assert _same_bits(np.array([mat_det(frozen)]), np.array([mat_det(m)]))
+        assert same_bits(mat_inverse(frozen), mat_inverse(m))
+        assert same_bits(np.array([mat_det(frozen)]), np.array([mat_det(m)]))
         for s in (-64, -3, -1, 1, 3, 64, 4096):
-            assert _same_bits(oracle_power(frozen, s), oracle_power(m, s)), s
+            assert same_bits(oracle_power(frozen, s), oracle_power(m, s)), s
             if s > 0:
-                assert _same_bits(mat_pow_binary(frozen, s), mat_pow_binary(m, s)), s
-        assert _same_bits(frozen, m)
+                assert same_bits(mat_pow_binary(frozen, s), mat_pow_binary(m, s)), s
+        assert same_bits(frozen, m)
 
 
 class TestMatDet:

@@ -106,6 +106,24 @@ ARGUMENT_CHECKS = [
     ("power_entry_anti-boolean-j",
      lambda: powers.power_entry_anti(data("anti"), 2, 1, True),
      ValueError, "j must be an integer, got True"),
+    # A boolean is an int to operator.index, and numpy's is not: both are
+    # refused as exponents with one message.
+    ("power_matrix-boolean-s", lambda: powers.power_matrix(FamilySpec("a", 4, 1, 1), True),
+     TypeError, "exponent must be an integer, not a boolean, got True"),
+    ("power_verify-numpy-boolean-s",
+     lambda: powers.power_verify(FamilySpec("adagger", 4, 1, 1), np.True_),
+     TypeError, "exponent must be an integer, not a boolean, got True"),
+    ("power_entry_a-boolean-s", lambda: powers.power_entry_a(data("a"), False, 1, 1),
+     TypeError, "exponent must be an integer, not a boolean, got False"),
+    ("power_entry_adagger-numpy-boolean-s",
+     lambda: powers.power_entry_adagger(data("adagger"), np.False_, 1, 1),
+     TypeError, "exponent must be an integer, not a boolean, got False"),
+    ("power_entry_anti-boolean-s", lambda: powers.power_entry_anti(data("anti"), True, 1, 1),
+     TypeError, "exponent must be an integer, not a boolean, got True"),
+    ("mat_pow_binary-boolean-s", lambda: linalg.mat_pow_binary(np.eye(2), True),
+     TypeError, "exponent must be an integer, not a boolean, got True"),
+    ("oracle_power-numpy-boolean-s", lambda: linalg.oracle_power(np.eye(2), np.True_),
+     TypeError, "exponent must be an integer, not a boolean, got True"),
 ]
 
 

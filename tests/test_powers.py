@@ -46,7 +46,7 @@ from tripow.spectral import (
 )
 
 import tripow.powers
-from helpers import assert_positive_zeros_outside_band, outside_band, random_params
+from helpers import assert_positive_zeros_outside_band, outside_band, random_params, same_bits
 
 
 def draw_invertible(rng, family, n, min_eig=0.35):
@@ -203,7 +203,7 @@ class TestEntryFormulas:
                 )
                 # Bit for bit, so the signs of zeros count too.
                 want = power_matrix(spec, s).matrix
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), s
+                assert same_bits(got, want), s
                 assert np.all(got[outside_band(family, n, s)] == 0), s
 
     def test_adagger_known_corner_entry(self):
@@ -294,7 +294,7 @@ class TestAntiParity:
         for s in (1, 3, band, band + 2, n - 3, n - 1, n + 1, -1, -3):
             got = power_matrix(anti, s).matrix
             want = power_matrix(twin, s).matrix[::-1]
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), s
+            assert same_bits(got, want), s
 
     def test_adagger_entries_of_anti_data_are_the_twin_entries(self):
         # power_entry_adagger reads "anti" data as its "adagger" twin, also
@@ -305,7 +305,7 @@ class TestAntiParity:
             got = np.array(
                 [[power_entry_adagger(data, s, i, j) for j in range(1, 7)] for i in range(1, 7)]
             )
-            assert np.array_equal(got.view(np.uint64), twin.view(np.uint64)), s
+            assert same_bits(got, twin), s
 
 
 class TestPowerMatrix:
@@ -549,7 +549,7 @@ class TestAssembly:
             full = _assemble(spec, h, 2 * n + s % 2)
             full[outside_band(family, n, s)] = 0.0
             got = _assemble(spec, h, s)
-            assert np.array_equal(got.view(np.uint64), full.view(np.uint64)), s
+            assert same_bits(got, full), s
             assert_positive_zeros_outside_band(got, family, s)
 
 
@@ -653,8 +653,8 @@ class TestScaledPowers:
             mantissas, exponent = _binary_powers(base, e)
             assert float(np.abs(mantissas).max()) < 1.0
             parts = np.ldexp(mantissas.view(np.float64), exponent)
-            assert np.array_equal(parts.view(np.uint64), plain_powers(base, e).view(np.uint64)), e
-        assert np.array_equal(base.view(np.uint64), before.view(np.uint64))
+            assert same_bits(parts.view(np.complex128), plain_powers(base, e)), e
+        assert same_bits(base, before)
 
     @pytest.mark.parametrize("family,n", UNIT_RADIUS_PARAMS)
     def test_generator_is_the_plain_one_at_unit_radius(self, family, n):
@@ -667,7 +667,7 @@ class TestScaledPowers:
                 warnings.simplefilter("ignore", ExtendedDomainWarning)
                 h = _generator(spec, lam, s)
             plain = plain_powers(1.0 / lam if s < 0 else lam, abs(s))
-            assert np.array_equal(h.view(np.uint64), power_generator(spec, plain).view(np.uint64)), s
+            assert same_bits(h, power_generator(spec, plain)), s
 
     @pytest.mark.parametrize(
         "spec,s",

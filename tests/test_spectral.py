@@ -38,7 +38,7 @@ from tripow.spectral import (
     transform_t,
 )
 
-from helpers import random_params
+from helpers import random_params, same_bits
 
 SQRT2 = math.sqrt(2)
 SQRT5 = math.sqrt(5)
@@ -179,7 +179,7 @@ class TestEigenvalues:
     def test_one_formula_for_every_family(self, family):
         spec = FamilySpec(family, 6, 0.3 + 1j, -1.5 + 0.25j)
         by_family = eigenvalues_a(spec) if family == FAMILY_A else eigenvalues_adagger(spec)
-        assert np.array_equal(by_family.view(np.uint64), eigenvalues(spec).view(np.uint64))
+        assert same_bits(by_family, eigenvalues(spec))
 
     def test_eigenvalues_beyond_float_come_back_without_a_warning(self):
         # a + b*node overflows where node > 0.8; the callers refuse it.
@@ -244,7 +244,7 @@ class TestOneRule:
         for n in valid_orders(family, TABLE_ORDERS):
             spec = FamilySpec(family, n, 0.0, 1.0)
             for got, want in zip(table_functions(spec), reference_tables(spec)):
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (family, n)
+                assert same_bits(got, want), (family, n)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_decompose_stores_the_table_functions_bit_for_bit(self, family):
@@ -252,7 +252,7 @@ class TestOneRule:
             spec = FamilySpec(family, n, 0.5 + 0.25j, 1.0 - 0.5j)
             data = decompose(spec)
             for got, want in zip((data.vec_matrix, data.inv_matrix), table_functions(spec)):
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (family, n)
+                assert same_bits(got, want), (family, n)
 
 
 class TestAnalyticInverses:
@@ -449,7 +449,7 @@ class TestAngleGrid:
                 for size in (2 * period + 1, 8 * period + 3):
                     got = _identity_generator(spec, size)
                     want = hand_identity_generator(family, n, size)
-                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (family, n)
+                    assert same_bits(got, want), (family, n)
 
 
 class TestDecompose:
